@@ -56,9 +56,6 @@ _TARGETS = {
     "fig13": ("fig13_sensitivity", True),
 }
 
-_ALGORITHMS = ("ceal", "rs", "al", "geist", "alph", "bo", "ceal-bo")
-
-
 def _jobs_value(text: str) -> str:
     """Validate --jobs at parse time, before any pool is generated."""
     from repro.experiments.runner import resolve_jobs
@@ -105,6 +102,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.core.autotuner import ALGORITHMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CEAL in-situ workflow auto-tuning reproduction (SC '21)",
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument("--budget", type=int, default=50,
                       help="workflow-run budget m")
-    tune.add_argument("--algorithm", choices=_ALGORITHMS, default="ceal")
+    tune.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="ceal")
     tune.add_argument("--pool-size", type=int, default=1000)
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--use-history", action="store_true",
@@ -362,36 +361,8 @@ def _finish_telemetry(hub, args) -> None:
             log.info("%s", line)
 
 
-def _make_algorithm(name: str, use_history: bool):
-    from repro.core import (
-        ActiveLearning,
-        Alph,
-        BayesianOptimization,
-        Ceal,
-        CealSettings,
-        Geist,
-        RandomSampling,
-    )
-
-    if name == "ceal":
-        return Ceal(CealSettings(use_history=use_history))
-    if name == "rs":
-        return RandomSampling()
-    if name == "al":
-        return ActiveLearning()
-    if name == "geist":
-        return Geist()
-    if name == "alph":
-        return Alph(use_history=use_history)
-    if name == "bo":
-        return BayesianOptimization()
-    if name == "ceal-bo":
-        return BayesianOptimization(bootstrap=True)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 def _cmd_tune(args, out) -> int:
-    from repro.core import AutoTuner
+    from repro.core.autotuner import AutoTuner, make_algorithm
     from repro.workflows import make_workflow
 
     workflow = make_workflow(args.workflow)
@@ -417,7 +388,7 @@ def _cmd_tune(args, out) -> int:
             workflow,
             objective=args.objective,
             budget=args.budget,
-            algorithm=_make_algorithm(args.algorithm, args.use_history),
+            algorithm=make_algorithm(args.algorithm, args.use_history),
             pool_size=args.pool_size,
             use_history=args.use_history,
             seed=args.seed,

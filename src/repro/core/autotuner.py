@@ -1,4 +1,4 @@
-"""User-facing auto-tuner facade.
+"""User-facing auto-tuner facade, plus the recipes every caller shares.
 
 Wires together pool generation, component histories, the budgeted
 collector, a tuning algorithm (CEAL by default), and the searcher —
@@ -10,27 +10,152 @@ call::
 
     outcome = AutoTuner(make_lv(), "computer_time", budget=50).tune()
     print(outcome.best_config, outcome.best_value)
+
+Two recipes live here because every entry point (the facade, the
+experiment runner, the figure drivers, the serve daemon, the CLI)
+needs them and must agree on them bit for bit:
+
+* :func:`build_problem_artifacts` turns (workflow, pool size, seed,
+  noise, history size) into a frozen :class:`ProblemArtifacts` bundle,
+  and :meth:`ProblemArtifacts.problem` makes a fresh
+  :class:`~repro.core.problem.TuningProblem` from it;
+* :data:`ALGORITHMS` / :func:`make_algorithm` map an algorithm name to
+  a fresh algorithm instance.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration
+from repro.core.algorithms import (
+    ActiveLearning,
+    Alph,
+    BayesianOptimization,
+    Geist,
+    LowFidelityOnly,
+    RandomSampling,
+)
 from repro.core.ceal import Ceal, CealSettings
 from repro.core.metrics import recall_curve
 from repro.core.objectives import Objective, get_objective
 from repro.core.problem import AutotuneResult, TuningProblem
 from repro.insitu.workflow import WorkflowDefinition
+from repro.workflows.catalog import make_workflow
 from repro.workflows.pools import (
+    ComponentHistory,
     MeasuredPool,
     generate_component_history,
     generate_pool,
 )
 
-__all__ = ["AutoTuner", "TuningOutcome"]
+__all__ = [
+    "ALGORITHMS",
+    "AutoTuner",
+    "ProblemArtifacts",
+    "TuningOutcome",
+    "build_problem_artifacts",
+    "make_algorithm",
+]
+
+#: Every tuning algorithm a run may name (CLI ``--algorithm``, serve
+#: ``SessionSpec.algorithm``): name -> factory of a fresh instance,
+#: given whether free historical component measurements may be used.
+ALGORITHMS: dict[str, Callable[[bool], object]] = {
+    "ceal": lambda use_history: Ceal(CealSettings(use_history=use_history)),
+    "rs": lambda use_history: RandomSampling(),
+    "al": lambda use_history: ActiveLearning(),
+    "geist": lambda use_history: Geist(),
+    "alph": lambda use_history: Alph(use_history=use_history),
+    "bo": lambda use_history: BayesianOptimization(),
+    "ceal-bo": lambda use_history: BayesianOptimization(bootstrap=True),
+    "lowfid": lambda use_history: LowFidelityOnly(),
+}
+
+
+def make_algorithm(name: str, use_history: bool = False):
+    """A fresh instance of the algorithm registered as ``name``."""
+    return ALGORITHMS[name](use_history)
+
+
+@dataclass(frozen=True)
+class ProblemArtifacts:
+    """The immutable, shareable part of a tuning problem.
+
+    Built workflow, measured pool, component histories (the §7.1 solo
+    measurement sets the collector draws paid component runs from), and
+    the ML feature encoder.  Nothing here is mutated after construction
+    — pools and histories are frozen dataclasses over arrays, and the
+    encoder only memoises deterministic encodings — so any number of
+    problems, sequential or concurrent, may share one bundle by
+    reference with results identical to rebuilding it for each.
+    """
+
+    workflow: WorkflowDefinition
+    pool: MeasuredPool
+    histories: dict[str, ComponentHistory]
+    encoder: ConfigEncoder
+
+    def problem(
+        self,
+        objective: Objective | str,
+        budget: int,
+        seed: int,
+        *,
+        failure_rate: float = 0.0,
+        store=None,
+        warm_start: str = "off",
+    ) -> TuningProblem:
+        """A fresh problem (new collector and RNG) over these artifacts."""
+        if isinstance(objective, str):
+            objective = get_objective(objective)
+        return TuningProblem.create(
+            workflow=self.workflow,
+            objective=objective,
+            pool=self.pool,
+            budget_runs=budget,
+            seed=seed,
+            histories=self.histories,
+            failure_rate=failure_rate,
+            store=store,
+            warm_start=warm_start,
+            encoder=self.encoder,
+        )
+
+
+def build_problem_artifacts(
+    workflow: WorkflowDefinition | str,
+    pool_size: int,
+    seed: int,
+    noise_sigma: float = 0.05,
+    history_size: int = 500,
+    *,
+    pool: MeasuredPool | None = None,
+) -> ProblemArtifacts:
+    """The artifacts of one (workflow, pool size, seed, noise, history) recipe.
+
+    Deterministic in its arguments: pools and histories come from the
+    memoised generators (and the on-disk cache when enabled).  Every
+    component with more than one configuration gets a history of
+    ``history_size`` solo samples.  ``pool`` supplies a ready pool
+    instead of generating ``pool_size`` configurations.
+    """
+    if isinstance(workflow, str):
+        workflow = make_workflow(workflow)
+    if pool is None:
+        pool = generate_pool(workflow, pool_size, seed=seed, noise_sigma=noise_sigma)
+    histories = {
+        label: generate_component_history(
+            workflow, label, size=history_size, seed=seed, noise_sigma=noise_sigma
+        )
+        for label in workflow.labels
+        if workflow.app(label).space.size() > 1
+    }
+    return ProblemArtifacts(workflow, pool, histories, workflow.encoder())
 
 
 @dataclass(frozen=True)
@@ -118,30 +243,23 @@ class AutoTuner:
         if isinstance(self.objective, str):
             self.objective = get_objective(self.objective)
         if self.algorithm is None:
-            self.algorithm = Ceal(CealSettings(use_history=self.use_history))
+            self.algorithm = make_algorithm("ceal", self.use_history)
 
     def tune(self) -> TuningOutcome:
         """Run the full collector/modeler/searcher loop."""
-        pool = self.pool or generate_pool(
-            self.workflow, self.pool_size, seed=self.seed, noise_sigma=self.noise_sigma
+        artifacts = build_problem_artifacts(
+            self.workflow,
+            self.pool_size,
+            self.seed,
+            self.noise_sigma,
+            self.history_size,
+            pool=self.pool,
         )
-        histories = {}
-        for label in self.workflow.labels:
-            if self.workflow.app(label).space.size() > 1:
-                histories[label] = generate_component_history(
-                    self.workflow,
-                    label,
-                    size=self.history_size,
-                    seed=self.seed,
-                    noise_sigma=self.noise_sigma,
-                )
-        problem = TuningProblem.create(
-            workflow=self.workflow,
-            objective=self.objective,
-            pool=pool,
-            budget_runs=self.budget,
-            seed=self.seed,
-            histories=histories,
+        pool = artifacts.pool
+        problem = artifacts.problem(
+            self.objective,
+            self.budget,
+            self.seed,
             store=self.store,
             warm_start=self.warm_start,
         )

@@ -13,7 +13,10 @@ two halves with an ask/tell contract:
   injected failures (failed runs consume budget and are reported to the
   strategy through ``tell`` so it can re-propose from the remaining
   pool), wall-clock timing of model fits, emission of typed per-cycle
-  :class:`TuningEvent` records, and session checkpoint/resume.
+  :class:`TuningEvent` records, and session checkpoint/resume.  Its
+  steps (``prepare``/``ask``/``tell``/``finalize``) are public: offline
+  ``run`` calls them back to back, the serve layer one request at a
+  time.
 
 Checkpointing serialises only *logical* state (measured set, RNG state,
 counters, event log, raw component measurements) — never fitted models
@@ -54,11 +57,9 @@ __all__ = [
     "TuningSession",
     "checkpoint_payload",
     "load_checkpoint",
-    "restore_session",
     "save_checkpoint",
     "save_checkpoint_payload",
     "split_batches",
-    "validate_checkpoint",
 ]
 
 
@@ -426,12 +427,13 @@ def checkpoint_payload(
 ) -> dict:
     """The session's resumable state as a checkpoint payload dict.
 
-    Exactly what :func:`save_checkpoint` pickles; exposed so the serve
-    layer's warm-snapshot cache can keep the parsed payload of an
-    evicted session in memory and restore from it without a disk
-    round-trip.  Mutable session containers are copied (``events``,
-    and every ``state_dict`` builds fresh dicts), so a stashed payload
-    is safe against later mutation of the live session.
+    Exactly what :func:`save_checkpoint` pickles.  The driver keeps the
+    last one it wrote as :attr:`TuningDriver.payload`, which the serve
+    layer's warm-snapshot cache holds for an evicted session so it can
+    restore without a disk round-trip.  Mutable session containers are
+    copied (``events``, and every ``state_dict`` builds fresh dicts),
+    so a stashed payload is safe against later mutation of the live
+    session.
     """
     return {
         "version": CHECKPOINT_VERSION,
@@ -488,31 +490,6 @@ def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
         raise
 
 
-def validate_checkpoint(
-    payload: dict, strategy: SearchStrategy, session: TuningSession
-) -> None:
-    """Check a checkpoint payload belongs to (strategy, session).
-
-    Raises :class:`CheckpointError` when the checkpoint was written by
-    a different algorithm, workflow, objective, seed, or budget — the
-    public face of the driver's resume validation, shared with the
-    serve layer's eviction/rehydration path.
-    """
-    TuningDriver._validate(payload, strategy, session)
-
-
-def restore_session(
-    payload: dict, strategy: SearchStrategy, session: TuningSession
-) -> None:
-    """Restore a validated checkpoint payload into a fresh session.
-
-    The session continues bit-identically from the checkpointed cycle
-    boundary (models are refit deterministically on demand, exactly as
-    in :meth:`TuningDriver.run` with ``resume=True``).
-    """
-    TuningDriver._restore(payload, strategy, session)
-
-
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint payload written by :func:`save_checkpoint`."""
     try:
@@ -537,6 +514,12 @@ def load_checkpoint(path: str | Path) -> dict:
 class TuningDriver:
     """Owns the measurement loop shared by every tuning algorithm.
 
+    The loop is a sequence of steps — :meth:`prepare` (or
+    :meth:`restore`), then :meth:`ask` / :meth:`tell` until ``ask``
+    proposes nothing, then :meth:`finalize`.  :meth:`run` drives them
+    back to back; the serve layer calls the same steps one request at a
+    time, so a served session runs exactly this cycle.
+
     Parameters
     ----------
     checkpoint_path:
@@ -545,6 +528,9 @@ class TuningDriver:
     """
 
     checkpoint_path: str | Path | None = None
+    #: The checkpoint payload last written (or restored) by this
+    #: driver — always a cycle-boundary state, never a mid-ask one.
+    payload: dict | None = field(default=None, init=False, repr=False)
 
     def run(
         self,
@@ -567,14 +553,15 @@ class TuningDriver:
         one in every deterministic field.
 
         When a telemetry hub is installed (:mod:`repro.telemetry`), the
-        loop emits nested spans — ``driver.run`` > ``driver.cycle`` >
-        ``driver.ask``/``collector.measure``/``driver.tell`` — carrying
-        each cycle's :class:`TuningEvent` fields as span attributes,
-        plus ``driver.cycles`` / ``fit_seconds`` metrics.  Telemetry is
-        purely observational: results are bit-identical either way.
+        loop emits spans — ``driver.run`` > ``driver.prepare``, then per
+        cycle ``driver.ask`` and ``driver.cycle`` >
+        ``collector.measure``/``driver.tell``, then ``driver.finalize``
+        — carrying each cycle's :class:`TuningEvent` fields as span
+        attributes, plus ``driver.cycles`` / ``fit_seconds`` metrics.
+        Telemetry is purely observational: results are bit-identical
+        either way.
         """
-        tel = telemetry.get()
-        with tel.span(
+        with telemetry.get().span(
             "driver.run",
             category="driver",
             algorithm=strategy.name,
@@ -582,82 +569,134 @@ class TuningDriver:
             objective=problem.objective.name,
             resume=resume,
         ):
-            return self._run(
-                strategy, problem, tel, resume=resume, max_cycles=max_cycles
-            )
-
-    def _run(
-        self,
-        strategy: SearchStrategy,
-        problem: TuningProblem,
-        tel,
-        *,
-        resume: bool,
-        max_cycles: int | None,
-    ) -> AutotuneResult | None:
-        session = TuningSession.start(problem)
-        if resume:
-            if self.checkpoint_path is None:
-                raise ValueError("resume requires a checkpoint_path")
-            payload = load_checkpoint(self.checkpoint_path)
-            self._validate(payload, strategy, session)
-            self._restore(payload, strategy, session)
-        else:
-            with tel.span("driver.prepare", category="driver") as prep_span:
-                if problem.warm_start == "full":
-                    from repro.store.warmstart import adopt_stored_measurements
-
-                    adopted = adopt_stored_measurements(session)
-                    if adopted:
-                        session.annotate(warm_adopted=adopted)
-                strategy.prepare(session)
-                if session.collector.runs_used > 0 or session.has_pending:
-                    event = session.emit(kind="setup", batch=(), results={})
-                    if tel.enabled:
-                        prep_span.set(**_event_attributes(event))
-            self._save(session, strategy)
-
-        cycles = 0
-        while True:
-            if max_cycles is not None and cycles >= max_cycles:
-                return None
-            with tel.span(
-                "driver.cycle",
-                category="driver",
-                iteration=session.iteration + 1,
-            ) as cycle_span:
-                with tel.span("driver.ask", category="driver"):
-                    batch = [tuple(c) for c in strategy.ask(session)]
-                remaining = session.collector.runs_remaining
-                if not math.isinf(remaining) and len(batch) > remaining:
-                    batch = batch[: max(int(remaining), 0)]
-                if not batch:
-                    break
-                results = session.collector.measure_batch(batch)
-                session.iteration += 1
-                with tel.span("driver.tell", category="driver"):
-                    strategy.tell(session, batch, results)
-                event = session.emit(
-                    kind="iteration", batch=batch, results=results
+            session = TuningSession.start(problem)
+            if resume:
+                if self.checkpoint_path is None:
+                    raise ValueError("resume requires a checkpoint_path")
+                self.restore(
+                    load_checkpoint(self.checkpoint_path), strategy, session
                 )
-                if tel.enabled:
-                    cycle_span.set(**_event_attributes(event))
-                    tel.counter("driver.cycles").inc()
-                    tel.histogram("fit_seconds").observe(event.fit_seconds)
-            self._heartbeat(strategy, session)
-            self._save(session, strategy)
-            cycles += 1
+            else:
+                self.prepare(strategy, session)
+            cycles = 0
+            while max_cycles is None or cycles < max_cycles:
+                batch = self.ask(strategy, session)
+                if not batch:
+                    return self.finalize(strategy, session)
+                self.tell(strategy, session, batch)
+                cycles += 1
+            return None
 
-        with tel.span("driver.finalize", category="driver"):
+    # -- the steps ------------------------------------------------------------
+
+    def prepare(self, strategy: SearchStrategy, session: TuningSession) -> None:
+        """Warm adoption, the strategy's setup, and the first checkpoint."""
+        tel = telemetry.get()
+        with tel.span("driver.prepare", category="driver") as prep_span:
+            if session.problem.warm_start == "full":
+                from repro.store.warmstart import adopt_stored_measurements
+
+                adopted = adopt_stored_measurements(session)
+                if adopted:
+                    session.annotate(warm_adopted=adopted)
+            strategy.prepare(session)
+            if session.collector.runs_used > 0 or session.has_pending:
+                event = session.emit(kind="setup", batch=(), results={})
+                if tel.enabled:
+                    prep_span.set(**_event_attributes(event))
+        self._save(session, strategy)
+
+    def ask(self, strategy: SearchStrategy, session: TuningSession) -> list:
+        """The strategy's next batch, clipped to the remaining budget.
+
+        An empty batch means the session is over (:meth:`finalize`).
+        """
+        with telemetry.get().span("driver.ask", category="driver"):
+            batch = [tuple(c) for c in strategy.ask(session)]
+        return clip_to_budget(batch, session.collector)
+
+    def tell(
+        self, strategy: SearchStrategy, session: TuningSession, batch: list
+    ) -> TuningEvent:
+        """Measure ``batch``, digest it, and checkpoint the new boundary."""
+        tel = telemetry.get()
+        with tel.span(
+            "driver.cycle",
+            category="driver",
+            iteration=session.iteration + 1,
+        ) as cycle_span:
+            results = session.collector.measure_batch(batch)
+            session.iteration += 1
+            with tel.span("driver.tell", category="driver"):
+                strategy.tell(session, batch, results)
+            event = session.emit(kind="iteration", batch=batch, results=results)
+            if tel.enabled:
+                cycle_span.set(**_event_attributes(event))
+                tel.counter("driver.cycles").inc()
+                tel.histogram("fit_seconds").observe(event.fit_seconds)
+        self._heartbeat(strategy, session)
+        self._save(session, strategy)
+        return event
+
+    def finalize(
+        self, strategy: SearchStrategy, session: TuningSession
+    ) -> AutotuneResult:
+        """The final model and result; marks the checkpoint completed.
+
+        A session restored from a completed checkpoint only rebuilds its
+        model (refits are deterministic): its event log already ends
+        with the final event, so nothing is emitted or saved again.
+        """
+        completed = self.completed
+        with telemetry.get().span("driver.finalize", category="driver"):
             model = strategy.finalize(session)
-            summary = strategy.summary(session)
-        if summary or session.has_pending:
-            session.annotate(**summary)
-            session.emit(kind="final", batch=(), results={})
-        self._save(session, strategy, completed=True)
+            if not completed:
+                session.annotate(**strategy.summary(session))
+        if not completed:
+            if session.has_pending:
+                session.emit(kind="final", batch=(), results={})
+            self._save(session, strategy, completed=True)
         return AutotuneResult.from_collector(
-            strategy.name, problem, model, trace=session.events
+            strategy.name, session.problem, model, trace=session.events
         )
+
+    def restore(
+        self, payload: dict, strategy: SearchStrategy, session: TuningSession
+    ) -> None:
+        """Validate a checkpoint payload and restore it into ``session``.
+
+        Raises :class:`CheckpointError` when the checkpoint was written
+        by a different algorithm, workflow, objective, seed, or budget.
+        The session continues bit-identically from the checkpointed
+        cycle boundary (strategies refit their models on demand).
+        """
+        expected = {
+            "algorithm": strategy.name,
+            "workflow": session.problem.workflow.name,
+            "objective": session.problem.objective.name,
+            "seed": session.problem.seed,
+            "budget": session.collector.budget_runs,
+        }
+        for key, want in expected.items():
+            got = payload.get(key)
+            if got != want:
+                raise CheckpointError(
+                    f"checkpoint {key} mismatch: checkpoint has {got!r}, "
+                    f"the session was built with {want!r}"
+                )
+        session.iteration = payload["iteration"]
+        session.events = list(payload["events"])
+        session.fit_seconds_total = payload["fit_seconds_total"]
+        session.collector.restore_state(payload["collector"])
+        session.rng.bit_generator.state = payload["rng_state"]
+        session.tracker.restore_state(payload["tracker"])
+        strategy.load_state(payload["strategy"], session)
+        self.payload = payload
+
+    @property
+    def completed(self) -> bool:
+        """Whether the last checkpoint written or restored is final."""
+        return bool(self.payload and self.payload.get("completed"))
 
     @staticmethod
     def _heartbeat(strategy: SearchStrategy, session: TuningSession) -> None:
@@ -683,8 +722,6 @@ class TuningDriver:
             fit_seconds=session.fit_seconds_total,
         )
 
-    # -- persistence ----------------------------------------------------------
-
     def _save(
         self,
         session: TuningSession,
@@ -692,38 +729,8 @@ class TuningDriver:
         completed: bool = False,
     ) -> None:
         if self.checkpoint_path is not None:
-            save_checkpoint(self.checkpoint_path, session, strategy, completed)
-
-    @staticmethod
-    def _validate(
-        payload: dict, strategy: SearchStrategy, session: TuningSession
-    ) -> None:
-        expected = {
-            "algorithm": strategy.name,
-            "workflow": session.problem.workflow.name,
-            "objective": session.problem.objective.name,
-            "seed": session.problem.seed,
-            "budget": session.collector.budget_runs,
-        }
-        for key, want in expected.items():
-            got = payload.get(key)
-            if got != want:
-                raise CheckpointError(
-                    f"checkpoint {key} mismatch: checkpoint has {got!r}, "
-                    f"the session was built with {want!r}"
-                )
-
-    @staticmethod
-    def _restore(
-        payload: dict, strategy: SearchStrategy, session: TuningSession
-    ) -> None:
-        session.iteration = payload["iteration"]
-        session.events = list(payload["events"])
-        session.fit_seconds_total = payload["fit_seconds_total"]
-        session.collector.restore_state(payload["collector"])
-        session.rng.bit_generator.state = payload["rng_state"]
-        session.tracker.restore_state(payload["tracker"])
-        strategy.load_state(payload["strategy"], session)
+            self.payload = checkpoint_payload(session, strategy, completed)
+            save_checkpoint_payload(self.checkpoint_path, self.payload)
 
 
 def clip_to_budget(batch: Sequence[Configuration], collector) -> list:

@@ -38,13 +38,11 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.algorithms import ActiveLearning, Geist, RandomSampling
+from repro.core.autotuner import ProblemArtifacts, build_problem_artifacts
 from repro.core.ceal import Ceal, CealSettings
 from repro.core.metrics import mdape_on_top_fraction, recall_curve
 from repro.core.objectives import Objective, get_objective
-from repro.core.problem import TuningProblem
 from repro.insitu.workflow import WorkflowDefinition
-from repro.workflows.catalog import make_workflow
-from repro.workflows.pools import generate_component_history, generate_pool
 
 __all__ = [
     "AlgorithmSpec",
@@ -289,12 +287,10 @@ def _fanout_serial(worker, context, n_tasks: int, tel, on_complete=None) -> list
 class _TrialContext:
     """Everything one trial needs, shared across workers by fork."""
 
-    workflow: WorkflowDefinition
+    artifacts: ProblemArtifacts
     objective: Objective
-    pool: object
     truth: np.ndarray
     pool_best: float
-    histories: dict
     budget: int
     failure_rate: float
     recall_max_n: int
@@ -307,13 +303,11 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
     spec, rep, seed = ctx.tasks[index]
     started = time.perf_counter()
     tel = telemetry.get()
-    problem = TuningProblem.create(
-        workflow=ctx.workflow,
-        objective=ctx.objective,
-        pool=ctx.pool,
-        budget_runs=ctx.budget,
-        seed=seed,
-        histories=ctx.histories,
+    pool = ctx.artifacts.pool
+    problem = ctx.artifacts.problem(
+        ctx.objective,
+        ctx.budget,
+        seed,
         failure_rate=ctx.failure_rate,
         store=ctx.store,
         warm_start=ctx.warm_start,
@@ -336,18 +330,18 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         tel.counter("trials_run").inc()
         rank_started = time.perf_counter()
         with tel.span(
-            "runner.rank_pool", category="runner", pool=len(ctx.pool)
+            "runner.rank_pool", category="runner", pool=len(pool)
         ):
-            scores = result.predict_pool(ctx.pool)
+            scores = result.predict_pool(pool)
         tel.histogram("pool_rank_seconds").observe(
             time.perf_counter() - rank_started
         )
     else:
-        scores = result.predict_pool(ctx.pool)
-    best_value = result.best_actual_value(ctx.pool)
+        scores = result.predict_pool(pool)
+    best_value = result.best_actual_value(pool)
     return TrialMetrics(
         algorithm=spec.name,
-        workflow=ctx.workflow.name,
+        workflow=ctx.artifacts.workflow.name,
         objective=ctx.objective.name,
         budget=ctx.budget,
         seed=seed,
@@ -449,8 +443,6 @@ def build_trial_context(
     (:mod:`repro.experiments.suite`) passes only the *pending* cells of
     a resumed matrix.
     """
-    if isinstance(workflow, str):
-        workflow = make_workflow(workflow)
     if store is not None:
         from repro.store.db import MeasurementStore
 
@@ -459,25 +451,15 @@ def build_trial_context(
     objective = (
         get_objective(objective) if isinstance(objective, str) else objective
     )
-    pool = generate_pool(workflow, pool_size, seed=pool_seed, noise_sigma=noise_sigma)
-    truth = pool.objective_values(objective.name)
-    pool_best = float(truth.min())
-
-    histories = {}
-    for label in workflow.labels:
-        if workflow.app(label).space.size() > 1:
-            histories[label] = generate_component_history(
-                workflow, label, size=history_size, seed=pool_seed,
-                noise_sigma=noise_sigma,
-            )
-
+    artifacts = build_problem_artifacts(
+        workflow, pool_size, pool_seed, noise_sigma, history_size
+    )
+    truth = artifacts.pool.objective_values(objective.name)
     return _TrialContext(
-        workflow=workflow,
+        artifacts=artifacts,
         objective=objective,
-        pool=pool,
         truth=truth,
-        pool_best=pool_best,
-        histories=histories,
+        pool_best=float(truth.min()),
         budget=budget,
         failure_rate=failure_rate,
         recall_max_n=recall_max_n,

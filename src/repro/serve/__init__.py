@@ -5,10 +5,15 @@ ROADMAP item 1.  The package splits into orthogonal layers:
 * :mod:`repro.serve.protocol` — wire contract: protocol version,
   structured error codes.
 * :mod:`repro.serve.specs` — :class:`SessionSpec`, the JSON recipe a
-  session is deterministically rebuilt from.
-* :mod:`repro.serve.sessions` — :class:`SessionRunner` (the driver's
-  cycle split into ask/tell steps) and :class:`SessionManager` (named
-  sessions, LRU eviction to checkpoints, crash recovery).
+  session is deterministically rebuilt from, through the same problem
+  recipe and algorithm registry as offline tuning
+  (:mod:`repro.core.autotuner`).
+* :mod:`repro.serve.sessions` — :class:`SessionRunner` (ask-id
+  bookkeeping around the :class:`~repro.core.driver.TuningDriver`'s
+  own prepare/ask/tell/finalize steps, one request per step) and
+  :class:`SessionManager` (named sessions, LRU eviction to
+  checkpoints, crash recovery).
+* :mod:`repro.serve.artifacts` — the rehydration cache tiers.
 * :mod:`repro.serve.http` — stdlib asyncio JSON-over-HTTP daemon with
   a bounded worker pool and graceful SIGTERM drain.
 * :mod:`repro.serve.client` — blocking keep-alive client.

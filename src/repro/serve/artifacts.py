@@ -9,13 +9,14 @@ amortizes that work across sessions — the same bootstrap-reuse insight
 the paper applies to component models, applied to the service itself:
 
 * **Problem-artifact cache** — the deterministic, immutable part of a
-  :class:`~repro.core.problem.TuningProblem` (built workflow, measured
-  pool, component histories, feature encoder), keyed by exactly the
-  spec fields that determine it: ``(workflow, pool_size, seed,
-  noise_sigma, history_size)``.  Sessions whose keys hash equal share
-  the artifacts *by reference*; the mutable problem state (collector,
-  RNG, tracker) is still built fresh per session, which is why sharing
-  preserves bit-identity.
+  :class:`~repro.core.problem.TuningProblem`, the
+  :class:`~repro.core.autotuner.ProblemArtifacts` bundle (built
+  workflow, measured pool, component histories, feature encoder),
+  keyed by exactly the spec fields that determine it: ``(workflow,
+  pool_size, seed, noise_sigma, history_size)``.  Sessions whose keys
+  hash equal share the artifacts *by reference*; the mutable problem
+  state (collector, RNG, tracker) is still built fresh per session,
+  which is why sharing preserves bit-identity.
 * **Fitted-model cache** — an in-process front for
   :class:`~repro.store.registry.ModelRegistry` keyed by the same
   training-set content hash.  Every fit in this codebase is a
@@ -47,17 +48,16 @@ import os
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
+from repro.core.autotuner import ProblemArtifacts, build_problem_artifacts
 
 __all__ = [
     "ArtifactCache",
     "CachingModelRegistry",
     "LruCache",
-    "ProblemArtifacts",
     "cache_enabled",
     "spec_key",
 ]
@@ -71,12 +71,12 @@ def cache_enabled() -> bool:
 def spec_key(spec) -> tuple:
     """The deterministic-artifact key of a session spec.
 
-    Exactly the fields :func:`repro.serve.specs.build_problem_artifacts`
-    depends on: two specs that agree here rebuild bit-identical pools,
-    histories, workflows and encoders, so their sessions may share one
-    artifact bundle by reference.  (``budget``, ``algorithm``,
-    ``objective`` etc. shape the *mutable* problem state, which is
-    always built fresh.)
+    Exactly the arguments of
+    :func:`repro.core.autotuner.build_problem_artifacts`, in order: two
+    specs that agree here rebuild bit-identical pools, histories,
+    workflows and encoders, so their sessions may share one artifact
+    bundle by reference.  (``budget``, ``algorithm``, ``objective`` etc.
+    shape the *mutable* problem state, which is always built fresh.)
     """
     return (
         spec.workflow,
@@ -234,24 +234,6 @@ class LruCache:
         }
 
 
-@dataclass(frozen=True)
-class ProblemArtifacts:
-    """The immutable, shareable part of a session's tuning problem.
-
-    Everything here is a deterministic function of the
-    :func:`spec_key` fields and is never mutated after construction
-    (pools/histories are frozen dataclasses over arrays; the workflow
-    definition and encoder only memoise deterministic derived values),
-    so handing the same bundle to many concurrent sessions is
-    bit-identical to rebuilding it per session.
-    """
-
-    workflow: object
-    pool: object
-    histories: dict
-    encoder: object
-
-
 class CachingModelRegistry:
     """In-process fitted-model front with the ModelRegistry contract.
 
@@ -311,18 +293,15 @@ class ArtifactCache:
     def problem_artifacts(self, spec) -> ProblemArtifacts:
         """The shared artifact bundle for ``spec`` (built on miss).
 
-        Misses pay exactly the PR 9 rebuild cost once; every later
-        session or rehydration with an equal :func:`spec_key` is a
-        dictionary hit returning the same immutable bundle.
+        Misses pay the full rebuild once; every later session or
+        rehydration with an equal :func:`spec_key` is a dictionary hit
+        returning the same immutable bundle.
         """
-        from repro.serve.specs import build_problem_artifacts
-
         key = spec_key(spec)
         artifacts = self.problems.get(key)
-        if artifacts is not None:
-            return artifacts
-        artifacts = build_problem_artifacts(spec)
-        self.problems.put(key, artifacts)
+        if artifacts is None:
+            artifacts = build_problem_artifacts(*key)
+            self.problems.put(key, artifacts)
         return artifacts
 
     # -- tier 2: fitted models ------------------------------------------------

@@ -7,13 +7,15 @@ warm-start — sharing one process, one
 
 Two classes split the work:
 
-* :class:`SessionRunner` re-expresses the
-  :class:`~repro.core.driver.TuningDriver` measurement loop as
-  *stepwise* ``ask``/``tell`` calls so a remote client can sit in the
-  middle of the cycle.  The split preserves the driver's exact order of
-  operations (ask → budget clip → measure → tell → emit → checkpoint),
-  so a session driven through a runner finishes bit-identical to an
-  offline ``algorithm.tune(problem)`` run.
+* :class:`SessionRunner` drives one session through the
+  :class:`~repro.core.driver.TuningDriver`'s own steps — ``prepare`` on
+  create, ``ask`` and ``tell`` one request each, ``finalize`` when the
+  strategy stops proposing — so a remote client can sit in the middle
+  of the cycle.  The cycle is the driver's code, not a copy of it, so a
+  session driven through a runner finishes bit-identical to an offline
+  ``algorithm.tune(problem)`` run and emits the same ``driver.*``
+  telemetry.  The runner adds only ask-id bookkeeping and the
+  serve-specific errors.
 * :class:`SessionManager` owns named runners: creation, LRU
   eviction to checkpoint files, transparent rehydration on next touch,
   crash recovery (re-listing checkpointed sessions at startup), and
@@ -23,10 +25,10 @@ Two classes split the work:
 Eviction discipline
 -------------------
 Checkpoints are written only at *cycle boundaries* (after ``prepare``
-and after every ``tell``), exactly like the driver.  Between an ``ask``
-and its ``tell`` the session's RNG has advanced, so re-saving there
-would fork the random stream; instead eviction simply drops the
-in-memory runner and keeps the last boundary checkpoint.  A pending
+and after every ``tell``), by the driver's steps themselves.  Between
+an ``ask`` and its ``tell`` the session's RNG has advanced, so
+re-saving there would fork the random stream; instead eviction simply
+drops the in-memory runner and keeps the last boundary checkpoint.  A pending
 (un-told) ask is *re-derivable*: rehydration restores the pre-ask RNG
 state, so re-running ``ask`` regenerates the identical batch under the
 identical deterministic ask id (``a<cycle>``), and a ``tell`` that
@@ -51,12 +53,9 @@ from pathlib import Path
 from repro import telemetry
 from repro.core.driver import (
     CheckpointError,
+    TuningDriver,
     TuningSession,
-    checkpoint_payload,
     load_checkpoint,
-    restore_session,
-    save_checkpoint_payload,
-    validate_checkpoint,
 )
 from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
@@ -83,9 +82,11 @@ def _check_name(name: str) -> str:
 class SessionRunner:
     """One live tuning session, driven stepwise by ask/tell requests.
 
-    The runner reproduces ``TuningDriver._run``'s cycle exactly, split
-    at the ask/measure boundary; see the module docstring for why
-    checkpoints land only on cycle boundaries.
+    The tuning cycle itself is the driver's: each request runs one
+    :class:`~repro.core.driver.TuningDriver` step.  The runner adds only
+    what serving needs — deterministic ask ids, the ``stale_ask`` /
+    ``session_completed`` errors, and the read-only views; see the
+    module docstring for why checkpoints land only on cycle boundaries.
     """
 
     def __init__(
@@ -93,7 +94,6 @@ class SessionRunner:
     ):
         self.name = name
         self.spec = spec
-        self.checkpoint_path = Path(checkpoint_path)
         algorithm = build_algorithm(spec)
         self.strategy = algorithm.make_strategy()
         self.strategy.name = algorithm.name
@@ -107,33 +107,19 @@ class SessionRunner:
                 cache.registry(self.problem.model_registry)
             )
         self.session = TuningSession.start(self.problem)
-        self.completed = False
+        self.driver = TuningDriver(checkpoint_path=Path(checkpoint_path))
         self.result: AutotuneResult | None = None
         self._pending: tuple[str, tuple] | None = None
-        #: The payload written by the last boundary checkpoint.  This —
-        #: never the live session, whose RNG may sit mid-ask — is what
-        #: the warm-snapshot tier stashes at eviction, so a snapshot
-        #: restore is state-identical to a disk restore.
-        self._last_payload: dict | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.driver.completed
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Cold-start: the driver's prepare phase plus first checkpoint."""
-        with telemetry.get().span(
-            "serve.session.prepare", category="serve",
-            algorithm=self.strategy.name, workflow=self.spec.workflow,
-        ):
-            if self.problem.warm_start == "full":
-                from repro.store.warmstart import adopt_stored_measurements
-
-                adopted = adopt_stored_measurements(self.session)
-                if adopted:
-                    self.session.annotate(warm_adopted=adopted)
-            self.strategy.prepare(self.session)
-            if self.session.collector.runs_used > 0 or self.session.has_pending:
-                self.session.emit(kind="setup", batch=(), results={})
-        self._save()
+        """Cold-start: the driver's prepare step plus first checkpoint."""
+        self.driver.prepare(self.strategy, self.session)
 
     @classmethod
     def rehydrate(
@@ -149,42 +135,33 @@ class SessionRunner:
 
         The problem is reconstructed deterministically from the spec,
         then the checkpointed logical state is validated and restored —
-        the same machinery as ``TuningDriver.run(resume=True)``, so the
-        session continues bit-identically.  A missing checkpoint (crash
-        between spec write and first save) cold-starts instead.
+        the same :meth:`~repro.core.driver.TuningDriver.restore` step as
+        ``TuningDriver.run(resume=True)``, so the session continues
+        bit-identically.  A missing checkpoint (crash between spec write
+        and first save) cold-starts instead.
 
         ``snapshot`` is a still-warm checkpoint payload from the
-        manager's snapshot tier: it is byte-equal to what the disk
-        checkpoint unpickles to (both come from the same boundary
-        :func:`~repro.core.driver.checkpoint_payload`), so restoring
-        from it skips the disk read and unpickle while remaining
-        subject to the same validation.
+        manager's snapshot tier: it is the payload the evicted runner's
+        driver last wrote, equal to what the disk checkpoint unpickles
+        to, so restoring from it skips the disk read and unpickle while
+        remaining subject to the same validation.
         """
         runner = cls(name, spec, checkpoint_path, store=store, cache=cache)
-        if snapshot is None and not runner.checkpoint_path.exists():
+        path = runner.driver.checkpoint_path
+        if snapshot is None and not path.exists():
             runner.start()
             return runner
         with telemetry.get().span(
             "serve.session.rehydrate", category="serve",
             algorithm=runner.strategy.name,
         ):
-            payload = snapshot
-            if payload is None:
-                payload = load_checkpoint(runner.checkpoint_path)
-            validate_checkpoint(payload, runner.strategy, runner.session)
-            restore_session(payload, runner.strategy, runner.session)
-            runner.completed = bool(payload.get("completed", False))
-            runner._last_payload = payload
+            payload = snapshot if snapshot is not None else load_checkpoint(path)
+            runner.driver.restore(payload, runner.strategy, runner.session)
         return runner
-
-    def _save(self, completed: bool = False) -> None:
-        payload = checkpoint_payload(self.session, self.strategy, completed)
-        save_checkpoint_payload(self.checkpoint_path, payload)
-        self._last_payload = payload
 
     def snapshot_payload(self) -> dict | None:
         """The last boundary checkpoint payload (for the snapshot tier)."""
-        return self._last_payload
+        return self.driver.payload
 
     # -- the stepwise measurement loop ----------------------------------------
 
@@ -198,13 +175,9 @@ class SessionRunner:
         if self.completed:
             return self._done_payload()
         if self._pending is None:
-            with telemetry.get().span("serve.session.ask", category="serve"):
-                batch = [tuple(c) for c in self.strategy.ask(self.session)]
-            remaining = self.session.collector.runs_remaining
-            if not math.isinf(remaining) and len(batch) > remaining:
-                batch = batch[: max(int(remaining), 0)]
+            batch = self.driver.ask(self.strategy, self.session)
             if not batch:
-                self._finish()
+                self.result = self.driver.finalize(self.strategy, self.session)
                 return self._done_payload()
             self._pending = (f"a{self.session.iteration + 1}", tuple(batch))
         ask_id, batch = self._pending
@@ -253,50 +226,27 @@ class SessionRunner:
                 f"ask id {ask_id!r} is not pending for session "
                 f"{self.name!r} (expected {pending_id!r})",
             )
-        session = self.session
-        with telemetry.get().span(
-            "serve.session.tell", category="serve", batch=len(batch)
-        ):
-            results = session.collector.measure_batch(list(batch))
-            session.iteration += 1
-            self.strategy.tell(session, list(batch), results)
-            event = session.emit(kind="iteration", batch=batch, results=results)
+        event = self.driver.tell(self.strategy, self.session, list(batch))
         self._pending = None
-        self._save()
         best = self._best_measured()
         return {
             "done": False,
             "ask_id": ask_id,
             "iteration": event.iteration,
-            "measured": len(results),
+            "measured": len(event.results),
             "failures": event.failures,
             "runs_used": event.runs_used,
             "samples": event.samples,
             "best_value": None if best is None else best[1],
         }
 
-    def _finish(self) -> None:
-        """The driver's finalize block: model, summary, final event."""
-        session = self.session
-        with telemetry.get().span("serve.session.finalize", category="serve"):
-            model = self.strategy.finalize(session)
-            summary = self.strategy.summary(session)
-        if summary or session.has_pending:
-            session.annotate(**summary)
-            session.emit(kind="final", batch=(), results={})
-        self._save(completed=True)
-        self.result = AutotuneResult.from_collector(
-            self.strategy.name, self.problem, model, trace=session.events
-        )
-        self.completed = True
-
     def _ensure_result(self) -> AutotuneResult:
         """The session's result, refinalizing after a completed restore.
 
         Refitting on restore is deterministic (same training data, same
         seeds), so a rehydrated completed session recommends exactly
-        what it did before eviction.  No event is emitted — the
-        restored event log already ends with the final event.
+        what it did before eviction; the driver emits no second final
+        event for an already-completed session.
         """
         if self.result is None:
             if not self.completed:
@@ -304,11 +254,7 @@ class SessionRunner:
                     "bad_request",
                     f"session {self.name!r} has not finished",
                 )
-            model = self.strategy.finalize(self.session)
-            self.result = AutotuneResult.from_collector(
-                self.strategy.name, self.problem, model,
-                trace=self.session.events,
-            )
+            self.result = self.driver.finalize(self.strategy, self.session)
         return self.result
 
     # -- read-only views ------------------------------------------------------
@@ -562,18 +508,25 @@ class SessionManager:
             # A freshly created name must never restore someone else's
             # leftover snapshot (e.g. delete + recreate under one name).
             self.cache.invalidate_session(name)
-            runner = SessionRunner(
-                name,
-                spec,
-                self._checkpoint_path(name),
-                store=self.store,
-                cache=self.cache,
-            )
-            _write_json_atomic(
-                self._spec_path(name),
-                {"spec": spec.as_dict(), "protocol": PROTOCOL_VERSION},
-            )
-            runner.start()
+            spec_path = self._spec_path(name)
+            checkpoint_path = self._checkpoint_path(name)
+            try:
+                runner = SessionRunner(
+                    name, spec, checkpoint_path, store=self.store, cache=self.cache
+                )
+                _write_json_atomic(
+                    spec_path,
+                    {"spec": spec.as_dict(), "protocol": PROTOCOL_VERSION},
+                )
+                runner.start()
+            except Exception as exc:
+                # A session that cannot be prepared must not be
+                # recovered later: take back whatever was written.
+                spec_path.unlink(missing_ok=True)
+                checkpoint_path.unlink(missing_ok=True)
+                if isinstance(exc, ValueError):
+                    raise ServeError("bad_request", str(exc)) from exc
+                raise
             tel = telemetry.get()
             tel.counter("serve.sessions.created").inc()
             with self._mutex:

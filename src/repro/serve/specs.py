@@ -8,16 +8,26 @@ histories, RNG — is a deterministic function of the spec fields, so a
 rehydrated problem is bit-identical to the one the checkpoint was
 written from (the same property PR 2's ``--resume`` relies on).
 
-The builders here deliberately mirror
-:meth:`repro.core.autotuner.AutoTuner.tune`'s assembly (pool, histories,
-problem) so a session driven through the server matches an offline
+``build_algorithm`` and ``build_problem`` are thin: the algorithm
+comes from the shared registry
+(:func:`repro.core.autotuner.make_algorithm`) and the problem from the
+shared recipe (:func:`repro.core.autotuner.build_problem_artifacts`)
+that :class:`~repro.core.autotuner.AutoTuner` also uses, so a session
+driven through the server matches an offline
 ``algorithm.tune(problem)`` run bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
+from repro.core.autotuner import (
+    ALGORITHMS,
+    build_problem_artifacts,
+    make_algorithm,
+)
+from repro.serve.artifacts import spec_key
 from repro.serve.protocol import ServeError
 
 __all__ = [
@@ -25,60 +35,7 @@ __all__ = [
     "SessionSpec",
     "build_algorithm",
     "build_problem",
-    "build_problem_artifacts",
 ]
-
-#: One-time imported tuning stack.  The builders below sit on the
-#: daemon's rehydration hot path, so the ``from repro...`` imports are
-#: hoisted out of the per-call bodies into this module-level memo: the
-#: first build pays the import-machinery lookups once, every later
-#: rehydration is a dict access.  Kept lazy (not top-of-module) so that
-#: protocol-only consumers of :mod:`repro.serve` never pull in numpy
-#: and the full core stack.
-_STACK: dict = {}
-
-
-def _stack() -> dict:
-    if not _STACK:
-        from repro.core import (
-            ActiveLearning,
-            Alph,
-            BayesianOptimization,
-            Ceal,
-            CealSettings,
-            Geist,
-            RandomSampling,
-        )
-        from repro.core.algorithms.low_fidelity_only import LowFidelityOnly
-        from repro.core.objectives import get_objective
-        from repro.core.problem import TuningProblem
-        from repro.workflows import make_workflow
-        from repro.workflows.pools import (
-            generate_component_history,
-            generate_pool,
-        )
-
-        _STACK.update(
-            ActiveLearning=ActiveLearning,
-            Alph=Alph,
-            BayesianOptimization=BayesianOptimization,
-            Ceal=Ceal,
-            CealSettings=CealSettings,
-            Geist=Geist,
-            RandomSampling=RandomSampling,
-            LowFidelityOnly=LowFidelityOnly,
-            get_objective=get_objective,
-            TuningProblem=TuningProblem,
-            make_workflow=make_workflow,
-            generate_component_history=generate_component_history,
-            generate_pool=generate_pool,
-        )
-    return _STACK
-
-#: The 8 tuning algorithms a session may request (CLI spelling).
-ALGORITHMS = (
-    "ceal", "rs", "al", "geist", "alph", "bo", "ceal-bo", "lowfid",
-)
 
 _WORKFLOWS = ("LV", "HS", "GP")
 _OBJECTIVES = ("execution_time", "computer_time")
@@ -122,7 +79,7 @@ class SessionSpec:
         if self.algorithm not in ALGORITHMS:
             raise ServeError(
                 "bad_request",
-                f"algorithm must be one of {ALGORITHMS}, "
+                f"algorithm must be one of {tuple(ALGORITHMS)}, "
                 f"got {self.algorithm!r}",
             )
         if self.warm_start not in _WARM_STARTS:
@@ -135,6 +92,15 @@ class SessionSpec:
             raise ServeError("bad_request", "budget must be at least 2")
         if int(self.pool_size) < 2:
             raise ServeError("bad_request", "pool_size must be at least 2")
+        # Every component model trains on its solo history, which needs
+        # at least two samples.
+        if int(self.history_size) < 2:
+            raise ServeError("bad_request", "history_size must be at least 2")
+        noise = float(self.noise_sigma)
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ServeError(
+                "bad_request", "noise_sigma must be a finite number >= 0"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionSpec":
@@ -158,88 +124,26 @@ class SessionSpec:
 
 def build_algorithm(spec: SessionSpec):
     """The spec's tuning algorithm instance (strategy factory)."""
-    stack = _stack()
-    name = spec.algorithm
-    if name == "ceal":
-        return stack["Ceal"](stack["CealSettings"](use_history=spec.use_history))
-    if name == "rs":
-        return stack["RandomSampling"]()
-    if name == "al":
-        return stack["ActiveLearning"]()
-    if name == "geist":
-        return stack["Geist"]()
-    if name == "alph":
-        return stack["Alph"](use_history=spec.use_history)
-    if name == "bo":
-        return stack["BayesianOptimization"]()
-    if name == "ceal-bo":
-        return stack["BayesianOptimization"](bootstrap=True)
-    if name == "lowfid":
-        return stack["LowFidelityOnly"]()
-    raise ServeError("bad_request", f"unknown algorithm {name!r}")
-
-
-def build_problem_artifacts(spec: SessionSpec):
-    """The deterministic, immutable artifacts behind a spec's problem.
-
-    Workflow definition, measured pool, component histories, and the
-    ML feature encoder — everything that is a pure function of the
-    spec's :func:`~repro.serve.artifacts.spec_key` fields and can be
-    shared by reference across sessions.  This is the unit the serve
-    layer's problem-artifact cache stores; building it on a miss costs
-    exactly what PR 9's ``build_problem`` paid on every rehydration.
-    """
-    from repro.serve.artifacts import ProblemArtifacts
-
-    stack = _stack()
-    workflow = stack["make_workflow"](spec.workflow)
-    pool = stack["generate_pool"](
-        workflow, spec.pool_size, seed=spec.seed, noise_sigma=spec.noise_sigma
-    )
-    histories = {}
-    for label in workflow.labels:
-        if workflow.app(label).space.size() > 1:
-            histories[label] = stack["generate_component_history"](
-                workflow,
-                label,
-                size=spec.history_size,
-                seed=spec.seed,
-                noise_sigma=spec.noise_sigma,
-            )
-    return ProblemArtifacts(
-        workflow=workflow,
-        pool=pool,
-        histories=histories,
-        encoder=workflow.encoder(),
-    )
+    return make_algorithm(spec.algorithm, spec.use_history)
 
 
 def build_problem(spec: SessionSpec, store=None, artifacts=None):
     """A fresh :class:`~repro.core.problem.TuningProblem` for ``spec``.
 
-    Deterministic given (spec, store contents): the pool and component
-    histories are regenerated from the spec's seeds (served from the
-    process/disk caches when warm), exactly as ``AutoTuner.tune`` builds
-    them — which is what makes eviction and crash recovery transparent.
-
-    ``artifacts`` (a cached
-    :class:`~repro.serve.artifacts.ProblemArtifacts` bundle) skips the
-    regeneration entirely: the immutable pieces are shared by
-    reference, while the mutable problem state (collector, RNG) is
-    still assembled fresh here — which is why a cache-served problem is
-    bit-identical to a rebuilt one.
+    Deterministic given (spec, store contents) — which is what makes
+    eviction and crash recovery transparent.  ``artifacts`` (a cached
+    :class:`~repro.core.autotuner.ProblemArtifacts` bundle for the
+    spec's :func:`~repro.serve.artifacts.spec_key`) skips regenerating
+    the pool and histories: the immutable pieces are shared by
+    reference while the mutable problem state (collector, RNG) is built
+    fresh, so a cache-served problem is bit-identical to a rebuilt one.
     """
-    stack = _stack()
     if artifacts is None:
-        artifacts = build_problem_artifacts(spec)
-    return stack["TuningProblem"].create(
-        workflow=artifacts.workflow,
-        objective=stack["get_objective"](spec.objective),
-        pool=artifacts.pool,
-        budget_runs=int(spec.budget),
-        seed=int(spec.seed),
-        histories=artifacts.histories,
+        artifacts = build_problem_artifacts(*spec_key(spec))
+    return artifacts.problem(
+        spec.objective,
+        int(spec.budget),
+        int(spec.seed),
         store=store,
         warm_start=spec.warm_start,
-        encoder=artifacts.encoder,
     )

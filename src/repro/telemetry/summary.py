@@ -8,30 +8,9 @@ sees where the wall-clock went without opening the trace file.
 from __future__ import annotations
 
 from repro.telemetry.hub import NullTelemetry, Telemetry
+from repro.telemetry.persist import aggregate_spans
 
 __all__ = ["render_summary"]
-
-
-def _aggregate_spans(hub) -> list[dict]:
-    """Per-name totals: call count, total time, self time (no children)."""
-    child_total: dict[int, float] = {}
-    for record in hub.spans:
-        if record.parent_id is not None:
-            child_total[record.parent_id] = (
-                child_total.get(record.parent_id, 0.0) + record.duration
-            )
-    by_name: dict[str, dict] = {}
-    for record in hub.spans:
-        agg = by_name.setdefault(
-            record.name,
-            {"name": record.name, "count": 0, "total": 0.0, "self": 0.0},
-        )
-        agg["count"] += 1
-        agg["total"] += record.duration
-        agg["self"] += max(
-            0.0, record.duration - child_total.get(record.span_id, 0.0)
-        )
-    return sorted(by_name.values(), key=lambda a: (-a["self"], a["name"]))
 
 
 def _ml_section(aggregates: list[dict], snapshots: list[dict]) -> list[str]:
@@ -45,10 +24,10 @@ def _ml_section(aggregates: list[dict], snapshots: list[dict]) -> list[str]:
     if not ml and not counters:
         return []
     lines = ["", "ml kernels"]
-    for agg in sorted(ml, key=lambda a: (-a["total"], a["name"])):
+    for agg in sorted(ml, key=lambda a: (-a["total_s"], a["name"])):
         lines.append(
             f"  {agg['name']:30s} count={agg['count']} "
-            f"total={agg['total']:.3f}s"
+            f"total={agg['total_s']:.3f}s"
         )
     if counters:
         hits = counters.get("pool_cache.hits", 0)
@@ -69,7 +48,7 @@ def render_summary(
     if not hub.enabled:
         return "telemetry disabled"
     lines = ["telemetry summary", "-----------------"]
-    aggregates = _aggregate_spans(hub)
+    aggregates = aggregate_spans(hub)
     if aggregates:
         lines.append(
             f"{'span':32s} {'count':>7s} {'total s':>10s} {'self s':>10s}"
@@ -77,7 +56,7 @@ def render_summary(
         for agg in aggregates[:top]:
             lines.append(
                 f"{agg['name']:32s} {agg['count']:7d} "
-                f"{agg['total']:10.3f} {agg['self']:10.3f}"
+                f"{agg['total_s']:10.3f} {agg['self_s']:10.3f}"
             )
         if len(aggregates) > top:
             lines.append(f"... and {len(aggregates) - top} more span names")

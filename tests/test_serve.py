@@ -225,6 +225,11 @@ class TestLifecycleAndErrors:
             {"budget": 1},
             {"warm_start": "maybe"},
             {"frobnicate": True},
+            {"history_size": -5},
+            {"history_size": 1},
+            {"noise_sigma": -0.1},
+            {"noise_sigma": float("inf")},
+            {"noise_sigma": float("nan")},
         ],
         ids=lambda b: next(iter(b)),
     )
@@ -235,6 +240,22 @@ class TestLifecycleAndErrors:
         with pytest.raises(ServeError) as err:
             manager.create(spec, name="s")
         assert err.value.code == "bad_request"
+
+    def test_failed_prepare_leaves_nothing_behind(self, tmp_path):
+        """A spec that validates but cannot be prepared (CEAL needs a
+        budget of at least 4) is a bad request, not an orphan session."""
+        manager = SessionManager(tmp_path / "state")
+        with pytest.raises(ServeError) as err:
+            manager.create(dict(SMALL, algorithm="ceal", budget=3), name="s")
+        assert err.value.code == "bad_request"
+        assert "budget" in err.value.message
+        assert not list((tmp_path / "state").glob("s.*"))
+        assert manager.list_sessions() == []
+        # Nothing to recover, and the name is free again.
+        restarted = SessionManager(tmp_path / "state")
+        assert restarted.recovered == []
+        status = restarted.create(dict(SMALL, algorithm="ceal"), name="s")
+        assert status["session"] == "s"
 
     @pytest.mark.parametrize("name", ["", ".hidden", "a/b", "x" * 65, "a b"])
     def test_bad_session_names(self, tmp_path, name):
@@ -313,3 +334,42 @@ class TestTelemetry:
         # max_active, so it may briefly exceed it — but never the
         # number of sessions ever resident.
         assert 1 <= metrics["serve.sessions.active_peak"] <= 2
+
+    def test_served_session_emits_the_offline_driver_telemetry(self, tmp_path):
+        """Served and offline runs share one tuning cycle, so they emit
+        the same ``driver.*`` spans and cycle metrics — even with the
+        session evicted and rehydrated between every request."""
+        from repro import telemetry
+        from repro.telemetry import Telemetry
+
+        spec = SessionSpec(algorithm="ceal", use_history=True, **SMALL)
+        offline_hub, served_hub = Telemetry(), Telemetry()
+        with telemetry.use(offline_hub):
+            straight = offline_result(spec)
+            straight.best_config(build_problem(spec).pool)
+        with telemetry.use(served_hub):
+            manager = SessionManager(tmp_path / "state", max_active=4)
+            manager.create(spec, name="s")
+            drive(manager, "s", evict_every_step=True)
+
+        def driver_spans(hub):
+            return {
+                r.name for r in hub.spans
+                if r.name.startswith("driver.") and r.name != "driver.run"
+            }
+
+        def metrics(hub):
+            return {m["name"]: m for m in hub.metrics_snapshot()}
+
+        assert driver_spans(served_hub) == driver_spans(offline_hub)
+        assert {"driver.prepare", "driver.ask", "driver.cycle",
+                "driver.tell", "driver.finalize"} <= driver_spans(served_hub)
+        offline, served = metrics(offline_hub), metrics(served_hub)
+        assert served["driver.cycles"]["value"] == (
+            offline["driver.cycles"]["value"]
+        )
+        assert served["fit_seconds"]["count"] == offline["fit_seconds"]["count"]
+        assert not {
+            f"serve.session.{step}"
+            for step in ("prepare", "ask", "tell", "finalize")
+        } & {r.name for r in served_hub.spans}
