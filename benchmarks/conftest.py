@@ -13,8 +13,8 @@ evaluation and prints the reproduced rows.  Scale knobs (the paper uses
 ``REPRO_BENCH_JOBS``
     Worker processes per trial fan-out (default "auto" = one per CPU;
     results are bit-identical to serial, so parallelism only changes
-    wall-clock).  Set ``REPRO_CACHE_DIR`` as well to warm-start pool
-    and history generation across benchmark invocations.
+    wall-clock).  Workers inherit the parent's in-process pool and
+    history memo.
 """
 
 from __future__ import annotations

@@ -374,34 +374,27 @@ def _cmd_tune(args, out) -> int:
         return 2
     store = None
     if args.store:
-        from repro.store import MeasurementStore, set_default_store
+        from repro.store import MeasurementStore
 
         store = MeasurementStore(args.store)
-        set_default_store(store)
     log.info(
         "tuning %s/%s with %s, budget %d, pool %d, seed %d",
         args.workflow, args.objective, args.algorithm, args.budget,
         args.pool_size, args.seed,
     )
-    try:
-        outcome = AutoTuner(
-            workflow,
-            objective=args.objective,
-            budget=args.budget,
-            algorithm=make_algorithm(args.algorithm, args.use_history),
-            pool_size=args.pool_size,
-            use_history=args.use_history,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            store=store,
-            warm_start=args.warm_start,
-        ).tune()
-    finally:
-        if store is not None:
-            from repro.store import set_default_store
-
-            set_default_store(None)
+    outcome = AutoTuner(
+        workflow,
+        objective=args.objective,
+        budget=args.budget,
+        algorithm=make_algorithm(args.algorithm, args.use_history),
+        pool_size=args.pool_size,
+        use_history=args.use_history,
+        seed=args.seed,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        store=store,
+        warm_start=args.warm_start,
+    ).tune()
     named = workflow.space.as_dict(outcome.best_config)
     print(f"workflow      : {args.workflow}", file=out)
     print(f"objective     : {args.objective}", file=out)

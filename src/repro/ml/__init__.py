@@ -17,7 +17,6 @@ implementations are vectorised with numpy so scoring 2000-configuration
 pools stays fast.
 """
 
-from repro.ml.binning import bin_codes, grow_hist_tree, make_bins
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gaussian_process import GaussianProcessRegressor
@@ -40,10 +39,7 @@ __all__ = [
     "RandomForestRegressor",
     "RegressionTree",
     "absolute_percentage_errors",
-    "bin_codes",
-    "grow_hist_tree",
     "kfold_indices",
-    "make_bins",
     "mdape",
     "rmse",
     "top_n_overlap",

@@ -32,40 +32,25 @@ the paper applies to component models, applied to the service itself:
   consumed on hit and invalidated on create/close, so a stale payload
   can never resurrect a deleted or replaced session.
 
-Every tier is LRU-bounded, thread-safe, and instrumented: hit/miss/
-eviction counters and byte gauges flow through the telemetry hub under
-``serve.cache.<tier>.*``, and :meth:`ArtifactCache.stats` feeds the
-daemon's ``/v1/healthz`` stats payload.
-
-``REPRO_NO_SERVE_CACHE=1`` is the kill switch: a disabled cache never
-stores and never returns entries, reproducing PR 9's rebuild-everything
-behaviour byte for byte (proven by the kill-switch tests).
+Every tier is a :class:`repro.lru.LruCache` (LRU-bounded, thread-safe,
+instrumented): hit/miss/eviction counters and byte gauges flow through
+the telemetry hub under ``serve.cache.<tier>.*``, and
+:meth:`ArtifactCache.stats` feeds the daemon's ``/v1/healthz`` stats
+payload.  The offline run is the reference every served session is
+compared against byte for byte; capacity-1 tiers keep every miss path
+exercised.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-from collections import OrderedDict
-
-import numpy as np
-
-from repro import telemetry
 from repro.core.autotuner import ProblemArtifacts, build_problem_artifacts
+from repro.lru import LruCache
 
 __all__ = [
     "ArtifactCache",
     "CachingModelRegistry",
-    "LruCache",
-    "cache_enabled",
     "spec_key",
 ]
-
-
-def cache_enabled() -> bool:
-    """Whether the serve caches are on (``REPRO_NO_SERVE_CACHE`` kills them)."""
-    return os.environ.get("REPRO_NO_SERVE_CACHE", "") not in ("1", "true", "yes")
 
 
 def spec_key(spec) -> tuple:
@@ -85,153 +70,6 @@ def spec_key(spec) -> tuple:
         float(spec.noise_sigma),
         int(spec.history_size),
     )
-
-
-def _approx_nbytes(obj, depth: int = 3) -> int:
-    """Cheap, bounded-depth size estimate for cache accounting.
-
-    Exact numpy ``nbytes`` where available (arrays dominate every
-    artifact), shallow container recursion elsewhere.  This feeds
-    byte *gauges*, not eviction decisions — eviction is entry-count
-    LRU — so an estimate is all that is needed.
-    """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
-    if depth <= 0:
-        return sys.getsizeof(obj, 64)
-    if isinstance(obj, dict):
-        return sys.getsizeof(obj) + sum(
-            _approx_nbytes(v, depth - 1) for v in obj.values()
-        )
-    if isinstance(obj, (list, tuple)):
-        total = sys.getsizeof(obj)
-        for item in obj[:256]:
-            total += _approx_nbytes(item, depth - 1)
-        return total
-    fields = getattr(obj, "__dict__", None)
-    if isinstance(fields, dict):
-        return sys.getsizeof(obj, 64) + _approx_nbytes(fields, depth - 1)
-    return sys.getsizeof(obj, 64)
-
-
-class LruCache:
-    """Thread-safe, capacity-bounded LRU mapping with telemetry.
-
-    ``name`` scopes the counters: ``serve.cache.<name>.hits`` /
-    ``.misses`` / ``.evictions`` and the ``serve.cache.<name>.bytes``
-    max-gauge.  ``enabled=False`` turns every operation into a no-op
-    miss — the kill-switch path — so callers never branch.
-    """
-
-    def __init__(self, name: str, capacity: int, enabled: bool = True):
-        self.name = name
-        self.capacity = max(1, int(capacity))
-        self.enabled = bool(enabled)
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-        self._bytes: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    _MISSING = object()
-
-    def get(self, key, default=None):
-        if not self.enabled:
-            self.misses += 1
-            telemetry.get().counter(f"serve.cache.{self.name}.misses").inc()
-            return default
-        with self._lock:
-            value = self._entries.get(key, self._MISSING)
-            if value is self._MISSING:
-                self.misses += 1
-                hit = False
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit = True
-        tel = telemetry.get()
-        if hit:
-            tel.counter(f"serve.cache.{self.name}.hits").inc()
-            return value
-        tel.counter(f"serve.cache.{self.name}.misses").inc()
-        return default
-
-    def put(self, key, value) -> None:
-        if not self.enabled:
-            return
-        size = _approx_nbytes(value)
-        evicted = 0
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            self._bytes[key] = size
-            while len(self._entries) > self.capacity:
-                old_key, _ = self._entries.popitem(last=False)
-                self._bytes.pop(old_key, None)
-                evicted += 1
-            self.evictions += evicted
-            total = sum(self._bytes.values())
-        tel = telemetry.get()
-        if evicted:
-            tel.counter(f"serve.cache.{self.name}.evictions").inc(evicted)
-        tel.gauge(f"serve.cache.{self.name}.bytes").set_max(total)
-
-    def pop(self, key, default=None):
-        """Remove and return ``key`` (no hit/miss accounting)."""
-        with self._lock:
-            self._bytes.pop(key, None)
-            return self._entries.pop(key, default)
-
-    def take(self, key, default=None):
-        """Consume ``key``: a counted get that removes the entry on hit."""
-        if not self.enabled:
-            self.misses += 1
-            telemetry.get().counter(f"serve.cache.{self.name}.misses").inc()
-            return default
-        with self._lock:
-            value = self._entries.pop(key, self._MISSING)
-            self._bytes.pop(key, None)
-            if value is self._MISSING:
-                self.misses += 1
-                hit = False
-            else:
-                self.hits += 1
-                hit = True
-        tel = telemetry.get()
-        if hit:
-            tel.counter(f"serve.cache.{self.name}.hits").inc()
-            return value
-        tel.counter(f"serve.cache.{self.name}.misses").inc()
-        return default
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        with self._lock:
-            entries = len(self._entries)
-            total = sum(self._bytes.values())
-        lookups = self.hits + self.misses
-        return {
-            "enabled": self.enabled,
-            "entries": entries,
-            "capacity": self.capacity,
-            "bytes": total,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": round(self.hits / lookups, 4) if lookups else 0.0,
-        }
 
 
 class CachingModelRegistry:
@@ -269,8 +107,7 @@ class CachingModelRegistry:
 class ArtifactCache:
     """The serve layer's shared rehydration caches, one per manager.
 
-    Parameters bound each tier's entry count; ``enabled=None`` follows
-    the ``REPRO_NO_SERVE_CACHE`` kill switch.  Tests force thrash by
+    Parameters bound each tier's entry count.  Tests force thrash by
     passing capacity 1 everywhere.
     """
 
@@ -279,14 +116,10 @@ class ArtifactCache:
         problems: int = 128,
         models: int = 1024,
         snapshots: int = 32,
-        enabled: bool | None = None,
     ):
-        if enabled is None:
-            enabled = cache_enabled()
-        self.enabled = bool(enabled)
-        self.problems = LruCache("problem", problems, enabled=self.enabled)
-        self.models = LruCache("model", models, enabled=self.enabled)
-        self.snapshots = LruCache("snapshot", snapshots, enabled=self.enabled)
+        self.problems = LruCache("serve.cache.problem", problems)
+        self.models = LruCache("serve.cache.model", models)
+        self.snapshots = LruCache("serve.cache.snapshot", snapshots)
 
     # -- tier 1: problem artifacts -------------------------------------------
 
@@ -338,7 +171,6 @@ class ArtifactCache:
 
     def stats(self) -> dict:
         return {
-            "enabled": self.enabled,
             "problem": self.problems.stats(),
             "model": self.models.stats(),
             "snapshot": self.snapshots.stats(),

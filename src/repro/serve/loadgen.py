@@ -30,7 +30,7 @@ import threading
 import time
 
 from repro.serve.client import ServeClient
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import ServeError, latency_digest
 
 __all__ = ["apply_floors", "run_load"]
 
@@ -131,23 +131,6 @@ def _worker(
                 recorder.observe("tell", time.perf_counter() - started)
 
 
-def _percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
-def _summary(values: list[float]) -> dict:
-    return {
-        "count": len(values),
-        "mean": round(sum(values) / len(values), 3),
-        "p50": round(_percentile(values, 0.50), 3),
-        "p95": round(_percentile(values, 0.95), 3),
-        "p99": round(_percentile(values, 0.99), 3),
-        "max": round(max(values), 3),
-    }
-
-
 def run_load(
     host: str = "127.0.0.1",
     port: int = 8765,
@@ -230,7 +213,7 @@ def run_load(
         server_stats = None
 
     latency_summaries = {
-        endpoint: _summary(values)
+        endpoint: latency_digest(values)
         for endpoint, values in sorted(latencies.items())
     }
     if server_stats is not None:

@@ -14,14 +14,21 @@ scripts — must agree on:
   raise for *expected* failures.  Each carries a stable machine-readable
   ``code`` (see :data:`ERROR_CODES`) and maps to a deterministic HTTP
   status, so clients can branch on codes instead of scraping messages.
+* :func:`latency_digest`: the shape of every latency series in a
+  payload — the daemon's ``rehydrate_ms`` stat and the load
+  generator's per-endpoint report — so readers such as
+  :func:`~repro.serve.loadgen.apply_floors` find ``p95`` in both.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "ERROR_CODES",
     "PROTOCOL_VERSION",
     "ServeError",
+    "latency_digest",
 ]
 
 #: Version of the JSON-over-HTTP protocol (request/response shapes).
@@ -62,3 +69,27 @@ class ServeError(RuntimeError):
             "error": {"code": self.code, "message": self.message},
             "protocol": PROTOCOL_VERSION,
         }
+
+
+def latency_digest(values) -> dict:
+    """Nearest-rank digest of a latency series: count, mean, p50/p95/p99, max.
+
+    Every value is rounded to 3 decimals; an empty series is
+    ``{"count": 0}``.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return {"count": 0}
+
+    def pct(q: float) -> float:
+        index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+        return round(ordered[index], 3)
+
+    return {
+        "count": len(ordered),
+        "mean": round(sum(ordered) / len(ordered), 3),
+        "p50": pct(0.50),
+        "p95": pct(0.95),
+        "p99": pct(0.99),
+        "max": round(ordered[-1], 3),
+    }

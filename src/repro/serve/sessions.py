@@ -39,7 +39,6 @@ served transparently.  Anything else is a ``stale_ask`` error.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import tempfile
@@ -59,7 +58,7 @@ from repro.core.driver import (
 )
 from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
-from repro.serve.protocol import PROTOCOL_VERSION, ServeError
+from repro.serve.protocol import PROTOCOL_VERSION, ServeError, latency_digest
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
 
 __all__ = ["SessionManager", "SessionRunner"]
@@ -314,24 +313,14 @@ class SessionRunner:
         return {"done": True, "completed": True, "best": self.best()}
 
 
-def _series_summary(values: list[float]) -> dict:
-    """Percentile digest of a latency series (ms), loadgen-shaped."""
-    if not values:
-        return {"count": 0}
-    ordered = sorted(values)
-
-    def pct(q: float) -> float:
-        index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-        return round(ordered[index], 3)
-
-    return {
-        "count": len(ordered),
-        "mean": round(sum(ordered) / len(ordered), 3),
-        "p50": pct(0.50),
-        "p95": pct(0.95),
-        "p99": pct(0.99),
-        "max": round(ordered[-1], 3),
-    }
+def _unlink(name: str, path: Path) -> None:
+    """Remove one of session ``name``'s files; a failure is ``internal``."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ServeError(
+            "internal", f"session {name!r}: cannot delete {path.name}: {exc}"
+        ) from exc
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
@@ -373,8 +362,8 @@ class SessionManager:
         durable); the next touch rehydrates transparently.
     cache:
         Shared :class:`~repro.serve.artifacts.ArtifactCache` for the
-        rehydration hot path; built fresh (honouring the
-        ``REPRO_NO_SERVE_CACHE`` kill switch) when not supplied.
+        rehydration hot path; built fresh with default capacities when
+        not supplied.
     """
 
     #: How many recent rehydration wall-times ``stats`` summarises.
@@ -545,7 +534,10 @@ class SessionManager:
 
         Without ``delete`` the checkpoint files stay — the session can
         be touched again later (it rehydrates).  With ``delete`` the
-        session is gone for good.
+        session is gone for good: the spec goes first, because it is
+        what crash recovery registers, then the checkpoint.  A file
+        that cannot be removed answers ``internal``, and the session
+        stays known while its spec exists.
         """
         _check_name(name)
         lock = self._lock_for(name)
@@ -554,18 +546,15 @@ class SessionManager:
             with self._mutex:
                 known = name in self._known or name in self._active
                 self._active.pop(name, None)
-                if delete:
-                    self._known.discard(name)
             if not known:
                 raise ServeError(
                     "unknown_session", f"no session named {name!r}"
                 )
             if delete:
-                for path in (self._spec_path(name), self._checkpoint_path(name)):
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                _unlink(name, self._spec_path(name))
+                with self._mutex:
+                    self._known.discard(name)
+                _unlink(name, self._checkpoint_path(name))
             telemetry.get().counter("serve.sessions.closed").inc()
         return {"session": name, "closed": True, "deleted": bool(delete)}
 
@@ -691,7 +680,7 @@ class SessionManager:
             "directory": str(self.directory),
             "store": None if self.store is None else self.store.path,
             "cache": self.cache.stats(),
-            "rehydrate_ms": _series_summary(rehydrate_ms),
+            "rehydrate_ms": latency_digest(rehydrate_ms),
         }
 
     def shutdown(self) -> None:

@@ -6,7 +6,9 @@ content signatures of (workflow, config space, config encoding,
 machine, objective) so stale or mismatched history can never silently
 corrupt a run; plus a fitted-model registry and the warm-start layer
 that lets a new session bootstrap from everything previous sessions
-paid for (see DESIGN §10).
+paid for (see DESIGN §10).  There is no process-wide default store:
+every caller that records or reads passes its store explicitly
+(``store=`` in the library, ``--store`` on the CLI).
 """
 
 from repro.store.db import (
@@ -19,7 +21,6 @@ from repro.store.db import (
     StoreError,
 )
 from repro.store.registry import ModelRegistry, training_key
-from repro.store.runtime import get_default_store, set_default_store
 from repro.store.signatures import (
     encoding_signature,
     machine_signature,
@@ -47,9 +48,7 @@ __all__ = [
     "adopt_stored_measurements",
     "component_warm_data",
     "encoding_signature",
-    "get_default_store",
     "machine_signature",
-    "set_default_store",
     "signature",
     "space_signature",
     "training_key",

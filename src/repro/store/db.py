@@ -253,7 +253,7 @@ class MeasurementSet:
 
 
 class MeasurementStore:
-    """SQLite-backed store of measurements, models and cache provenance.
+    """SQLite-backed store of measurements, models and metadata rows.
 
     Parameters
     ----------
@@ -624,7 +624,7 @@ class MeasurementStore:
     # -- metadata -------------------------------------------------------------
 
     def set_metadata(self, key: str, value: dict) -> None:
-        """Upsert one JSON metadata row (cache provenance and the like)."""
+        """Upsert one JSON metadata row (suite cells, telemetry baselines)."""
         conn = self._conn()
         text = json.dumps(value, sort_keys=True)
 

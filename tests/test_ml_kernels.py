@@ -8,9 +8,7 @@ array equality, across randomly drawn shapes, tie structures, and
 hyper-parameters.
 """
 
-import json
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +20,6 @@ from repro.ml import (
     PackedEnsemble,
     RandomForestRegressor,
     RegressionTree,
-    bin_codes,
-    make_bins,
 )
 from repro.ml._reference import (
     reference_ensemble_predict,
@@ -31,8 +27,6 @@ from repro.ml._reference import (
     reference_forest_predict,
     reference_tree_predict,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def _random_matrix(rng, n, d, case):
@@ -256,71 +250,6 @@ def test_registry_roundtrip_keeps_packed_predictions(tmp_path):
     assert registry.hits == 1 and registry.misses == 1
     assert getattr(loaded, "_packed", None) is not None
     assert np.array_equal(loaded.predict(X), fitted.predict(X))
-
-
-# -- pre-binned (hist) builder ------------------------------------------------
-
-
-def test_bin_codes_agree_with_threshold_compare():
-    """The builder/predictor contract: code(x) <= b  ⟺  x <= cuts[b]."""
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(300, 3))
-    X[:, 1] = np.round(X[:, 1], 1)
-    cuts = make_bins(X, max_bins=8)
-    codes = bin_codes(X, cuts)
-    for j, c in enumerate(cuts):
-        assert np.all(np.diff(c) > 0)
-        for b in range(c.size):
-            assert np.array_equal(codes[:, j] <= b, X[:, j] <= c[b])
-
-
-def test_make_bins_caps_cut_count():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(500, 2))
-    X[:, 1] = 7.0  # constant feature -> no cuts
-    cuts = make_bins(X, max_bins=16)
-    assert 0 < cuts[0].size <= 15
-    assert cuts[1].size == 0
-
-
-def test_hist_mode_matches_pinned_fixture():
-    import sys
-
-    sys.path.insert(0, str(DATA))
-    try:
-        from make_pinned_hist import make_data, make_model
-    finally:
-        sys.path.pop(0)
-    pinned = json.loads((DATA / "pinned_hist.json").read_text())
-    X, y, X_test = make_data()
-    model = make_model().fit(X, y)
-    assert list(model.predict(X_test)) == pinned["predictions"]
-    assert [int(t.n_nodes) for t in model._trees] == pinned["n_nodes"]
-    assert [int(t.depth) for t in model._trees] == pinned["depths"]
-    assert model._base_score == pinned["base_score"]
-
-
-def test_hist_mode_close_to_exact():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(400, 5))
-    y = 3.0 + np.abs(X[:, 0]) * 2 + X[:, 1] ** 2 + 0.1 * rng.normal(size=400) ** 2
-    kw = dict(n_estimators=30, max_depth=4, random_state=0, log_target=True)
-    exact = GradientBoostedTrees(method="exact", **kw).fit(X, y)
-    hist = GradientBoostedTrees(method="hist", max_bins=32, **kw).fit(X, y)
-    X_test = rng.normal(size=(100, 5))
-    pe, ph = exact.predict(X_test), hist.predict(X_test)
-    # Not bit-identical by construction, but the same model up to binning.
-    assert np.median(np.abs(ph - pe) / pe) < 0.1
-
-
-def test_hist_method_validation():
-    with pytest.raises(ValueError, match="method"):
-        GradientBoostedTrees(method="approx")
-    with pytest.raises(ValueError, match="max_bins"):
-        GradientBoostedTrees(method="hist", max_bins=1)
-    model = GradientBoostedTrees(method="hist", max_bins=8, n_estimators=3)
-    assert model.clone().method == "hist"
-    assert model.clone().max_bins == 8
 
 
 # -- encoder memo and pool caches ---------------------------------------------

@@ -95,11 +95,11 @@ def test_oracle_pool_preserves_pinned_output(lv, lv_pool, lv_histories, monkeypa
     oracle) must be bit-identical, and tuning on it must reproduce the
     pinned pre-fast-path output.
     """
+    from repro.lru import LruCache
     from repro.workflows import pools
 
     monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.setattr(pools, "_POOL_MEMO", {})
+    monkeypatch.setattr(pools, "_POOL_MEMO", LruCache("pool.memo", 128))
     oracle_pool = pools.generate_pool(lv, len(lv_pool), seed=7)
     assert oracle_pool.configs == lv_pool.configs
     assert oracle_pool.measurements == lv_pool.measurements

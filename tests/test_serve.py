@@ -16,24 +16,21 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.artifacts import ArtifactCache
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import ServeError, latency_digest
 from repro.serve.sessions import SessionManager
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
 
 SMALL = dict(budget=8, pool_size=60, history_size=40, seed=3)
 
 #: Cache regimes the bit-identity contract must hold under: the shared
-#: rehydration caches at their defaults, fully disabled (the
-#: ``REPRO_NO_SERVE_CACHE`` rebuild-everything path), and thrashing
-#: (capacity 1 everywhere, so nearly every lookup misses and entries
-#: are evicted constantly).
-CACHE_MODES = ("on", "off", "thrash")
+#: rehydration caches at their defaults, and thrashing (capacity 1
+#: everywhere, so nearly every lookup misses and entries are evicted
+#: constantly).
+CACHE_MODES = ("on", "thrash")
 
 
 def make_cache(mode: str) -> ArtifactCache | None:
     """An :class:`ArtifactCache` for one of :data:`CACHE_MODES`."""
-    if mode == "off":
-        return ArtifactCache(enabled=False)
     if mode == "thrash":
         return ArtifactCache(problems=1, models=1, snapshots=1)
     return None  # manager builds its own default-capacity cache
@@ -75,12 +72,10 @@ class TestBitIdentity:
         "algorithm,cache_mode",
         [
             ("ceal", "on"),
-            ("ceal", "off"),
             ("ceal", "thrash"),
             ("rs", "on"),
             ("rs", "thrash"),
             ("bo", "on"),
-            ("bo", "off"),
         ],
         ids=lambda v: str(v),
     )
@@ -215,6 +210,34 @@ class TestLifecycleAndErrors:
             manager.status("s")
         assert err.value.code == "unknown_session"
         assert not list((tmp_path / "state").glob("s.*"))
+
+    def test_failed_delete_keeps_the_session(self, tmp_path, monkeypatch):
+        """A spec that cannot be unlinked is an ``internal`` error, not
+        ``deleted: true``: the session stays listed and a restarted
+        manager still recovers it."""
+        import os
+
+        state = tmp_path / "state"
+        manager = SessionManager(state)
+        manager.create(dict(algorithm="rs", **SMALL), name="s")
+        unlink = os.unlink
+
+        def refuse_spec(path, *args, **kwargs):
+            if str(path).endswith(".spec.json"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse_spec)
+        with pytest.raises(ServeError) as err:
+            manager.close("s", delete=True)
+        assert err.value.code == "internal"
+        assert "s.spec.json" in err.value.message
+        assert [row["session"] for row in manager.list_sessions()] == ["s"]
+        monkeypatch.undo()
+        assert SessionManager(state).recovered == ["s"]
+        assert manager.status("s")["state"] == "active"  # rehydrates
+        manager.close("s", delete=True)
+        assert not list(state.glob("s.*"))
 
     @pytest.mark.parametrize(
         "bad",
@@ -373,3 +396,22 @@ class TestTelemetry:
             f"serve.session.{step}"
             for step in ("prepare", "ask", "tell", "finalize")
         } & {r.name for r in served_hub.spans}
+
+
+class TestLatencyDigest:
+    def test_known_series(self):
+        values = [i + 0.12345 for i in range(1, 21)]
+        digest = latency_digest(values[::-1])  # order does not matter
+        assert digest == {
+            "count": 20,
+            "mean": 10.623,
+            "p50": 10.123,
+            "p95": 19.123,
+            "p99": 20.123,
+            "max": 20.123,
+        }
+
+    def test_empty_series(self, tmp_path):
+        assert latency_digest([]) == {"count": 0}
+        manager = SessionManager(tmp_path / "state")
+        assert manager.stats()["rehydrate_ms"] == {"count": 0}

@@ -1,27 +1,18 @@
-"""The serve rehydration caches: bounds, concurrency, kill switch.
+"""The serve rehydration caches: bounds and concurrency.
 
 Covers the three cache tiers of :mod:`repro.serve.artifacts` directly
 (LRU order, capacity bounds, consume-on-hit, telemetry counters,
 multi-threaded stress) and through the session manager (shared
 problem artifacts by reference, snapshot invalidation on create/close,
-cross-session isolation under concurrent churn).  The kill-switch
-tests prove ``REPRO_NO_SERVE_CACHE=1`` reproduces the
-rebuild-everything behaviour byte for byte.
+cross-session isolation under concurrent churn).
 """
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.serve.artifacts import (
-    ArtifactCache,
-    CachingModelRegistry,
-    LruCache,
-    cache_enabled,
-    spec_key,
-)
+from repro.lru import LruCache
+from repro.serve.artifacts import ArtifactCache, spec_key
 from repro.serve.sessions import SessionManager
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
 
@@ -81,21 +72,13 @@ class TestLruCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1  # pop uncounted
 
-    def test_disabled_cache_never_stores_or_hits(self):
-        cache = LruCache("t", capacity=4, enabled=False)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert cache.take("a", "fallback") == "fallback"
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 0
-
     def test_counters_flow_through_telemetry_hub(self):
         from repro import telemetry
         from repro.telemetry import Telemetry
 
         hub = Telemetry()
         with telemetry.use(hub):
-            cache = LruCache("unittier", capacity=1)
+            cache = LruCache("serve.cache.unittier", capacity=1)
             cache.put("a", 1)
             cache.get("a")
             cache.get("ghost")
@@ -254,38 +237,3 @@ class TestArtifactTiers:
                 offline_result(spec)
             ), name
 
-
-class TestKillSwitch:
-    def test_env_variable_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SERVE_CACHE", "1")
-        assert not cache_enabled()
-        cache = ArtifactCache()
-        assert not cache.enabled
-        spec = SessionSpec(algorithm="rs", **SMALL)
-        a = cache.problem_artifacts(spec)
-        b = cache.problem_artifacts(spec)
-        assert a is not b  # every call rebuilds
-        assert cache.stats()["problem"]["hits"] == 0
-
-    def test_kill_switch_byte_identity(self, tmp_path, monkeypatch):
-        """The same session driven with caches on, with the env kill
-        switch set, and offline: one identical result."""
-        spec = SessionSpec(algorithm="ceal", use_history=True, **SMALL)
-        straight = comparable(offline_result(spec))
-
-        manager_on = SessionManager(tmp_path / "on", max_active=1)
-        assert manager_on.cache.enabled
-        manager_on.create(spec, name="s")
-        drive(manager_on, "s", evict_every_step=True)
-        assert comparable(manager_on.result("s")) == straight
-
-        monkeypatch.setenv("REPRO_NO_SERVE_CACHE", "1")
-        manager_off = SessionManager(tmp_path / "off", max_active=1)
-        assert not manager_off.cache.enabled
-        manager_off.create(spec, name="s")
-        drive(manager_off, "s", evict_every_step=True)
-        assert comparable(manager_off.result("s")) == straight
-        stats = manager_off.cache.stats()
-        assert stats["problem"]["hits"] == 0
-        assert stats["model"]["hits"] == 0
-        assert stats["snapshot"]["hits"] == 0

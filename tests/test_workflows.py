@@ -1,9 +1,15 @@
 """Tests for the workflow catalog and measured pools."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.insitu.measurement import measure_workflow
+from repro.lru import LruCache
+from repro.telemetry import Telemetry
+from repro.workflows import pools
 from repro.workflows.catalog import (
     EXPERT_CONFIGS,
     expert_config,
@@ -14,6 +20,32 @@ from repro.workflows.pools import (
     generate_pool,
     pool_size_for,
 )
+
+
+def memo_counters(generate, *args, **kwargs):
+    """``generate(*args, **kwargs)`` and the memo counters it bumped."""
+    hub = Telemetry()
+    with telemetry.use(hub):
+        result = generate(*args, **kwargs)
+    counters = {m["name"]: m["value"] for m in hub.metrics_snapshot()}
+    return result, counters
+
+
+def fresh_memo(monkeypatch, attr: str) -> None:
+    """Swap the module memo ``attr`` for an empty one (restored after)."""
+    memo = getattr(pools, attr)
+    monkeypatch.setattr(pools, attr, LruCache(memo.name, memo.capacity))
+
+
+def assert_fields_equal(a, b) -> None:
+    """Two dataclass instances agree exactly on every field."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, field.name
 
 
 class TestCatalog:
@@ -105,12 +137,25 @@ class TestPools:
         for config in lv_pool.configs[:20]:
             assert lv.constraint(config)
 
-    def test_pool_deterministic(self, lv, lv_pool):
+    def test_pool_deterministic(self, lv, lv_pool, monkeypatch):
         again = generate_pool(lv, len(lv_pool), seed=7)
         assert again.configs == lv_pool.configs
         assert again.measurements[0].execution_seconds == pytest.approx(
             lv_pool.measurements[0].execution_seconds
         )
+        # A repeat call is one memo hit returning the identical object.
+        repeat, counters = memo_counters(generate_pool, lv, len(lv_pool), seed=7)
+        assert repeat is again
+        assert counters.get("pool.memo.hits") == 1
+        assert "pool.memo.misses" not in counters
+        # Through a memo miss, regeneration matches field for field.
+        fresh_memo(monkeypatch, "_POOL_MEMO")
+        regenerated, counters = memo_counters(
+            generate_pool, lv, len(lv_pool), seed=7
+        )
+        assert regenerated is not again
+        assert counters.get("pool.memo.misses") == 1
+        assert_fields_equal(regenerated, again)
 
     def test_different_seed_different_pool(self, lv, lv_pool):
         other = generate_pool(lv, len(lv_pool), seed=8)
@@ -159,8 +204,22 @@ class TestComponentHistory:
         assert sub.configs[1] == history.configs[5]
         assert sub.execution_seconds[1] == history.execution_seconds[5]
 
-    def test_history_deterministic(self, lv):
+    def test_history_deterministic(self, lv, monkeypatch):
         a = generate_component_history(lv, "lammps", size=50, seed=11)
-        b = generate_component_history(lv, "lammps", size=50, seed=11)
+        b, counters = memo_counters(
+            generate_component_history, lv, "lammps", size=50, seed=11
+        )
         assert a.configs == b.configs
         np.testing.assert_array_equal(a.execution_seconds, b.execution_seconds)
+        # The repeat call is one memo hit returning the identical object.
+        assert b is a
+        assert counters.get("history.memo.hits") == 1
+        assert "history.memo.misses" not in counters
+        # Through a memo miss, regeneration matches field for field.
+        fresh_memo(monkeypatch, "_HISTORY_MEMO")
+        c, counters = memo_counters(
+            generate_component_history, lv, "lammps", size=50, seed=11
+        )
+        assert c is not a
+        assert counters.get("history.memo.misses") == 1
+        assert_fields_equal(c, a)
