@@ -274,7 +274,7 @@ class AutoTuner:
         else:
             result = self.algorithm.tune(problem)
         best_config = result.best_config(pool)
-        best_value = result.best_actual_value(pool)
+        best_value = pool.lookup(best_config).objective(self.objective.name)
         return TuningOutcome(
             result=result,
             pool=pool,

@@ -5,7 +5,9 @@ pre-measured pool, so "running the workflow" is a lookup — but the
 collector still enforces the run budget ``m`` and accumulates the *cost*
 ``c`` of §7.2.3 (the sum of the training samples' execution times or
 computer times), which the practicality metric divides by the achieved
-improvement.
+improvement.  The pool is the only measurement backend: every strategy
+proposes pool configurations and warm start adopts only those, so a
+configuration outside the pool is a ``KeyError``.
 
 Component applications are "run" against pre-measured solo histories
 (paper §7.1: 500 solo configurations per configurable component).  One
@@ -28,7 +30,6 @@ import numpy as np
 from repro import telemetry
 from repro.config.space import Configuration
 from repro.core.objectives import Objective
-from repro.insitu.measurement import WorkflowMeasurement
 from repro.workflows.pools import MeasuredPool
 
 __all__ = ["BudgetExhausted", "Collector", "ComponentBatchData"]
@@ -75,13 +76,6 @@ class Collector:
         ``measure``/``measure_components`` batch is durably recorded
         through it (write-through, one transaction per batch).  Purely
         observational — results are bit-identical with or without it.
-    workflow:
-        Optional live-measurement backend.  When set, a batch may
-        contain configurations outside the pool: they are measured
-        through one vectorized sweep
-        (:func:`repro.insitu.fast.measure_batch`) instead of raising,
-        using ``noise_sigma``/``noise_seed`` for the measurement noise.
-        Without it the collector is strictly pool-backed, as before.
     """
 
     pool: MeasuredPool
@@ -91,16 +85,12 @@ class Collector:
     failure_rate: float = 0.0
     failure_seed: int = 0
     store: object | None = None
-    workflow: object | None = None
-    noise_sigma: float = 0.05
-    noise_seed: int = 0
 
     runs_used: int = field(init=False, default=0)
     cost_execution_seconds: float = field(init=False, default=0.0)
     cost_core_hours: float = field(init=False, default=0.0)
     failures: int = field(init=False, default=0)
     _measured: dict = field(init=False, default_factory=dict)
-    _live: dict = field(init=False, default_factory=dict)
     _fail_rng: np.random.Generator = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -135,13 +125,12 @@ class Collector:
     def measure_batch(self, configs: Sequence[Configuration]) -> dict:
         """Run the workflow at ``configs``; return ``{config: value}``.
 
-        The canonical batched measurement entry: pool configurations are
-        looked up; off-pool configurations (allowed only with a
-        ``workflow`` backend) are evaluated through one vectorized
-        coupled-run sweep for the whole batch.  Failed runs (fault
-        injection) are charged but omitted from the result.
-        Re-measuring an already-measured configuration is a programming
-        error — it would silently waste budget.
+        The canonical batched measurement entry: each configuration is
+        looked up in the pool (an off-pool configuration raises
+        ``KeyError``).  Failed runs (fault injection) are charged but
+        omitted from the result.  Re-measuring an already-measured
+        configuration is a programming error — it would silently waste
+        budget.
         """
         tel = telemetry.get()
         if not tel.enabled:
@@ -161,43 +150,9 @@ class Collector:
         """Compatibility alias of :meth:`measure_batch`."""
         return self.measure_batch(configs)
 
-    def _sweep_missing(self, configs: Sequence[Configuration]) -> None:
-        """Live-measure configurations the pool does not cover.
-
-        One :func:`~repro.insitu.fast.measure_batch` sweep per batch;
-        results are cached so re-reads (``measurement_of``) are free.  A
-        no-op without a ``workflow`` backend — the per-config lookup
-        then raises ``KeyError`` exactly as the strictly pool-backed
-        collector always has.
-        """
-        if self.workflow is None:
-            return
-        known = set(self.pool.configs)
-        missing: list = []
-        for config in configs:
-            config = tuple(config)
-            if config not in known and config not in self._live:
-                missing.append(config)
-                known.add(config)
-        if not missing:
-            return
-        from repro.insitu.fast import measure_batch
-
-        for measurement in measure_batch(
-            self.workflow, missing, self.noise_sigma, self.noise_seed
-        ):
-            self._live[measurement.config] = measurement
-
-    def _lookup(self, config: Configuration) -> WorkflowMeasurement:
-        live = self._live.get(config)
-        if live is not None:
-            return live
-        return self.pool.lookup(config)
-
     def _measure(self, configs: Sequence[Configuration]) -> dict:
         out: dict = {}
         recorded: list = []
-        self._sweep_missing(configs)
         try:
             for config in configs:
                 config = tuple(config)
@@ -207,7 +162,7 @@ class Collector:
                         "algorithms must draw fresh configurations"
                     )
                 self._charge(1)
-                measurement = self._lookup(config)
+                measurement = self.pool.lookup(config)
                 self.cost_execution_seconds += measurement.execution_seconds
                 self.cost_core_hours += measurement.computer_core_hours
                 if self.failure_rate > 0 and self._fail_rng.random() < self.failure_rate:
@@ -251,13 +206,6 @@ class Collector:
         """Number of successful workflow measurements so far."""
         return len(self._measured)
 
-    def measurement_of(self, config: Configuration) -> WorkflowMeasurement:
-        """Full measurement record of an already-measured configuration."""
-        config = tuple(config)
-        if config not in self._measured:
-            raise KeyError(f"{config!r} has not been measured")
-        return self._lookup(config)
-
     # -- component runs -------------------------------------------------------------
 
     def measure_components(
@@ -290,14 +238,15 @@ class Collector:
             return {}
         if not self.histories:
             raise RuntimeError("collector has no component histories to draw from")
-        self._charge(n_batches)
-        out: dict[str, ComponentBatchData] = {}
         for label, history in self.histories.items():
             if n_batches > len(history):
                 raise ValueError(
                     f"component {label!r} has only {len(history)} solo "
                     f"measurements, cannot run {n_batches}"
                 )
+        self._charge(n_batches)
+        out: dict[str, ComponentBatchData] = {}
+        for label, history in self.histories.items():
             idx = rng.choice(len(history), size=n_batches, replace=False)
             subset = history.subset(idx)
             self.cost_execution_seconds += float(subset.execution_seconds.sum())
@@ -345,7 +294,6 @@ class Collector:
             "cost_core_hours": self.cost_core_hours,
             "failures": self.failures,
             "measured": tuple(self._measured.items()),
-            "live": tuple(self._live.items()),
             "fail_rng_state": self._fail_rng.bit_generator.state,
             # The store binding itself is reconstructed by the caller;
             # only the session id round-trips, so a resumed run keeps
@@ -363,8 +311,6 @@ class Collector:
         self.cost_core_hours = state["cost_core_hours"]
         self.failures = state["failures"]
         self._measured = dict(state["measured"])
-        # Pre-"live backend" checkpoints have no live map; default empty.
-        self._live = dict(state.get("live", ()))
         self._fail_rng.bit_generator.state = state["fail_rng_state"]
         session = state.get("store_session")
         if self.store is not None and session:

@@ -2,9 +2,10 @@
 
 A :class:`TuningProblem` bundles the workflow, the objective, the
 candidate pool, a budgeted :class:`~repro.core.collector.Collector`, the
-feature encoder, and a seeded random generator.  Every algorithm
-consumes a problem and returns an :class:`AutotuneResult` whose model
-drives the searcher (rank the pool, recommend the predicted best).
+feature encoder, a seeded random generator, and an optional
+fitted-model registry.  Every algorithm consumes a problem and returns
+an :class:`AutotuneResult` whose model drives the searcher (rank the
+pool, recommend the predicted best).
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ class TuningProblem:
     rng: np.random.Generator
     seed: int
     warm_start: str = "off"
-    _registry: object | None = field(init=False, default=None, repr=False)
+    #: Fitted-model registry (``fit_or_load`` contract) every model of
+    #: this problem is fitted through, or ``None`` to fit directly.
+    #: Loading a registered model is equivalent to refitting — fits are
+    #: deterministic functions of their inputs — so the registry saves
+    #: wall-clock, never changes results.
+    model_registry: object | None = field(default=None, repr=False)
     _encoder: object | None = field(init=False, default=None, repr=False)
 
     @classmethod
@@ -69,7 +75,9 @@ class TuningProblem:
 
         ``store`` may be a :class:`~repro.store.db.MeasurementStore`
         or a database path; it is bound to the collector for
-        write-through recording and enables the ``warm_start`` modes.
+        write-through recording, enables the ``warm_start`` modes, and
+        backs the problem's :class:`~repro.store.registry.ModelRegistry`
+        (without a store, fits run directly and hash nothing).
         ``encoder`` optionally shares a prebuilt (possibly warm)
         :class:`~repro.config.encoding.ConfigEncoder` instead of
         deriving a fresh one per surrogate — encoders only memoise
@@ -77,13 +85,15 @@ class TuningProblem:
         """
         if budget_runs < 2:
             raise ValueError("budget_runs must be at least 2")
-        binding = None
+        binding = registry = None
         if store is not None:
             from repro.store.db import MeasurementStore, StoreBinding
+            from repro.store.registry import ModelRegistry
 
             if not isinstance(store, MeasurementStore):
                 store = MeasurementStore(store)
             binding = StoreBinding(store, workflow, objective.name, seed)
+            registry = ModelRegistry(store)
         from repro.store.warmstart import WARM_START_MODES
 
         if warm_start not in WARM_START_MODES:
@@ -99,9 +109,6 @@ class TuningProblem:
             failure_rate=failure_rate,
             failure_seed=stable_seed("failures", workflow.name, seed),
             store=binding,
-            # Live backend: off-pool batches go through the vectorized
-            # coupled-run sweep instead of raising KeyError.
-            workflow=workflow,
         )
         rng = np.random.default_rng(
             stable_seed("tuning", workflow.name, objective.name, seed)
@@ -114,6 +121,7 @@ class TuningProblem:
             rng=rng,
             seed=seed,
             warm_start=warm_start,
+            model_registry=registry,
         )
         problem._encoder = encoder
         return problem
@@ -122,36 +130,6 @@ class TuningProblem:
     def store(self):
         """The collector's store binding (``None`` when unbound)."""
         return self.collector.store
-
-    @property
-    def model_registry(self):
-        """Per-problem fitted-model registry (``None`` without one).
-
-        Loading a registered model is equivalent to refitting — fits
-        are deterministic functions of their inputs — so the registry
-        saves wall-clock, never changes results.  An injected registry
-        (:meth:`attach_registry`, e.g. the serve layer's shared
-        in-process front) wins; otherwise a store-backed registry is
-        built lazily when the collector is bound to a store.
-        """
-        if self._registry is not None:
-            return self._registry
-        binding = self.collector.store
-        if binding is None:
-            return None
-        from repro.store.registry import ModelRegistry
-
-        self._registry = ModelRegistry(binding.store)
-        return self._registry
-
-    def attach_registry(self, registry) -> None:
-        """Inject a fitted-model registry (``fit_or_load`` contract).
-
-        Used by the serve layer to front this problem's fits with a
-        process-wide cache; because registry loads are deterministic
-        refit-equivalents, attaching one never changes results.
-        """
-        self._registry = registry
 
     @property
     def pool_configs(self) -> tuple[Configuration, ...]:

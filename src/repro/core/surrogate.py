@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import telemetry
 from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration
 from repro.ml.boosting import GradientBoostedTrees
@@ -43,11 +42,6 @@ class SurrogateModel:
     registry: object | None = None
 
     _fitted: bool = field(init=False, default=False)
-    #: ``{config: prediction}`` for the current fit; cleared whenever the
-    #: regressor is refitted.  Predictions (encoding, extra features,
-    #: tree traversal) are per-row independent, so cached values equal a
-    #: fresh batched predict bit-for-bit.
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def _features(self, configs: Sequence[Configuration]) -> np.ndarray:
         X = self.encoder.encode(configs)
@@ -88,32 +82,15 @@ class SurrogateModel:
         else:
             self.regressor = _fit()
         self._fitted = True
-        self._cache = {}
         return self
 
     def predict(self, configs: Sequence[Configuration]) -> np.ndarray:
-        """Predict objective values (lower = better).
-
-        Per-configuration predictions are cached until the next
-        :meth:`fit` — active learning rescores the same candidate pool
-        after every refit, but *within* one fit the pool is immutable.
-        Hits/misses are counted on the ``pool_cache.*`` telemetry
-        counters.
-        """
+        """Predict objective values (lower = better)."""
         if not self._fitted:
             raise RuntimeError("surrogate is not fitted")
         if len(configs) == 0:
             return np.empty(0)
-        cache = self._cache
-        missing = [c for c in dict.fromkeys(configs) if c not in cache]
-        if missing:
-            preds = self.regressor.predict(self._features(missing))
-            for c, p in zip(missing, preds):
-                cache[c] = float(p)
-        tel = telemetry.get()
-        tel.counter("pool_cache.misses").inc(len(missing))
-        tel.counter("pool_cache.hits").inc(len(configs) - len(missing))
-        return np.array([cache[c] for c in configs], dtype=np.float64)
+        return self.regressor.predict(self._features(configs))
 
     def clone(self) -> "SurrogateModel":
         """Unfitted copy with the same encoder and hyper-parameters."""

@@ -338,7 +338,8 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         )
     else:
         scores = result.predict_pool(pool)
-    best_value = result.best_actual_value(pool)
+    best = pool.configs[int(np.argmin(scores))]
+    best_value = pool.lookup(best).objective(ctx.objective.name)
     return TrialMetrics(
         algorithm=spec.name,
         workflow=ctx.artifacts.workflow.name,

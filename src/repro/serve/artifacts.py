@@ -17,14 +17,14 @@ the paper applies to component models, applied to the service itself:
   hash equal share the artifacts *by reference*; the mutable problem
   state (collector, RNG, tracker) is still built fresh per session,
   which is why sharing preserves bit-identity.
-* **Fitted-model cache** — an in-process front for
-  :class:`~repro.store.registry.ModelRegistry` keyed by the same
+* **Fitted-model cache** — the ``memo`` of every session's
+  :class:`~repro.store.registry.ModelRegistry`, keyed by the
   training-set content hash.  Every fit in this codebase is a
   deterministic function of its inputs, so a rehydrated session can be
   handed the previously fitted (and already packed) ensemble instead
   of refitting: same model, no wall-clock.  Works with or without a
-  backing store; when a store registry is present it is consulted (and
-  fed) on in-process misses.
+  backing store; when the daemon has one, the registry consults (and
+  feeds) it on memo misses.
 * **Warm-snapshot cache** — a second-chance buffer holding the parsed
   checkpoint payloads of the most recently evicted sessions.  A
   re-touch within the window restores straight from the in-memory
@@ -46,11 +46,7 @@ from __future__ import annotations
 from repro.core.autotuner import ProblemArtifacts, build_problem_artifacts
 from repro.lru import LruCache
 
-__all__ = [
-    "ArtifactCache",
-    "CachingModelRegistry",
-    "spec_key",
-]
+__all__ = ["ArtifactCache", "spec_key"]
 
 
 def spec_key(spec) -> tuple:
@@ -72,43 +68,13 @@ def spec_key(spec) -> tuple:
     )
 
 
-class CachingModelRegistry:
-    """In-process fitted-model front with the ModelRegistry contract.
-
-    ``fit_or_load`` resolution order: shared in-process LRU → backing
-    store registry (when the session has one) → run the deterministic
-    ``fit``.  Whatever a lower layer produces is promoted upward, so a
-    model is fitted (or unpickled) at most once per process and every
-    later rehydration gets the already-packed ensemble by reference.
-    Fitted ensembles are treated as immutable everywhere (refits clone
-    before fitting), which is what makes reference sharing safe.
-    """
-
-    def __init__(self, cache: LruCache, inner=None):
-        self._cache = cache
-        self._inner = inner
-        self.hits = 0
-        self.misses = 0
-
-    def fit_or_load(self, key: str, fit, kind: str = "model"):
-        model = self._cache.get(key)
-        if model is not None:
-            self.hits += 1
-            return model
-        self.misses += 1
-        if self._inner is not None:
-            model = self._inner.fit_or_load(key, fit, kind=kind)
-        else:
-            model = fit()
-        self._cache.put(key, model)
-        return model
-
-
 class ArtifactCache:
     """The serve layer's shared rehydration caches, one per manager.
 
-    Parameters bound each tier's entry count.  Tests force thrash by
-    passing capacity 1 everywhere.
+    Tier 2, ``models``, has no methods of its own: it is the ``memo``
+    every session's :class:`~repro.store.registry.ModelRegistry` reads
+    and fills.  Parameters bound each tier's entry count.  Tests force
+    thrash by passing capacity 1 everywhere.
     """
 
     def __init__(
@@ -136,19 +102,6 @@ class ArtifactCache:
             artifacts = build_problem_artifacts(*key)
             self.problems.put(key, artifacts)
         return artifacts
-
-    # -- tier 2: fitted models ------------------------------------------------
-
-    def registry(self, inner=None) -> CachingModelRegistry:
-        """A fitted-model front over the shared model tier.
-
-        ``inner`` is the problem's store-backed registry when the
-        daemon is bound to a store (consulted and fed on in-process
-        misses), or ``None`` for storeless sessions — the in-process
-        tier alone still turns deterministic rehydration refits into
-        reference handouts.
-        """
-        return CachingModelRegistry(self.models, inner=inner)
 
     # -- tier 3: warm snapshots ----------------------------------------------
 

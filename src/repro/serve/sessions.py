@@ -60,6 +60,7 @@ from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.protocol import PROTOCOL_VERSION, ServeError, latency_digest
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
+from repro.store.registry import ModelRegistry
 
 __all__ = ["SessionManager", "SessionRunner"]
 
@@ -89,22 +90,28 @@ class SessionRunner:
     """
 
     def __init__(
-        self, name: str, spec: SessionSpec, checkpoint_path, store=None, cache=None
+        self,
+        name: str,
+        spec: SessionSpec,
+        checkpoint_path,
+        cache: ArtifactCache,
+        store=None,
     ):
         self.name = name
         self.spec = spec
         algorithm = build_algorithm(spec)
         self.strategy = algorithm.make_strategy()
         self.strategy.name = algorithm.name
-        artifacts = None if cache is None else cache.problem_artifacts(spec)
-        self.problem = build_problem(spec, store=store, artifacts=artifacts)
-        if cache is not None:
-            # Front every deterministic fit of this session with the
-            # manager-wide model tier (the store registry, when bound,
-            # stays underneath as the persistent layer).
-            self.problem.attach_registry(
-                cache.registry(self.problem.model_registry)
-            )
+        self.problem = build_problem(
+            spec, store=store, artifacts=cache.problem_artifacts(spec)
+        )
+        # Every deterministic fit of this session goes through the
+        # manager-wide model tier first; the store, when bound, stays
+        # underneath as the persistent layer.
+        binding = self.problem.store
+        self.problem.model_registry = ModelRegistry(
+            None if binding is None else binding.store, memo=cache.models
+        )
         self.session = TuningSession.start(self.problem)
         self.driver = TuningDriver(checkpoint_path=Path(checkpoint_path))
         self.result: AutotuneResult | None = None
@@ -126,8 +133,8 @@ class SessionRunner:
         name: str,
         spec: SessionSpec,
         checkpoint_path,
+        cache: ArtifactCache,
         store=None,
-        cache=None,
         snapshot: dict | None = None,
     ) -> "SessionRunner":
         """Rebuild a runner from (spec, checkpoint) files.
@@ -145,7 +152,7 @@ class SessionRunner:
         to, so restoring from it skips the disk read and unpickle while
         remaining subject to the same validation.
         """
-        runner = cls(name, spec, checkpoint_path, store=store, cache=cache)
+        runner = cls(name, spec, checkpoint_path, cache, store=store)
         path = runner.driver.checkpoint_path
         if snapshot is None and not path.exists():
             runner.start()
@@ -288,7 +295,7 @@ class SessionRunner:
             recommended = result.best_config(pool)
             payload["recommended_config"] = list(recommended)
             payload["recommended_value"] = float(
-                result.best_actual_value(pool)
+                pool.lookup(recommended).objective(result.objective.name)
             )
             payload["cost"] = float(result.cost())
         return payload
@@ -441,8 +448,8 @@ class SessionManager:
                 name,
                 spec,
                 self._checkpoint_path(name),
+                self.cache,
                 store=self.store,
-                cache=self.cache,
                 snapshot=snapshot,
             )
         except CheckpointError as exc:
@@ -501,7 +508,7 @@ class SessionManager:
             checkpoint_path = self._checkpoint_path(name)
             try:
                 runner = SessionRunner(
-                    name, spec, checkpoint_path, store=self.store, cache=self.cache
+                    name, spec, checkpoint_path, self.cache, store=self.store
                 )
                 _write_json_atomic(
                     spec_path,

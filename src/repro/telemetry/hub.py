@@ -291,7 +291,8 @@ class Telemetry:
         :meth:`close`.
     ring_capacity:
         Size of the in-memory ring buffer of closed spans (oldest
-        records are dropped beyond it).
+        records are dropped beyond it, and counted on the
+        ``telemetry.spans_dropped`` counter).
     """
 
     enabled = True
@@ -328,7 +329,11 @@ class Telemetry:
 
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
+            dropped = len(self.spans) == self.spans.maxlen
             self.spans.append(record)
+        if dropped:
+            # Outside the lock: ``counter`` takes it.
+            self.counter("telemetry.spans_dropped").inc()
         for sink in self.sinks:
             sink.emit_span(record, self.epoch)
 

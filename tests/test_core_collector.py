@@ -45,13 +45,6 @@ class TestWorkflowRuns:
         assert collector.cost(EXECUTION_TIME) == collector.cost_execution_seconds
         assert collector.cost(COMPUTER_TIME) == collector.cost_core_hours
 
-    def test_measurement_of_requires_measured(self, collector, lv_pool):
-        with pytest.raises(KeyError):
-            collector.measurement_of(lv_pool.configs[0])
-        collector.measure(lv_pool.configs[:1])
-        m = collector.measurement_of(lv_pool.configs[0])
-        assert m.config == lv_pool.configs[0]
-
 
 class TestComponentRuns:
     def test_batches_charged_as_runs(self, collector):
@@ -77,6 +70,27 @@ class TestComponentRuns:
         rng = np.random.default_rng(0)
         with pytest.raises(BudgetExhausted):
             collector.measure_components(11, rng)
+
+    def test_refused_batch_charges_nothing(self, lv_pool, lv_histories):
+        # The short history comes last: the first label must not be
+        # charged, costed or drawn from before the second is refused.
+        collector = Collector(
+            pool=lv_pool,
+            objective=EXECUTION_TIME,
+            histories={
+                "lammps": lv_histories["lammps"],
+                "voro": lv_histories["voro"].subset(np.arange(3)),
+            },
+            budget_runs=10,
+        )
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="only 3 solo"):
+            collector.measure_components(5, rng)
+        assert collector.runs_used == 0
+        assert collector.cost_execution_seconds == 0.0
+        assert collector.cost_core_hours == 0.0
+        assert rng.bit_generator.state == before
 
     def test_free_history_uncharged(self, collector):
         data = collector.free_component_history()

@@ -153,55 +153,9 @@ class TestErrors:
 
 
 class TestCollectorLiveBackend:
-    def _off_pool_configs(self, lv, lv_pool, n=2):
-        known = set(lv_pool.configs)
-        configs = [c for c in _sample(lv, n=40, seed=23) if c not in known]
-        assert len(configs) >= n
-        return configs[:n]
-
-    def test_off_pool_configs_measured_live(self, lv, lv_pool):
-        collector = Collector(
-            pool=lv_pool, objective=EXECUTION_TIME, workflow=lv
-        )
-        configs = self._off_pool_configs(lv, lv_pool)
-        out = collector.measure_batch(configs)
-        for config in configs:
-            expected = measure_workflow(
-                lv, config, noise_sigma=0.05, noise_seed=0
-            )
-            assert out[config] == expected.objective("execution_time")
-            assert collector.measurement_of(config) == expected
-
-    def test_mixed_pool_and_live_batch(self, lv, lv_pool):
-        collector = Collector(
-            pool=lv_pool, objective=EXECUTION_TIME, workflow=lv
-        )
-        live = self._off_pool_configs(lv, lv_pool, n=1)
-        batch = [lv_pool.configs[0], live[0]]
-        out = collector.measure_batch(batch)
-        assert out[lv_pool.configs[0]] == lv_pool.measurements[0].objective(
-            "execution_time"
-        )
-        assert live[0] in out
+    """The collector has no live backend: off-pool configurations raise."""
 
     def test_without_backend_still_raises(self, lv_pool):
         collector = Collector(pool=lv_pool, objective=EXECUTION_TIME)
         with pytest.raises(KeyError):
             collector.measure_batch([(9999, 1, 1, 9999, 1, 1)])
-
-    def test_live_measurements_checkpoint(self, lv, lv_pool):
-        collector = Collector(
-            pool=lv_pool, objective=EXECUTION_TIME, workflow=lv
-        )
-        configs = self._off_pool_configs(lv, lv_pool)
-        collector.measure_batch(configs)
-        state = collector.state_dict()
-
-        restored = Collector(
-            pool=lv_pool, objective=EXECUTION_TIME, workflow=lv
-        )
-        restored.restore_state(state)
-        for config in configs:
-            assert restored.measurement_of(config) == collector.measurement_of(
-                config
-            )

@@ -289,24 +289,29 @@ def test_encoder_pickle_drops_memo():
     )
 
 
-def test_telemetry_summary_surfaces_ml_kernels():
+def test_telemetry_summary_surfaces_ml_kernels(lv, lv_pool, lv_histories):
     from repro import telemetry
-    from repro.core.surrogate import default_surrogate
+    from repro.core.collector import Collector
+    from repro.core.component_models import ComponentModelSet
+    from repro.core.objectives import EXECUTION_TIME
     from repro.telemetry.hub import Telemetry
 
+    data = Collector(
+        pool=lv_pool, objective=EXECUTION_TIME, histories=lv_histories
+    ).free_component_history()
+    # Every component sub-configuration of these six is distinct.
+    configs = lv_pool.configs[:6]
     hub = Telemetry()
     with telemetry.use(hub):
-        enc = _toy_encoder()
-        configs = [(a, b) for a in (1, 2, 4) for b in (10, 20)]
-        values = np.array([3.0, 5.0, 2.5, 8.0, 1.5, 9.0])
-        surrogate = default_surrogate(enc, random_state=0).fit(configs, values)
-        surrogate.predict(configs)
-        surrogate.predict(configs)  # second pass is all cache hits
+        models = ComponentModelSet.train(lv, EXECUTION_TIME, data, random_state=0)
+        models.predict_components(configs)
+        models.predict_components(configs)  # second pass is all cache hits
     names = {r.name for r in hub.spans}
     assert {"ml.fit.boosting", "ml.predict"} <= names
     metrics = {s["name"]: s for s in hub.metrics_snapshot()}
-    assert metrics["pool_cache.misses"]["value"] == len(configs)
-    assert metrics["pool_cache.hits"]["value"] == len(configs)
+    rows = len(configs) * len(lv.labels)
+    assert metrics["pool_cache.misses"]["value"] == rows
+    assert metrics["pool_cache.hits"]["value"] == rows
     text = telemetry.summarize(hub)
     assert "ml kernels" in text
     assert "ml.predict" in text
@@ -322,10 +327,8 @@ def test_surrogate_cache_matches_fresh_predictions():
     cached = default_surrogate(enc, random_state=0).fit(configs, values)
     fresh = default_surrogate(enc, random_state=0).fit(configs, values)
     subset = configs[2:5]
-    # Prime the cache with a different batch, then compare subset scoring.
     cached.predict(configs)
     assert np.array_equal(cached.predict(subset), fresh.predict(subset))
-    # Refit clears the cache and changes predictions accordingly.
     cached.fit(configs, values * 2.0)
     assert np.array_equal(
         cached.predict(subset),

@@ -15,6 +15,8 @@ from repro.lru import LruCache
 from repro.serve.artifacts import ArtifactCache, spec_key
 from repro.serve.sessions import SessionManager
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
+from repro.store.db import MeasurementStore
+from repro.store.registry import ModelRegistry
 
 SMALL = dict(budget=6, pool_size=50, history_size=30, seed=3)
 
@@ -159,7 +161,7 @@ class TestArtifactTiers:
         assert len(cache.problems) == 1
         assert cache.problem_artifacts(s1) is not a1  # rebuilt, not cached
 
-        registry = cache.registry()
+        registry = ModelRegistry(memo=cache.models)
         registry.fit_or_load("k1", lambda: "m1")
         registry.fit_or_load("k2", lambda: "m2")  # evicts k1
         assert len(cache.models) == 1
@@ -173,22 +175,43 @@ class TestArtifactTiers:
         for tier in (cache.problems, cache.models, cache.snapshots):
             assert tier.stats()["evictions"] >= 1
 
-    def test_model_registry_promotes_to_shared_tier(self):
+    def test_model_registry_promotes_to_shared_tier(self, tmp_path):
+        from repro import telemetry
+        from repro.telemetry import Telemetry
+
         cache = ArtifactCache()
-        first = cache.registry()
+        first = ModelRegistry(memo=cache.models)
         fits = []
 
         def fit():
             fits.append(1)
-            return object()
+            return {"weights": [1, 2, 3]}
 
         model = first.fit_or_load("key", fit)
-        # A different registry front (a different session) over the
-        # same cache gets the same object without refitting.
-        second = cache.registry()
+        # A different registry (a different session) over the same
+        # memo gets the same object without refitting.
+        second = ModelRegistry(memo=cache.models)
         assert second.fit_or_load("key", fit) is model
         assert len(fits) == 1
         assert first.misses == 1 and second.hits == 1
+
+        # Store-backed: a registry over a fresh memo loads the stored
+        # model without fitting and fills the memo, so a second
+        # registry over that memo never reads the store.
+        store = MeasurementStore(tmp_path / "models.db")
+        store.put_model("key", model)
+        memo = ArtifactCache().models
+        hub = Telemetry()
+        with telemetry.use(hub):
+            loaded = ModelRegistry(store, memo=memo).fit_or_load("key", fit)
+            assert memo.get("key") is loaded
+            again = ModelRegistry(store, memo=memo).fit_or_load("key", fit)
+        assert again is loaded and loaded == model
+        assert len(fits) == 1
+        metrics = {m["name"]: m["value"] for m in hub.metrics_snapshot()}
+        assert metrics["store.registry.hits"] == 1
+        assert "store.registry.misses" not in metrics
+        store.close()
 
     def test_snapshot_invalidated_on_create_and_close(self, tmp_path):
         manager = SessionManager(tmp_path / "state", max_active=1)

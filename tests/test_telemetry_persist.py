@@ -109,6 +109,19 @@ def test_flush_run_roundtrip(tmp_path):
     store.close()
 
 
+def test_ring_overflow_counts_dropped_spans(tmp_path):
+    hub = Telemetry(ring_capacity=2)
+    for _ in range(3):
+        with hub.span("s", category="t"):
+            pass
+    assert len(hub.spans) == 2
+    store = MeasurementStore(tmp_path / "t.db")
+    snap = regress.load_run(store, flush_run(store, hub))
+    metrics = {m["name"]: m["value"] for m in snap.metrics}
+    assert metrics["telemetry.spans_dropped"] == 1.0
+    store.close()
+
+
 def test_flush_run_disabled_hub_is_noop(tmp_path):
     store = MeasurementStore(tmp_path / "t.db")
     assert flush_run(store, NullTelemetry()) is None
