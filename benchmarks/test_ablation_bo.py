@@ -11,22 +11,18 @@ BO), and the bootstrapped variants are the strongest arms overall.
 import pytest
 from conftest import emit
 
-from repro.core.algorithms import ActiveLearning, BayesianOptimization
-from repro.core.ceal import Ceal, CealSettings
-from repro.experiments import AlgorithmSpec, run_trials, summarize
+from repro.experiments import AlgorithmFactor, run_trials, summarize
 from repro.experiments.figures import FigureResult
 
 pytestmark = pytest.mark.slow
 
 
 def test_ablation_bayesian_optimization(benchmark, scale):
-    specs = (
-        AlgorithmSpec("AL", ActiveLearning),
-        AlgorithmSpec("BO", BayesianOptimization),
-        AlgorithmSpec(
-            "CEAL-BO", lambda: BayesianOptimization(bootstrap=True)
-        ),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=True))),
+    factors = (
+        AlgorithmFactor.make("AL", "al"),
+        AlgorithmFactor.make("BO", "bo"),
+        AlgorithmFactor.make("CEAL-BO", "ceal-bo"),
+        AlgorithmFactor.make("CEAL", "ceal", use_history=True),
     )
 
     def run():
@@ -34,7 +30,7 @@ def test_ablation_bayesian_optimization(benchmark, scale):
             run_trials(
                 "LV",
                 "computer_time",
-                specs,
+                factors,
                 budget=50,
                 repeats=scale["repeats"],
                 pool_size=scale["pool_size"],

@@ -16,35 +16,29 @@ alone "lacks the accuracy required for auto-tuning").
 import pytest
 from conftest import emit
 
-from repro.core.algorithms import LowFidelityOnly
-from repro.core.ceal import Ceal, CealSettings
-from repro.experiments import AlgorithmSpec, run_trials, summarize
+from repro.experiments import AlgorithmFactor, run_trials, summarize
 from repro.experiments.figures import FigureResult
 
 pytestmark = pytest.mark.slow
 
 
 def test_ablation_ceal_components(benchmark, scale):
-    specs = (
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=True))),
-        AlgorithmSpec(
-            "CEAL-noswitch",
-            lambda: Ceal(CealSettings(use_history=True, switch_enabled=False)),
+    factors = (
+        AlgorithmFactor.make("CEAL", "ceal", use_history=True),
+        AlgorithmFactor.make(
+            "CEAL-noswitch", "ceal", use_history=True, switch_enabled=False
         ),
-        AlgorithmSpec(
-            "CEAL-noguard",
-            lambda: Ceal(
-                CealSettings(use_history=True, bias_guard_enabled=False)
-            ),
+        AlgorithmFactor.make(
+            "CEAL-noguard", "ceal", use_history=True, bias_guard_enabled=False
         ),
-        AlgorithmSpec("LowFid-only", LowFidelityOnly),
+        AlgorithmFactor.make("LowFid-only", "lowfid"),
     )
 
     def run():
         trials = run_trials(
             "LV",
             "computer_time",
-            specs,
+            factors,
             budget=50,
             repeats=scale["repeats"],
             pool_size=scale["pool_size"],

@@ -22,8 +22,8 @@ import argparse
 import time
 
 from repro.experiments import (
-    default_algorithms,
     fig04_lowfid_recall,
+    no_history_factors,
     run_trials,
     summarize,
     table2_best_vs_expert,
@@ -54,7 +54,7 @@ def main() -> None:
     trials = run_trials(
         "LV",
         "computer_time",
-        default_algorithms(),
+        no_history_factors(),
         budget=25,
         repeats=args.repeats,
         pool_size=args.pool,

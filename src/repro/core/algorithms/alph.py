@@ -94,13 +94,7 @@ class AlphStrategy(SearchStrategy):
 
     def _build_model(self, session: TuningSession) -> None:
         problem = session.problem
-        component_models = ComponentModelSet.train(
-            problem.workflow,
-            problem.objective,
-            self._component_data,
-            random_state=problem.seed,
-            registry=problem.model_registry,
-        )
+        component_models = problem.component_models(self._component_data)
         self._model = problem.make_surrogate(
             extra_features=ComponentFeatureMap(component_models)
         )

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
-from repro.core.component_models import ComponentModelSet
 from repro.core.driver import TuningSession
 from repro.core.low_fidelity import LowFidelityModel
 from repro.ml.gaussian_process import GaussianProcessRegressor
@@ -64,34 +63,27 @@ class BayesianOptimizationStrategy(SearchStrategy):
         iterations: int,
         initial_fraction: float,
         bootstrap: bool,
-        component_runs_fraction: float,
     ) -> None:
         self.name = name
         self.iterations = iterations
         self.initial_fraction = initial_fraction
         self.bootstrap = bootstrap
-        self.component_runs_fraction = component_runs_fraction
         self._cycle = 0
         self._plan: list[int] | None = None
         self._component_data = None
 
     def prepare(self, session: TuningSession) -> None:
-        problem = session.problem
-        m = session.budget
+        collector = session.problem.collector
+        self._m_workflow = session.budget
         if self.bootstrap:
-            if problem.collector.histories:
-                self._component_data = problem.collector.free_component_history()
-                self._m_workflow = m
-            else:
-                n_batches = max(2, round(self.component_runs_fraction * m))
-                self._component_data = problem.collector.measure_components(
-                    n_batches, problem.rng
+            if not collector.histories:
+                raise RuntimeError(
+                    f"{self.name} trains its component models on the "
+                    "problem's component histories, and this problem has none"
                 )
-                self._m_workflow = m - n_batches
-                session.annotate(component_batches=n_batches)
+            self._component_data = collector.free_component_history()
             self._build_low_fidelity(session)
         else:
-            self._m_workflow = m
             self._low_fidelity = None
         self._m_init = min(
             max(2, round(self.initial_fraction * self._m_workflow)),
@@ -100,15 +92,8 @@ class BayesianOptimizationStrategy(SearchStrategy):
         self._build_gp(session)
 
     def _build_low_fidelity(self, session: TuningSession) -> None:
-        problem = session.problem
         self._low_fidelity = LowFidelityModel(
-            ComponentModelSet.train(
-                problem.workflow,
-                problem.objective,
-                self._component_data,
-                random_state=problem.seed,
-                registry=problem.model_registry,
-            )
+            session.problem.component_models(self._component_data)
         )
 
     def _build_gp(self, session: TuningSession) -> None:
@@ -201,15 +186,14 @@ class BayesianOptimization(TuningAlgorithm):
     bootstrap:
         Seed with the low-fidelity (component-combined) model's top
         picks instead of pure random — BO slotted into the paper's
-        bootstrapping method.
-    component_runs_fraction:
-        ``m_R/m`` when bootstrapping without free histories.
+        bootstrapping method.  Its component models train on the
+        problem's component histories, free of charge; a problem
+        without histories is refused.
     """
 
     iterations: int = 6
     initial_fraction: float = 0.3
     bootstrap: bool = False
-    component_runs_fraction: float = 0.3
     name: str = "BO"
 
     def __post_init__(self) -> None:
@@ -222,5 +206,4 @@ class BayesianOptimization(TuningAlgorithm):
             self.iterations,
             self.initial_fraction,
             self.bootstrap,
-            self.component_runs_fraction,
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
-from repro.core.component_models import ComponentModelSet
 from repro.core.driver import TuningSession
 from repro.core.low_fidelity import LowFidelityModel
 
@@ -25,36 +24,23 @@ class LowFidelityOnlyStrategy(SearchStrategy):
 
     name = "LowFid"
 
-    def __init__(self, component_runs_fraction: float) -> None:
-        self.component_runs_fraction = component_runs_fraction
+    def __init__(self) -> None:
         self._asked = False
 
     def prepare(self, session: TuningSession) -> None:
-        problem = session.problem
-        collector = problem.collector
-        m = session.budget
-        if collector.histories:
-            self._component_data = collector.free_component_history()
-            self._m_workflow = m
-        else:
-            n_batches = max(2, round(self.component_runs_fraction * m))
-            self._component_data = collector.measure_components(
-                n_batches, problem.rng
+        collector = session.problem.collector
+        if not collector.histories:
+            raise RuntimeError(
+                f"{self.name} trains its component models on the problem's "
+                "component histories, and this problem has none"
             )
-            self._m_workflow = m - n_batches
-            session.annotate(component_batches=n_batches)
+        self._component_data = collector.free_component_history()
+        self._m_workflow = session.budget
         self._build_model(session)
 
     def _build_model(self, session: TuningSession) -> None:
-        problem = session.problem
         self._model = LowFidelityModel(
-            ComponentModelSet.train(
-                problem.workflow,
-                problem.objective,
-                self._component_data,
-                random_state=problem.seed,
-                registry=problem.model_registry,
-            )
+            session.problem.component_models(self._component_data)
         )
 
     def ask(self, session: TuningSession):
@@ -88,14 +74,12 @@ class LowFidelityOnlyStrategy(SearchStrategy):
 class LowFidelityOnly(TuningAlgorithm):
     """Rank the pool with the ACM, measure its top picks, return the ACM.
 
-    Parameters
-    ----------
-    component_runs_fraction:
-        ``m_R/m`` when no free histories are attached.
+    The component models train on the problem's component histories,
+    free of charge, so the whole budget goes to workflow runs; a problem
+    without histories is refused.
     """
 
-    component_runs_fraction: float = 0.5
     name: str = "LowFid"
 
     def make_strategy(self) -> LowFidelityOnlyStrategy:
-        return LowFidelityOnlyStrategy(self.component_runs_fraction)
+        return LowFidelityOnlyStrategy()

@@ -39,6 +39,8 @@ from repro.core.algorithms import (
     Geist,
     LowFidelityOnly,
     RandomSampling,
+    RegionBandit,
+    TuningAlgorithm,
 )
 from repro.core.ceal import Ceal, CealSettings
 from repro.core.metrics import recall_curve
@@ -63,23 +65,31 @@ __all__ = [
 ]
 
 #: Every tuning algorithm a run may name (CLI ``--algorithm``, serve
-#: ``SessionSpec.algorithm``): name -> factory of a fresh instance,
-#: given whether free historical component measurements may be used.
-ALGORITHMS: dict[str, Callable[[bool], object]] = {
-    "ceal": lambda use_history: Ceal(CealSettings(use_history=use_history)),
-    "rs": lambda use_history: RandomSampling(),
-    "al": lambda use_history: ActiveLearning(),
-    "geist": lambda use_history: Geist(),
-    "alph": lambda use_history: Alph(use_history=use_history),
-    "bo": lambda use_history: BayesianOptimization(),
-    "ceal-bo": lambda use_history: BayesianOptimization(bootstrap=True),
-    "lowfid": lambda use_history: LowFidelityOnly(),
+#: ``SessionSpec.algorithm``, a suite factor's ``kind``): name ->
+#: factory of a fresh instance from that algorithm's own keyword
+#: parameters.
+ALGORITHMS: dict[str, Callable[..., TuningAlgorithm]] = {
+    "ceal": lambda **params: Ceal(CealSettings(**params)),
+    "rs": RandomSampling,
+    "al": ActiveLearning,
+    "geist": Geist,
+    "alph": Alph,
+    "bandit": RegionBandit,
+    "bo": BayesianOptimization,
+    "ceal-bo": lambda **params: BayesianOptimization(bootstrap=True, **params),
+    "lowfid": LowFidelityOnly,
 }
 
 
-def make_algorithm(name: str, use_history: bool = False):
-    """A fresh instance of the algorithm registered as ``name``."""
-    return ALGORITHMS[name](use_history)
+def make_algorithm(name: str, use_history: bool = False) -> TuningAlgorithm:
+    """A fresh instance of the algorithm registered as ``name``.
+
+    ``use_history`` reaches only the two algorithms that read free
+    historical component measurements, CEAL and ALpH.
+    """
+    if name in ("ceal", "alph"):
+        return ALGORITHMS[name](use_history=use_history)
+    return ALGORITHMS[name]()
 
 
 @dataclass(frozen=True)
@@ -139,10 +149,10 @@ def build_problem_artifacts(
     """The artifacts of one (workflow, pool size, seed, noise, history) recipe.
 
     Deterministic in its arguments: pools and histories come from the
-    memoised generators (and the on-disk cache when enabled).  Every
-    component with more than one configuration gets a history of
-    ``history_size`` solo samples.  ``pool`` supplies a ready pool
-    instead of generating ``pool_size`` configurations.
+    memoised generators.  Every component with more than one
+    configuration gets a history of ``history_size`` solo samples.
+    ``pool`` supplies a ready pool instead of generating ``pool_size``
+    configurations.
     """
     if isinstance(workflow, str):
         workflow = make_workflow(workflow)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
-from repro.core.component_models import ComponentModelSet
 from repro.core.driver import ModelSwitchState, TuningSession, clip_to_budget
 from repro.core.low_fidelity import LowFidelityModel
 from repro.core.model_switch import ModelSwitchDetector
@@ -181,15 +180,9 @@ class CealStrategy(SearchStrategy):
         )
 
     def _build_low_fidelity(self, session: TuningSession) -> None:
-        problem = session.problem
-        component_models = ComponentModelSet.train(
-            problem.workflow,
-            problem.objective,
-            self._component_data,
-            random_state=problem.seed,
-            registry=problem.model_registry,
+        self.low_fidelity = LowFidelityModel(
+            session.problem.component_models(self._component_data)
         )
-        self.low_fidelity = LowFidelityModel(component_models)
 
     def _selected_model(self):
         if self.use_high and self.high_fidelity.is_fitted:

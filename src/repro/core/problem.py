@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.core.collector import Collector
+from repro.core.collector import Collector, ComponentBatchData
+from repro.core.component_models import ComponentModelSet
 from repro.core.objectives import Objective
 from repro.core.surrogate import SurrogateModel, default_surrogate
 from repro.insitu.measurement import stable_seed
@@ -148,6 +149,18 @@ class TuningProblem:
             encoder,
             random_state=stable_seed("surrogate", self.seed, salt) % (2**31),
             extra_features=extra_features,
+            registry=self.model_registry,
+        )
+
+    def component_models(
+        self, data: dict[str, ComponentBatchData]
+    ) -> ComponentModelSet:
+        """Phase-1 per-component models trained on solo batches ``data``."""
+        return ComponentModelSet.train(
+            self.workflow,
+            self.objective,
+            data,
+            random_state=self.seed,
             registry=self.model_registry,
         )
 

@@ -12,7 +12,8 @@
 * :mod:`~repro.experiments.sensitivity` — the Fig. 13 hyper-parameter
   sweeps.
 * :mod:`~repro.experiments.presets` — tuned hyper-parameters and the
-  declarative algorithm factor registry.
+  declarative algorithm factors, built through
+  :data:`repro.core.autotuner.ALGORITHMS`.
 * :mod:`~repro.experiments.tables` — Tables 1 and 2.
 * :mod:`~repro.experiments.reporting` — plain-text rendering.
 
@@ -38,16 +39,12 @@ from repro.experiments.headline import headline_claims, headline_spec
 from repro.experiments.presets import (
     AlgorithmFactor,
     history_factors,
-    history_specs,
     no_history_factors,
-    no_history_specs,
     resolve_algorithm,
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    AlgorithmSpec,
     TrialMetrics,
-    default_algorithms,
     resolve_jobs,
     run_trials,
     summarize,
@@ -70,7 +67,6 @@ from repro.experiments.viz import render_bars, render_figure, render_series
 
 __all__ = [
     "AlgorithmFactor",
-    "AlgorithmSpec",
     "FigureResult",
     "SuiteCell",
     "SuiteGroup",
@@ -79,7 +75,6 @@ __all__ = [
     "SuiteSpec",
     "TrialMetrics",
     "compile_matrix",
-    "default_algorithms",
     "fig04_lowfid_recall",
     "fig05_best_config",
     "fig06_mdape",
@@ -94,10 +89,8 @@ __all__ = [
     "headline_claims",
     "headline_spec",
     "history_factors",
-    "history_specs",
     "load_spec",
     "no_history_factors",
-    "no_history_specs",
     "render_bars",
     "render_figure",
     "render_series",

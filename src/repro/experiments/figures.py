@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.autotuner import build_problem_artifacts
 from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.low_fidelity import LowFidelityModel
-from repro.core.metrics import least_number_of_uses, recall_curve
+from repro.core.metrics import recall_curve
 from repro.core.objectives import COMPUTER_TIME, EXECUTION_TIME
 from repro.experiments.presets import (
     AlgorithmFactor,
@@ -36,9 +34,7 @@ from repro.experiments.presets import (
     no_history_factors,
 )
 from repro.experiments.runner import summarize
-from repro.experiments.suite import SuiteGroup, SuiteSpec, run_suite
-from repro.insitu.measurement import measure_workflow
-from repro.workflows.catalog import expert_config, make_workflow
+from repro.experiments.suite import SuiteGroup, SuiteSpec, practicality, run_suite
 
 __all__ = [
     "FigureResult",
@@ -341,36 +337,20 @@ def fig07_recall(
 
 
 def _practicality_rows(group: SuiteGroup, trials) -> list[dict]:
-    """The §7.2.3 rows of one suite group's trials."""
-    workflow = make_workflow(group.workflow)
-    expert = measure_workflow(
-        workflow, expert_config(group.workflow, group.objective), noise_sigma=0
-    ).objective(group.objective)
-    rows = []
+    """The §7.2.3 rows of one suite group's trials, one per algorithm."""
     by_algo: dict[str, list] = {}
     for t in trials:
         by_algo.setdefault(t.algorithm, []).append(t)
-    for algo, ts in by_algo.items():
-        # The paper's N = c / Δp with the algorithm's average collection
-        # cost and average improvement over the expert (per-trial ratios
-        # would average incomparable subsets when some trials fail to
-        # beat the expert).
-        mean_cost = float(np.mean([t.cost for t in ts]))
-        mean_value = float(np.mean([t.best_value for t in ts]))
-        uses = least_number_of_uses(mean_cost, mean_value, expert)
-        recouped = np.mean([t.best_value < expert for t in ts])
-        rows.append(
-            {
-                "workflow": group.workflow,
-                "objective": group.objective,
-                "samples": group.budget,
-                "algorithm": algo,
-                "least_uses": uses,
-                "recouped_fraction": float(recouped),
-                "expert_value": expert,
-            }
-        )
-    return rows
+    return [
+        {
+            "workflow": group.workflow,
+            "objective": group.objective,
+            "samples": group.budget,
+            "algorithm": algo,
+            **practicality(group, ts),
+        }
+        for algo, ts in by_algo.items()
+    ]
 
 
 def fig08_spec(

@@ -1,4 +1,4 @@
-"""Per-experiment algorithm hyper-parameters and declarative algorithm specs.
+"""Per-experiment algorithm hyper-parameters and declarative algorithm factors.
 
 The paper adjusts the hyper-parameters of GEIST, AL, ALpH and CEAL per
 setting "and select[s] the best settings for each algorithm" (§7.3).
@@ -6,44 +6,32 @@ This module records the settings our own tuning pass selected, so every
 figure driver uses the same ones and the choices are documented in one
 place.
 
-It also owns the *declarative* algorithm layer of the suite engine
-(:mod:`repro.experiments.suite`): an :class:`AlgorithmFactor` names an
-algorithm by registry ``kind`` plus plain-data ``params`` — hashable
-into a suite cell's content key and loadable from a TOML/JSON suite
-spec — and :func:`resolve_algorithm` turns it back into the
-:class:`~repro.experiments.runner.AlgorithmSpec` the trial runner
-executes.  The classic spec tuples the figure drivers share
-(:func:`no_history_specs` / :func:`history_specs`) live here too, built
-through the same registry so the declarative and direct paths cannot
-drift apart.
+It also owns the *declarative* algorithm layer of the experiment engine
+(:mod:`repro.experiments.runner`, :mod:`repro.experiments.suite`): an
+:class:`AlgorithmFactor` names an algorithm by its
+:data:`~repro.core.autotuner.ALGORITHMS` name (``kind``) plus that
+algorithm's keyword parameters as plain data — hashable into a suite
+cell's content key and loadable from a TOML/JSON suite spec — and
+:func:`resolve_algorithm` builds a fresh instance from it through that
+same table.  The comparison sets the figure drivers share
+(:func:`no_history_factors` / :func:`history_factors`) live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.core.algorithms import (
-    ActiveLearning,
-    Alph,
-    BayesianOptimization,
-    Geist,
-    LowFidelityOnly,
-    RandomSampling,
-    RegionBandit,
-)
+from repro.core.algorithms import TuningAlgorithm
+from repro.core.autotuner import ALGORITHMS
 from repro.core.ceal import Ceal, CealSettings
-from repro.experiments.runner import AlgorithmSpec
 
 __all__ = [
-    "ALGORITHM_KINDS",
     "AlgorithmFactor",
     "ceal_factor",
     "ceal_settings_for",
     "factor_from_ceal_settings",
     "history_factors",
-    "history_specs",
     "no_history_factors",
-    "no_history_specs",
     "resolve_algorithm",
 ]
 
@@ -78,15 +66,15 @@ def ceal_settings_for(
 
 @dataclass(frozen=True)
 class AlgorithmFactor:
-    """One algorithm level of a suite factor, as plain data.
+    """One algorithm of an experiment, as plain data.
 
-    ``name`` is the display name — it also feeds
+    ``kind`` is the algorithm's :data:`~repro.core.autotuner.ALGORITHMS`
+    name and ``params`` its keyword parameters, a sorted tuple of
+    ``(key, value)`` pairs of JSON-representable values — making the
+    factor hashable, comparable, and serialisable into a suite cell's
+    content key.  ``name`` is the display name; it also feeds
     :func:`~repro.experiments.runner.trial_seed`, so two factors with
-    the same name draw the same per-repeat random streams (exactly like
-    the :class:`~repro.experiments.runner.AlgorithmSpec` it resolves
-    to).  ``params`` is a sorted tuple of ``(key, value)`` pairs of
-    JSON-representable values, making the factor hashable, comparable,
-    and serialisable into a suite cell's content key.
+    the same name draw the same per-repeat random streams.
     """
 
     name: str
@@ -95,10 +83,10 @@ class AlgorithmFactor:
 
     @classmethod
     def make(cls, name: str, kind: str, **params) -> "AlgorithmFactor":
-        if kind not in ALGORITHM_KINDS:
+        if kind not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm kind {kind!r}; expected one of "
-                f"{sorted(ALGORITHM_KINDS)}"
+                f"{sorted(ALGORITHMS)}"
             )
         return cls(name=name, kind=kind, params=tuple(sorted(params.items())))
 
@@ -111,13 +99,29 @@ class AlgorithmFactor:
                 "params": [list(p) for p in self.params]}
 
 
-def _make_ceal(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
-    """CEAL factors: explicit :class:`CealSettings` kwargs, or the tuned
-    per-cell preset when ``preset=True`` (requires the resolution
-    context to supply workflow and budget)."""
+def resolve_algorithm(
+    factor: AlgorithmFactor,
+    workflow_name: str | None = None,
+    budget: int | None = None,
+) -> TuningAlgorithm:
+    """A fresh instance of the algorithm ``factor`` describes.
+
+    The factor's params go to its :data:`~repro.core.autotuner.ALGORITHMS`
+    entry as keyword arguments — except for a CEAL factor with
+    ``preset=True``, which selects the tuned :func:`ceal_settings_for`
+    its cell and so needs the ``workflow_name`` and ``budget``
+    resolution context.
+    """
+    try:
+        build = ALGORITHMS[factor.kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm kind {factor.kind!r}; expected one of "
+            f"{sorted(ALGORITHMS)}"
+        ) from None
     params = factor.param_dict()
-    use_history = bool(params.pop("use_history", False))
-    if params.pop("preset", False):
+    if factor.kind == "ceal" and params.pop("preset", False):
+        use_history = bool(params.pop("use_history", False))
         if params:
             raise ValueError(
                 f"CEAL factor {factor.name!r}: preset=True does not combine "
@@ -128,67 +132,8 @@ def _make_ceal(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
                 f"CEAL factor {factor.name!r} uses preset=True, which needs "
                 "a (workflow, budget) resolution context"
             )
-        settings = ceal_settings_for(workflow_name, budget, use_history)
-    else:
-        settings = CealSettings(use_history=use_history, **params)
-    return AlgorithmSpec(
-        factor.name,
-        lambda settings=settings: Ceal(settings),
-        needs_history=use_history,
-    )
-
-
-def _make_simple(cls):
-    def build(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
-        params = factor.param_dict()
-        return AlgorithmSpec(
-            factor.name, lambda params=params: cls(**params),
-            needs_history=bool(params.get("use_history", False)),
-        )
-
-    return build
-
-
-#: Registry of declarative algorithm kinds (the CLI's ``--algorithm``
-#: names plus the extended catalog).  Values build an ``AlgorithmSpec``
-#: from ``(factor, workflow_name, budget)``.
-ALGORITHM_KINDS: dict = {
-    "rs": _make_simple(RandomSampling),
-    "geist": _make_simple(Geist),
-    "al": _make_simple(ActiveLearning),
-    "ceal": _make_ceal,
-    "alph": _make_simple(Alph),
-    "bandit": _make_simple(RegionBandit),
-    "bo": _make_simple(BayesianOptimization),
-    "ceal-bo": lambda factor, w, b: AlgorithmSpec(
-        factor.name,
-        lambda params=factor.param_dict(): BayesianOptimization(
-            bootstrap=True, **params
-        ),
-    ),
-    "lowfid": _make_simple(LowFidelityOnly),
-}
-
-
-def resolve_algorithm(
-    factor: AlgorithmFactor,
-    workflow_name: str | None = None,
-    budget: int | None = None,
-) -> AlgorithmSpec:
-    """Resolve a declarative factor into an executable algorithm spec.
-
-    ``workflow_name`` and ``budget`` are the resolution context for
-    per-cell presets (a CEAL factor with ``preset=True`` selects
-    :func:`ceal_settings_for` of its cell).
-    """
-    try:
-        build = ALGORITHM_KINDS[factor.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm kind {factor.kind!r}; expected one of "
-            f"{sorted(ALGORITHM_KINDS)}"
-        ) from None
-    return build(factor, workflow_name, budget)
+        return Ceal(ceal_settings_for(workflow_name, budget, use_history))
+    return build(**params)
 
 
 def ceal_factor(
@@ -239,18 +184,3 @@ def history_factors() -> tuple[AlgorithmFactor, ...]:
         AlgorithmFactor.make("CEAL", "ceal", use_history=True),
         AlgorithmFactor.make("ALpH", "alph", use_history=True),
     )
-
-
-def no_history_specs(
-    workflow_name: str, budget: int
-) -> tuple[AlgorithmSpec, ...]:
-    """Executable form of :func:`no_history_factors` for one cell."""
-    return tuple(
-        resolve_algorithm(f, workflow_name, budget)
-        for f in no_history_factors()
-    )
-
-
-def history_specs() -> tuple[AlgorithmSpec, ...]:
-    """Executable form of :func:`history_factors`."""
-    return tuple(resolve_algorithm(f) for f in history_factors())

@@ -17,11 +17,14 @@ front from ``(pool_seed, algorithm name, repeat)`` — never from worker
 identity or scheduling order — and results are re-sorted into the
 serial (algorithm-major, repeat-minor) order before returning.
 
-The fan-out uses the ``fork`` start method so the shared measured pool,
-component histories, and (lambda-holding) algorithm specs are inherited
-by workers instead of pickled; only trial indices go out and
-:class:`TrialMetrics` come back.  On platforms without ``fork`` the
-engine silently degrades to serial execution.
+The fan-out uses the ``fork`` start method so the shared measured pool
+and component histories are inherited by workers instead of pickled;
+only trial indices go out and :class:`TrialMetrics` come back.  Each
+trial builds its algorithm from a plain-data
+:class:`~repro.experiments.presets.AlgorithmFactor` through
+:data:`repro.core.autotuner.ALGORITHMS`, the table the CLI and the
+serve daemon use.  On platforms without ``fork`` the engine silently
+degrades to serial execution.
 """
 
 from __future__ import annotations
@@ -31,25 +34,22 @@ import os
 import time
 import warnings
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
-from repro.core.algorithms import ActiveLearning, Geist, RandomSampling
 from repro.core.autotuner import ProblemArtifacts, build_problem_artifacts
-from repro.core.ceal import Ceal, CealSettings
 from repro.core.metrics import mdape_on_top_fraction, recall_curve
 from repro.core.objectives import Objective, get_objective
+from repro.experiments.presets import AlgorithmFactor, resolve_algorithm
 from repro.insitu.workflow import WorkflowDefinition
 
 __all__ = [
-    "AlgorithmSpec",
     "SUMMARY_PERCENTILES",
     "TrialMetrics",
     "build_trial_context",
-    "default_algorithms",
     "fanout",
     "hash_name",
     "resolve_jobs",
@@ -57,29 +57,6 @@ __all__ = [
     "summarize",
     "trial_seed",
 ]
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """A named algorithm factory (fresh instance per trial)."""
-
-    name: str
-    factory: Callable[[], object]
-    needs_history: bool = False
-
-
-def default_algorithms(with_history: bool = False) -> tuple[AlgorithmSpec, ...]:
-    """The §7.4 comparison set: RS, GEIST, AL, CEAL."""
-    return (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("GEIST", Geist),
-        AlgorithmSpec("AL", ActiveLearning),
-        AlgorithmSpec(
-            "CEAL",
-            lambda: Ceal(CealSettings(use_history=with_history)),
-            needs_history=with_history,
-        ),
-    )
 
 
 @dataclass
@@ -138,7 +115,7 @@ def trial_seed(pool_seed: int, name: str, rep: int) -> int:
 #: ``(worker, context, capture)`` of the fan-out in flight.  Set in the
 #: parent immediately before the pool forks, so workers inherit it
 #: through copy-on-write memory instead of pickling (the context holds
-#: lambdas and DES-backed workflow objects that do not pickle).
+#: DES-backed workflow objects that do not pickle).
 #: ``capture`` records whether the parent had telemetry enabled at fork
 #: time.
 _FANOUT_STATE: tuple | None = None
@@ -294,13 +271,13 @@ class _TrialContext:
     budget: int
     failure_rate: float
     recall_max_n: int
-    tasks: list  # (spec, rep, seed) in serial order
+    tasks: list  # (AlgorithmFactor, rep, seed) in serial order
     store: object | None = None
     warm_start: str = "off"
 
 
 def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
-    spec, rep, seed = ctx.tasks[index]
+    factor, rep, seed = ctx.tasks[index]
     started = time.perf_counter()
     tel = telemetry.get()
     pool = ctx.artifacts.pool
@@ -317,11 +294,13 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         # store's row dedupe, and forked workers inherit the store
         # object (its connection reopens per pid).
         problem.store.repeat = rep
-    algorithm = spec.factory()
+    algorithm = resolve_algorithm(
+        factor, ctx.artifacts.workflow.name, ctx.budget
+    )
     with tel.span(
         "runner.trial",
         category="runner",
-        algorithm=spec.name,
+        algorithm=factor.name,
         repeat=rep,
         seed=seed,
     ):
@@ -341,7 +320,7 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
     best = pool.configs[int(np.argmin(scores))]
     best_value = pool.lookup(best).objective(ctx.objective.name)
     return TrialMetrics(
-        algorithm=spec.name,
+        algorithm=factor.name,
         workflow=ctx.artifacts.workflow.name,
         objective=ctx.objective.name,
         budget=ctx.budget,
@@ -363,14 +342,13 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
 def run_trials(
     workflow: WorkflowDefinition | str,
     objective: Objective | str,
-    algorithms: Sequence[AlgorithmSpec],
+    algorithms: Sequence[AlgorithmFactor],
     budget: int,
     repeats: int = 20,
     pool_size: int = 2000,
     pool_seed: int = 2021,
     noise_sigma: float = 0.05,
     history_size: int = 500,
-    with_history: bool = True,
     recall_max_n: int = 10,
     failure_rate: float = 0.0,
     jobs: int | str | None = None,
@@ -382,9 +360,9 @@ def run_trials(
     Histories are always generated and attached (they are the §7.1
     component measurement sets the collector draws *paid* component runs
     from).  Whether an algorithm may read them for free is the
-    algorithm's own ``use_history`` setting; the ``with_history``
-    argument here only selects which algorithm defaults the caller
-    intends and is kept for the figure drivers' readability.
+    algorithm's own ``use_history`` parameter.  A CEAL factor with
+    ``preset=True`` resolves to the tuned settings of this
+    ``(workflow, budget)`` cell.
 
     ``jobs`` fans the (algorithm, repeat) trials out across that many
     worker processes (``"auto"`` / ``<= 0`` = one per CPU; default
@@ -398,8 +376,8 @@ def run_trials(
     ``warm_start`` forwards to every trial's problem.
     """
     tasks = [
-        (spec, rep, trial_seed(pool_seed, spec.name, rep))
-        for spec in algorithms
+        (factor, rep, trial_seed(pool_seed, factor.name, rep))
+        for factor in algorithms
         for rep in range(repeats)
     ]
     ctx = build_trial_context(
@@ -436,10 +414,10 @@ def build_trial_context(
 ) -> _TrialContext:
     """Materialise the shared state of one trial batch.
 
-    Generates (or recalls from the memo/disk cache) the measured pool
-    and component histories, resolves names to objects, and packages
+    Generates (or recalls from the memo) the measured pool and
+    component histories, resolves names to objects, and packages
     everything a :func:`fanout` worker needs.  ``tasks`` is the serial
-    ``(spec, rep, seed)`` list; :func:`run_trials` derives it from its
+    ``(factor, rep, seed)`` list; :func:`run_trials` derives it from its
     algorithm grid, while the suite engine
     (:mod:`repro.experiments.suite`) passes only the *pending* cells of
     a resumed matrix.

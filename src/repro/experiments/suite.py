@@ -43,7 +43,7 @@ import numpy as np
 from repro import telemetry
 from repro.experiments import stats
 from repro.telemetry import progress
-from repro.experiments.presets import AlgorithmFactor, resolve_algorithm
+from repro.experiments.presets import AlgorithmFactor
 from repro.experiments.runner import (
     TrialMetrics,
     _run_one_trial,
@@ -61,6 +61,7 @@ __all__ = [
     "SuiteSpec",
     "compile_matrix",
     "load_spec",
+    "practicality",
     "run_suite",
     "spec_from_dict",
 ]
@@ -399,11 +400,8 @@ def run_suite(
                         store=store if record_measurements else None,
                     )
             ctx = contexts[gi]
-            spec_obj = resolve_algorithm(
-                cell.algorithm, cell.workflow, cell.budget
-            )
             plan.append((gi, len(ctx.tasks)))
-            ctx.tasks.append((spec_obj, cell.repeat, cell.seed))
+            ctx.tasks.append((cell.algorithm, cell.repeat, cell.seed))
         sink = progress.get()
         if sink.enabled:
             # First heartbeat counts cache hits; later ones arrive from
@@ -467,8 +465,16 @@ def _metric_values(trials: list, metric: str) -> list:
     return [getattr(t, metric) for t in trials]
 
 
-def _practicality(group: SuiteGroup, trials: list) -> dict | None:
-    """The §7.2.3 practicality block, when an expert config exists."""
+def practicality(group: SuiteGroup, trials: list) -> dict | None:
+    """The §7.2.3 practicality of one algorithm's trials in ``group``.
+
+    ``least_uses`` is the paper's N = c / Δp from the algorithm's mean
+    collection cost and mean tuned value against the expert
+    configuration (per-trial ratios would average incomparable subsets
+    when some trials fail to beat the expert); it is ``inf`` when the
+    mean never beats the expert.  ``None`` when the workflow has no
+    expert configuration for the objective.
+    """
     from repro.core.metrics import least_number_of_uses
     from repro.insitu.measurement import measure_workflow
     from repro.workflows.catalog import expert_config, make_workflow
@@ -483,9 +489,8 @@ def _practicality(group: SuiteGroup, trials: list) -> dict | None:
     )
     mean_cost = float(np.mean([t.cost for t in trials]))
     mean_value = float(np.mean([t.best_value for t in trials]))
-    uses = least_number_of_uses(mean_cost, mean_value, expert)
     return {
-        "least_uses": float(uses) if np.isfinite(uses) else None,
+        "least_uses": least_number_of_uses(mean_cost, mean_value, expert),
         "recouped_fraction": float(
             np.mean([t.best_value < expert for t in trials])
         ),
@@ -526,9 +531,12 @@ def build_report(spec: SuiteSpec, grouped_trials: list) -> dict:
                         confidence=spec.confidence,
                     ),
                 }
-                practicality = _practicality(group, ts)
-                if practicality is not None:
-                    entry["practicality"] = practicality
+                block = practicality(group, ts)
+                if block is not None:
+                    # JSON has no infinity: a never-recouped cost is null.
+                    if not np.isfinite(block["least_uses"]):
+                        block["least_uses"] = None
+                    entry["practicality"] = block
                 algo_out[factor.name] = entry
             comparisons = []
             for a, b in itertools.combinations(

@@ -46,7 +46,7 @@ from repro.config.space import Configuration
 from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.measurement import (
     WorkflowMeasurement,
-    measure_workflow,
+    observe_run,
     stable_seed,
 )
 from repro.insitu.transport import StagingChannelModel
@@ -359,38 +359,6 @@ def run_coupled_fast(
 # -- measurement ---------------------------------------------------------------------
 
 
-def _apply_noise(
-    workflow: WorkflowDefinition,
-    config: Configuration,
-    result: CoupledRunResult,
-    noise_sigma: float,
-    noise_seed: int,
-) -> WorkflowMeasurement:
-    """The observable of one run — same arithmetic as ``measure_workflow``."""
-    if noise_sigma > 0:
-        rng = np.random.default_rng(
-            stable_seed(workflow.name, config, noise_seed)
-        )
-        factor = float(np.exp(rng.normal(0.0, noise_sigma)))
-    else:
-        factor = 1.0
-    exec_seconds = result.execution_seconds * factor
-    component_seconds = {
-        label: seconds * factor
-        for label, seconds in result.component_seconds.items()
-    }
-    return WorkflowMeasurement(
-        config=tuple(config),
-        execution_seconds=exec_seconds,
-        computer_core_hours=workflow.machine.core_hours(
-            exec_seconds, result.nodes
-        ),
-        component_seconds=component_seconds,
-        nodes=result.nodes,
-        steps=result.steps,
-    )
-
-
 def measure_batch(
     workflow: WorkflowDefinition,
     configs,
@@ -398,33 +366,26 @@ def measure_batch(
     noise_seed: int = 0,
     replicates: int = 1,
 ) -> list[WorkflowMeasurement]:
-    """Measure a batch of configurations through one vectorized sweep.
+    """Measure a batch of configurations through :func:`run_coupled_batch`.
 
     Bit-identical to calling :func:`measure_workflow` per configuration
     (including the per-replicate noise seeds and averaging of
     ``generate_pool``); the coupled run itself is noise-free, so
-    replicates reuse one sweep and redraw only the noise factors.
+    replicates reuse one run and redraw only the noise factors.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     configs = list(configs)
-    if not fast_path_enabled() or fast_path_reason(workflow) is not None:
-        return [
-            _measure_replicated_oracle(
-                workflow, config, noise_sigma, noise_seed, replicates
-            )
-            for config in configs
-        ]
     results = run_coupled_batch(workflow, configs)
     out = []
     for config, result in zip(configs, results):
         if replicates == 1:
             out.append(
-                _apply_noise(workflow, config, result, noise_sigma, noise_seed)
+                observe_run(workflow, config, result, noise_sigma, noise_seed)
             )
             continue
         runs = [
-            _apply_noise(
+            observe_run(
                 workflow, config, result, noise_sigma,
                 stable_seed(noise_seed, rep),
             )
@@ -432,24 +393,6 @@ def measure_batch(
         ]
         out.append(_mean_measurement(runs))
     return out
-
-
-def _measure_replicated_oracle(
-    workflow, config, noise_sigma, noise_seed, replicates
-) -> WorkflowMeasurement:
-    runs = [
-        measure_workflow(
-            workflow,
-            config,
-            noise_sigma=noise_sigma,
-            noise_seed=noise_seed if replicates == 1
-            else stable_seed(noise_seed, rep),
-        )
-        for rep in range(replicates)
-    ]
-    if replicates == 1:
-        return runs[0]
-    return _mean_measurement(runs)
 
 
 def _mean_measurement(runs: list) -> WorkflowMeasurement:

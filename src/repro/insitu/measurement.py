@@ -19,10 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.insitu.coupled import run_coupled
+from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.workflow import WorkflowDefinition
 
-__all__ = ["WorkflowMeasurement", "measure_workflow", "stable_seed"]
+__all__ = [
+    "WorkflowMeasurement",
+    "measure_workflow",
+    "observe_run",
+    "stable_seed",
+]
 
 
 def stable_seed(*parts) -> int:
@@ -86,7 +91,25 @@ def measure_workflow(
     The returned measurement's ``config`` is the canonical tuple form of
     ``config`` (see :class:`WorkflowMeasurement`).
     """
-    result = run_coupled(workflow, config)
+    return observe_run(
+        workflow, config, run_coupled(workflow, config), noise_sigma, noise_seed
+    )
+
+
+def observe_run(
+    workflow: WorkflowDefinition,
+    config: Configuration,
+    result: CoupledRunResult,
+    noise_sigma: float = 0.05,
+    noise_seed: int = 0,
+) -> WorkflowMeasurement:
+    """The noisy observables of one noise-free coupled run of ``config``.
+
+    The one place measurement noise is drawn: every time of ``result``
+    is scaled by the same log-normal factor, seeded by ``(workflow,
+    config, noise_seed)``.  :func:`measure_workflow` and the batched
+    :func:`~repro.insitu.fast.measure_batch` both observe through it.
+    """
     if noise_sigma > 0:
         rng = np.random.default_rng(
             stable_seed(workflow.name, config, noise_seed)

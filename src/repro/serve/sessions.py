@@ -1,9 +1,10 @@
 """Multi-session tuning service core: session runners and their manager.
 
-This is the long-lived composition layer ROADMAP item 1 asks for: many
-concurrent tuning sessions — any of the 8 algorithms, optional
-warm-start — sharing one process, one
-:class:`~repro.store.db.MeasurementStore`, and one telemetry hub.
+This is the long-lived composition layer of the service: many
+concurrent tuning sessions — any algorithm named in
+:data:`repro.core.autotuner.ALGORITHMS`, optional warm-start — sharing
+one process, one :class:`~repro.store.db.MeasurementStore`, and one
+telemetry hub.
 
 Two classes split the work:
 

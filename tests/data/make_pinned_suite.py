@@ -13,11 +13,11 @@ only for an *intentional* behaviour change.
 import json
 from pathlib import Path
 
-from repro.core.algorithms import RandomSampling
-from repro.core.ceal import Ceal, CealSettings
+from repro.core.ceal import CealSettings
 from repro.experiments.figures import fig08_practicality
 from repro.experiments.headline import headline_claims
-from repro.experiments.runner import AlgorithmSpec, run_trials
+from repro.experiments.presets import AlgorithmFactor
+from repro.experiments.runner import run_trials
 from repro.experiments.sensitivity import sweep_ceal
 
 OUT = Path(__file__).parent / "pinned_suite.json"
@@ -29,12 +29,12 @@ SEED = 7
 
 def trial_rows():
     """Deterministic fields of a small generic ``run_trials`` batch."""
-    specs = (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=True))),
+    factors = (
+        AlgorithmFactor.make("RS", "rs"),
+        AlgorithmFactor.make("CEAL", "ceal", use_history=True),
     )
     trials = run_trials(
-        "LV", "execution_time", specs, budget=8, repeats=REPEATS,
+        "LV", "execution_time", factors, budget=8, repeats=REPEATS,
         pool_size=POOL, pool_seed=SEED,
     )
     return [

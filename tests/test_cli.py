@@ -79,7 +79,7 @@ class TestParser:
 
 
 class TestTuneCommand:
-    @pytest.mark.parametrize("algorithm", ["rs", "al", "ceal"])
+    @pytest.mark.parametrize("algorithm", ["rs", "al", "ceal", "bandit"])
     def test_tune_runs_and_reports(self, algorithm):
         out = io.StringIO()
         code = main(

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms import RandomSampling
 from repro.experiments import (
-    AlgorithmSpec,
+    AlgorithmFactor,
     fig04_lowfid_recall,
     format_table,
     run_trials,
@@ -14,10 +13,9 @@ from repro.experiments import (
     table2_best_vs_expert,
 )
 from repro.experiments.presets import ceal_settings_for
-from repro.experiments.runner import default_algorithms
 
 
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
+SPECS = (AlgorithmFactor.make("RS", "rs"),)
 
 
 class TestRunner:
@@ -54,10 +52,6 @@ class TestRunner:
         assert summary["RS"]["normalized"] == pytest.approx(
             np.mean([t.normalized for t in trials])
         )
-
-    def test_default_algorithms_names(self):
-        names = [s.name for s in default_algorithms()]
-        assert names == ["RS", "GEIST", "AL", "CEAL"]
 
 
 class TestPresets:

@@ -20,20 +20,13 @@ class TestLowFidelityOnly:
         assert len(result.measured) == 12
         assert result.algorithm == "LowFid"
 
-    def test_pays_components_without_history(self, lv, lv_pool, lv_histories):
+    def test_pays_components_without_history(self, lv, lv_pool):
         problem = TuningProblem.create(
-            lv, COMPUTER_TIME, lv_pool, budget_runs=12, seed=1,
-            histories=lv_histories,
+            lv, COMPUTER_TIME, lv_pool, budget_runs=12, seed=1, histories={},
         )
-        problem.collector.histories = lv_histories  # paid source
-        # Simulate "no free history" by the algorithm's own flag: attach
-        # histories but construct a problem where the algorithm must pay.
-        algo = LowFidelityOnly(component_runs_fraction=0.5)
-        # free history branch triggers since histories exist; emulate the
-        # paid path with an empty-history collector plus paid batches is
-        # covered in collector tests; here assert the free path.
-        result = algo.tune(problem)
-        assert result.runs_used == 12
+        # No histories attached -> no component runs to train on or pay.
+        with pytest.raises(RuntimeError, match="LowFid"):
+            LowFidelityOnly().tune(problem)
 
     def test_model_is_acm(self, lv, lv_pool, lv_histories):
         from repro.core.low_fidelity import LowFidelityModel

@@ -5,11 +5,10 @@ import os
 import numpy as np
 
 from repro.core.algorithms import RandomSampling
-from repro.core.ceal import Ceal, CealSettings
 from repro.core.objectives import get_objective
 from repro.core.problem import TuningProblem
+from repro.experiments.presets import AlgorithmFactor
 from repro.experiments.runner import (
-    AlgorithmSpec,
     fanout,
     hash_name,
     resolve_jobs,
@@ -18,7 +17,7 @@ from repro.experiments.runner import (
 )
 from repro.workflows.pools import generate_component_history, generate_pool
 
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
+SPECS = (AlgorithmFactor.make("RS", "rs"),)
 
 
 class TestHashName:
@@ -34,8 +33,8 @@ class TestHashName:
 
     def test_anagram_algorithms_draw_distinct_streams(self, lv):
         specs = (
-            AlgorithmSpec("AL", RandomSampling),
-            AlgorithmSpec("LA", RandomSampling),
+            AlgorithmFactor.make("AL", "rs"),
+            AlgorithmFactor.make("LA", "rs"),
         )
         trials = run_trials(
             lv, "execution_time", specs, budget=8, repeats=2, pool_size=150,
@@ -126,8 +125,8 @@ class TestRunnerStore:
     """Forked trial workers write through to one shared store."""
 
     SPECS = (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=False))),
+        AlgorithmFactor.make("RS", "rs"),
+        AlgorithmFactor.make("CEAL", "ceal", use_history=False),
     )
     # Budget 12 resolves paid CEAL to m_r=2: component solo runs are
     # actually charged, so their write-through path gets exercised too.
@@ -193,8 +192,8 @@ class TestRunnerStore:
 class TestParallelDeterminism:
     def test_jobs4_bit_identical_to_jobs1(self, lv):
         specs = (
-            AlgorithmSpec("RS", RandomSampling),
-            AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=False))),
+            AlgorithmFactor.make("RS", "rs"),
+            AlgorithmFactor.make("CEAL", "ceal", use_history=False),
         )
         kwargs = dict(budget=8, repeats=2, pool_size=150, pool_seed=7)
         serial = run_trials(lv, "computer_time", specs, jobs=1, **kwargs)

@@ -76,6 +76,7 @@ class TestBitIdentity:
             ("rs", "on"),
             ("rs", "thrash"),
             ("bo", "on"),
+            ("bandit", "on"),
         ],
         ids=lambda v: str(v),
     )

@@ -14,19 +14,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.algorithms import TuningAlgorithm
+from repro.core.autotuner import ALGORITHMS
 from repro.core.ceal import Ceal, CealSettings
 from repro.experiments.headline import headline_claims
 from repro.experiments.figures import fig05_spec, fig08_practicality
 from repro.experiments.presets import (
-    ALGORITHM_KINDS,
     AlgorithmFactor,
     ceal_factor,
     ceal_settings_for,
     factor_from_ceal_settings,
     history_factors,
-    history_specs,
     no_history_factors,
-    no_history_specs,
     resolve_algorithm,
 )
 from repro.experiments.runner import trial_seed
@@ -103,11 +102,10 @@ class TestAlgorithmFactor:
         assert a.identity()["params"] == [["iterations", 4], ["use_history", True]]
 
     def test_registry_resolves_every_kind(self):
-        for kind in ALGORITHM_KINDS:
+        for kind in ALGORITHMS:
             factor = AlgorithmFactor.make("X", kind)
-            spec = resolve_algorithm(factor, "LV", 50)
-            assert spec.name == "X"
-            assert spec.factory() is not None
+            algo = resolve_algorithm(factor, "LV", 50)
+            assert isinstance(algo, TuningAlgorithm)
 
     def test_resolve_rejects_unknown_kind(self):
         # Bypass .make's validation: the resolver guards independently.
@@ -119,7 +117,7 @@ class TestAlgorithmFactor:
         factor = AlgorithmFactor.make(
             "C", "ceal", use_history=False, iterations=3
         )
-        algo = resolve_algorithm(factor).factory()
+        algo = resolve_algorithm(factor)
         assert isinstance(algo, Ceal)
         assert algo.settings == CealSettings(use_history=False, iterations=3)
 
@@ -136,10 +134,10 @@ class TestAlgorithmFactor:
     def test_ceal_preset_selects_per_cell_settings(self):
         factor = ceal_factor("CEAL", preset=True, use_history=False)
         for workflow, budget in (("GP", 25), ("LV", 50), ("GP", 100)):
-            algo = resolve_algorithm(factor, workflow, budget).factory()
+            algo = resolve_algorithm(factor, workflow, budget)
             assert algo.settings == ceal_settings_for(workflow, budget, False)
         # GP at a small budget actually differs from the default.
-        gp_small = resolve_algorithm(factor, "GP", 25).factory()
+        gp_small = resolve_algorithm(factor, "GP", 25)
         assert gp_small.settings.iterations == 6
 
     def test_factor_from_ceal_settings_roundtrip(self):
@@ -147,7 +145,7 @@ class TestAlgorithmFactor:
             use_history=False, iterations=3, random_fraction=0.25
         )
         factor = factor_from_ceal_settings("S", settings)
-        algo = resolve_algorithm(factor).factory()
+        algo = resolve_algorithm(factor)
         assert algo.settings == settings
 
 
@@ -159,23 +157,6 @@ class TestSharedComparisonSets:
 
     def test_history_factors_names(self):
         assert [f.name for f in history_factors()] == ["CEAL", "ALpH"]
-
-    def test_no_history_specs(self):
-        specs = no_history_specs("LV", 50)
-        assert [s.name for s in specs] == ["RS", "GEIST", "AL", "CEAL"]
-        assert all(not s.needs_history for s in specs)
-        ceal = specs[-1].factory()
-        assert ceal.settings == ceal_settings_for("LV", 50, False)
-
-    def test_no_history_specs_apply_presets(self):
-        ceal = no_history_specs("GP", 25)[-1].factory()
-        assert ceal.settings == ceal_settings_for("GP", 25, False)
-        assert ceal.settings.iterations == 6
-
-    def test_history_specs(self):
-        specs = history_specs()
-        assert [s.name for s in specs] == ["CEAL", "ALpH"]
-        assert all(s.needs_history for s in specs)
 
 
 # -- matrix compilation and cell keys ------------------------------------------------

@@ -19,9 +19,9 @@ from repro import telemetry
 from repro.cli import main
 from repro.core.algorithms import RandomSampling
 from repro.core.autotuner import AutoTuner
+from repro.experiments.presets import AlgorithmFactor
 from repro.experiments.runner import (
     SUMMARY_PERCENTILES,
-    AlgorithmSpec,
     run_trials,
     summarize,
 )
@@ -36,7 +36,7 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
+SPECS = (AlgorithmFactor.make("RS", "rs"),)
 
 
 def make_hub_with_nested_spans() -> Telemetry:
