@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ml import _native, _reference as reference
+from repro.ml import PackedEnsemble, _native, _reference as reference
 from repro.ml.boosting import GradientBoostedTrees
-from repro.ml.tree import RegressionTree
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_ml.json"
 
@@ -68,46 +67,6 @@ def _make_data():
     return X, y, pool
 
 
-def _reference_fit(model: GradientBoostedTrees, X, y):
-    """The pre-vectorization fit loop, rng-step-compatible with
-    ``GradientBoostedTrees._fit_rounds`` (exact method)."""
-    target = np.log(y) if model.log_target else y
-    n, d = X.shape
-    rng = np.random.default_rng(model.random_state)
-    base = float(target.mean())
-    pred = np.full(n, base)
-    n_rows = max(1, int(round(model.subsample * n)))
-    n_cols = max(1, int(round(model.colsample * d)))
-    trees = []
-    for _ in range(model.n_estimators):
-        grad = pred - target
-        hess = np.ones(n)
-        rows = (
-            rng.choice(n, size=n_rows, replace=False)
-            if n_rows < n
-            else np.arange(n)
-        )
-        cols = (
-            np.sort(rng.choice(d, size=n_cols, replace=False))
-            if n_cols < d
-            else np.arange(d)
-        )
-        tree = RegressionTree(
-            max_depth=model.max_depth,
-            min_samples_leaf=model.min_samples_leaf,
-            min_child_weight=model.min_child_weight,
-            reg_lambda=model.reg_lambda,
-            gamma=model.gamma,
-        )
-        reference.reference_fit_gradients(
-            tree, X[np.ix_(rows, cols)], grad[rows], hess[rows], model.reg_lambda
-        )
-        update = reference.reference_tree_predict(tree, X[:, cols])
-        pred = pred + model.learning_rate * update
-        trees.append(tree)
-    return trees, base
-
-
 def _best_of(fn, repeats: int) -> float:
     best = np.inf
     for _ in range(repeats):
@@ -122,24 +81,27 @@ def test_ml_kernel_speedups():
 
     model = _surrogate_model().fit(X, y)  # warm-up (native build, caches)
     fit_new = _best_of(lambda: _surrogate_model().fit(X, y), 3)
-    fit_ref = _best_of(lambda: _reference_fit(_surrogate_model(), X, y), 3)
-
-    # Same trees, or the timing comparison is meaningless.
-    ref_trees, ref_base = _reference_fit(_surrogate_model(), X, y)
-    assert ref_base == model._base_score
-    assert all(
-        np.array_equal(a.feature, b.feature)
-        and np.array_equal(a.threshold, b.threshold, equal_nan=True)
-        and np.array_equal(a.value, b.value)
-        for a, b in zip(model._trees, ref_trees)
+    fit_ref = _best_of(
+        lambda: reference.reference_boosting_fit(_surrogate_model(), X, y), 3
     )
+
+    # Same node table, or the timing comparison is meaningless.
+    ref = reference.reference_boosting_fit(_surrogate_model(), X, y)
+    trees, columns, ref_base = ref
+    want = PackedEnsemble.pack(
+        trees, N_FEATURES, columns=columns, scale=model.learning_rate
+    )
+    assert ref_base == model._base_score
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        assert np.array_equal(getattr(model._packed, name), getattr(want, name))
+    assert model._packed.max_depth == want.max_depth
 
     predict_new = _best_of(lambda: model.predict(pool), 5)
     predict_ref = _best_of(
-        lambda: reference.reference_ensemble_predict(model, pool), 3
+        lambda: reference.reference_ensemble_predict(model, ref, pool), 3
     )
     assert np.array_equal(
-        model.predict(pool), reference.reference_ensemble_predict(model, pool)
+        model.predict(pool), reference.reference_ensemble_predict(model, ref, pool)
     )
 
     fit_speedup = fit_ref / fit_new

@@ -6,14 +6,14 @@ counts, per-node densities) make resource-driven structure in the tuning
 landscape *axis-aligned*, which markedly helps small-sample tree models —
 the regime the paper operates in (tens of training samples).
 
-Workflow definitions register :class:`DerivedFeature` callables; the
-:class:`ConfigEncoder` assembles the full feature matrix.
+Workflow definitions register :class:`DerivedFeature` column functions;
+the :class:`ConfigEncoder` assembles the full feature matrix.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +24,22 @@ __all__ = ["DerivedFeature", "ConfigEncoder"]
 
 @dataclass(frozen=True)
 class DerivedFeature:
-    """A named derived feature computed from a configuration.
+    """A named derived feature column computed from raw parameter values.
 
     Parameters
     ----------
     name:
         Feature column name (reported by :meth:`ConfigEncoder.feature_names`).
     func:
-        Maps ``(space, config)`` to a float.
+        Maps ``(space, X)`` to one float per row, where ``X`` is the
+        ``(n, d)`` float64 matrix of raw parameter values in space order.
     """
 
     name: str
-    func: Callable[[ParameterSpace, Configuration], float]
+    func: Callable[[ParameterSpace, np.ndarray], np.ndarray]
 
-    def __call__(self, space: ParameterSpace, config: Configuration) -> float:
-        return float(self.func(space, config))
+    def __call__(self, space: ParameterSpace, X: np.ndarray) -> np.ndarray:
+        return np.asarray(self.func(space, X), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -46,31 +47,12 @@ class ConfigEncoder:
     """Encode configurations into dense float feature matrices.
 
     The encoding is the concatenation of all raw parameter values (in space
-    order) with any registered derived features.
-
-    Configurations are hashable tuples and the encoding of one is
-    immutable, so each instance memoises per-configuration rows:
-    auto-tuning re-encodes the same candidate pool every iteration, and
-    the derived-feature Python calls dominate encoding cost.  The memo
-    is excluded from equality and pickling (a restored encoder starts
-    cold and re-derives identical rows).
+    order) with any registered derived features, each computed for the
+    whole batch from the raw matrix.
     """
 
     space: ParameterSpace
     derived: tuple[DerivedFeature, ...] = ()
-    _memo: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_memo"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if "_memo" not in state:  # blobs pickled before the memo existed
-            state["_memo"] = {}
-        self.__dict__.update(state)
 
     def feature_names(self) -> tuple[str, ...]:
         """Column names of the encoded matrix."""
@@ -82,32 +64,18 @@ class ConfigEncoder:
 
     def encode_one(self, config: Configuration) -> np.ndarray:
         """Encode a single configuration to a 1-D feature vector."""
-        raw = np.asarray(config, dtype=np.float64)
-        if not self.derived:
-            return raw
-        extra = np.array(
-            [d(self.space, config) for d in self.derived], dtype=np.float64
-        )
-        return np.concatenate([raw, extra])
+        return self.encode([config])[0]
 
     def encode(self, configs: Sequence[Configuration]) -> np.ndarray:
-        """Encode configurations into an ``(n, n_features)`` matrix.
-
-        Rows are served from the per-instance memo when available;
-        ``vstack`` copies, so callers can never mutate memoised rows
-        through the returned matrix.
-        """
+        """Encode configurations into a fresh ``(n, n_features)`` matrix."""
         if len(configs) == 0:
             return np.empty((0, self.n_features))
-        memo = self._memo
-        rows = []
-        for c in configs:
-            row = memo.get(c)
-            if row is None:
-                row = self.encode_one(c)
-                memo[c] = row
-            rows.append(row)
-        return np.vstack(rows)
+        raw = np.array(configs, dtype=np.float64)
+        if not self.derived:
+            return raw
+        return np.column_stack(
+            [raw] + [d(self.space, raw) for d in self.derived]
+        )
 
     def with_derived(self, *features: DerivedFeature) -> "ConfigEncoder":
         """Return a new encoder with extra derived features appended."""
@@ -126,25 +94,28 @@ def component_footprint_features(
     and, when a thread count exists, ``<label>.cores_used`` (per-node core
     occupancy ``ppn * threads``).
     """
-    import math
-
     procs_names = tuple(procs_names)
 
-    def total_procs(space: ParameterSpace, config: Configuration) -> float:
-        return math.prod(space.value(config, n) for n in procs_names)
+    def column(space: ParameterSpace, X: np.ndarray, name: str) -> np.ndarray:
+        return X[:, space.position(name)]
 
-    def nodes(space: ParameterSpace, config: Configuration) -> float:
-        procs = total_procs(space, config)
-        ppn = space.value(config, ppn_name) if ppn_name else 1
-        return math.ceil(procs / max(ppn, 1))
+    def total_procs(space: ParameterSpace, X: np.ndarray) -> np.ndarray:
+        procs = column(space, X, procs_names[0])
+        for name in procs_names[1:]:
+            procs = procs * column(space, X, name)
+        return procs
+
+    def nodes(space: ParameterSpace, X: np.ndarray) -> np.ndarray:
+        ppn = column(space, X, ppn_name) if ppn_name else 1.0
+        return np.ceil(total_procs(space, X) / np.maximum(ppn, 1.0))
 
     feats = [
         DerivedFeature(f"{label}.total_procs", total_procs),
         DerivedFeature(f"{label}.nodes", nodes),
     ]
     if threads_name is not None and ppn_name is not None:
-        def cores_used(space: ParameterSpace, config: Configuration) -> float:
-            return space.value(config, ppn_name) * space.value(config, threads_name)
+        def cores_used(space: ParameterSpace, X: np.ndarray) -> np.ndarray:
+            return column(space, X, ppn_name) * column(space, X, threads_name)
 
         feats.append(DerivedFeature(f"{label}.cores_used", cores_used))
     return tuple(feats)

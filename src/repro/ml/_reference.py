@@ -1,10 +1,11 @@
 """Reference (pre-vectorization) ML kernels, kept as the equivalence oracle.
 
 These are verbatim copies of the original kernels that the fast layer
-replaced: per-node per-feature argsort tree growth, and Python loops
-over trees for ensemble/forest prediction.  They define the bit-exact
-behaviour the vectorized kernels in :mod:`repro.ml.tree` and
-:mod:`repro.ml.packed` must reproduce — ``tests/test_ml_kernels.py``
+replaced: per-node per-feature argsort tree growth, the per-round
+boosting loop over it, and Python loops over trees for ensemble/forest
+prediction.  They define the bit-exact behaviour the kernels in
+:mod:`repro.ml.tree`, :mod:`repro.ml.boosting`, :mod:`repro.ml.packed`
+and :mod:`repro.ml._native` must reproduce — ``tests/test_ml_kernels.py``
 compares old vs new across random shapes, and
 ``benchmarks/test_perf_ml.py`` times old vs new for ``BENCH_ml.json``.
 
@@ -16,7 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.tree import RegressionTree
+
 __all__ = [
+    "reference_boosting_fit",
     "reference_fit_gradients",
     "reference_tree_predict",
     "reference_ensemble_predict",
@@ -153,11 +157,67 @@ def reference_tree_predict(tree, X: np.ndarray) -> np.ndarray:
     return tree.value[nodes]
 
 
-def reference_ensemble_predict(model, X: np.ndarray) -> np.ndarray:
-    """Tree-at-a-time boosted prediction (the original ``predict`` loop)."""
+def reference_boosting_fit(model, X: np.ndarray, y: np.ndarray):
+    """The original boosting loop over :func:`reference_fit_gradients`.
+
+    ``model`` (a :class:`~repro.ml.boosting.GradientBoostedTrees`)
+    supplies the hyper-parameters; its RNG is stepped exactly as the
+    fast path steps it (each round draws rows, then columns).  Returns
+    ``(trees, columns, base_score)``: every round's tree, the round's
+    column map, and the initial prediction.
+    """
     X = np.asarray(X, dtype=np.float64)
-    pred = np.full(X.shape[0], model._base_score)
-    for tree, cols in zip(model._trees, model._tree_columns):
+    y = np.asarray(y, dtype=np.float64)
+    target = np.log(y) if model.log_target else y
+    n, d = X.shape
+    rng = np.random.default_rng(model.random_state)
+    base = float(target.mean())
+    pred = np.full(n, base)
+    n_rows = max(1, int(round(model.subsample * n)))
+    n_cols = max(1, int(round(model.colsample * d)))
+    trees = []
+    columns = []
+    for _ in range(model.n_estimators):
+        grad = pred - target
+        hess = np.ones(n)
+        rows = (
+            rng.choice(n, size=n_rows, replace=False)
+            if n_rows < n
+            else np.arange(n)
+        )
+        cols = (
+            np.sort(rng.choice(d, size=n_cols, replace=False))
+            if n_cols < d
+            else np.arange(d)
+        )
+        tree = RegressionTree(
+            max_depth=model.max_depth,
+            min_samples_leaf=model.min_samples_leaf,
+            min_child_weight=model.min_child_weight,
+            reg_lambda=model.reg_lambda,
+            gamma=model.gamma,
+        )
+        reference_fit_gradients(
+            tree, X[np.ix_(rows, cols)], grad[rows], hess[rows], model.reg_lambda
+        )
+        update = reference_tree_predict(tree, X[:, cols])
+        pred = pred + model.learning_rate * update
+        trees.append(tree)
+        columns.append(cols)
+    return trees, columns, base
+
+
+def reference_ensemble_predict(model, fitted, X: np.ndarray) -> np.ndarray:
+    """Tree-at-a-time boosted prediction (the original ``predict`` loop).
+
+    ``fitted`` is the ``(trees, columns, base_score)`` triple of
+    :func:`reference_boosting_fit`; ``model`` supplies the learning rate
+    and the target transform.
+    """
+    trees, columns, base = fitted
+    X = np.asarray(X, dtype=np.float64)
+    pred = np.full(X.shape[0], base)
+    for tree, cols in zip(trees, columns):
         pred = pred + model.learning_rate * reference_tree_predict(
             tree, X[:, cols]
         )

@@ -11,10 +11,12 @@ supports an optional ``log_target`` transform — fitting ``log(y)`` and
 exponentiating predictions — which substantially improves relative-error
 metrics such as MdAPE.
 
-Trees grow by presorted exact greedy search, bit-identical to the
-historical implementation, and the fitted ensemble is packed into a
-:class:`~repro.ml.packed.PackedEnsemble` so prediction is one
-vectorized traversal instead of a Python loop over trees.
+All rounds grow in one compiled call (:func:`repro.ml._native.boosting_fit`)
+when a C compiler is available, else in the numpy loop
+:meth:`GradientBoostedTrees._fit_rounds` (presorted exact greedy search);
+the two write bit-identical node tables.  A fitted model keeps only that
+table, a :class:`~repro.ml.packed.PackedEnsemble`, so prediction is one
+traversal instead of a Python loop over trees.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.ml import _native
 from repro.ml.packed import PackedEnsemble
 from repro.ml.tree import RegressionTree, _feature_group_ids
 
@@ -65,8 +68,6 @@ class GradientBoostedTrees:
     log_target: bool = False
     random_state: int | None = None
 
-    _trees: list = field(init=False, repr=False, default_factory=list)
-    _tree_columns: list = field(init=False, repr=False, default_factory=list)
     _base_score: float = field(init=False, repr=False, default=0.0)
     _n_features: int = field(init=False, repr=False, default=0)
     _packed: PackedEnsemble | None = field(init=False, repr=False, default=None)
@@ -81,10 +82,28 @@ class GradientBoostedTrees:
         if not 0 < self.colsample <= 1:
             raise ValueError("colsample must be in (0, 1]")
 
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, packing blobs written with per-tree state.
+
+        Older pickles carry ``_trees``/``_tree_columns`` (and, older
+        still, no ``_packed``).  Packing is a pure layout change, so the
+        loaded model predicts bit-identically to one fitted today.
+        """
+        trees = state.pop("_trees", None)
+        columns = state.pop("_tree_columns", None)
+        if state.get("_packed") is None and trees:
+            state["_packed"] = PackedEnsemble.pack(
+                trees,
+                n_features=state["_n_features"],
+                columns=columns,
+                scale=state["learning_rate"],
+            )
+        self.__dict__.update(state)
+
     @property
     def is_fitted(self) -> bool:
-        """Whether :meth:`predict` is ready — keyed, like it, on ``_trees``."""
-        return bool(self._trees)
+        """Whether :meth:`predict` is ready — keyed, like it, on ``_packed``."""
+        return self._packed is not None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         """Fit the ensemble to ``(X, y)``."""
@@ -97,12 +116,15 @@ class GradientBoostedTrees:
             raise ValueError("y must be 1-D with one entry per row of X")
         if n == 0:
             raise ValueError("cannot fit on zero samples")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("targets must be finite (no NaN or inf)")
         if self.log_target:
             if np.any(y <= 0):
                 raise ValueError("log_target requires strictly positive targets")
             target = np.log(y)
         else:
             target = y
+        self._new_tree()  # validates the per-round tree parameters
 
         with telemetry.get().span(
             "ml.fit.boosting",
@@ -110,101 +132,98 @@ class GradientBoostedTrees:
             samples=n,
             rounds=self.n_estimators,
         ):
-            self._fit_rounds(X, target, n, d)
-            self._packed = PackedEnsemble.pack(
-                self._trees,
-                n_features=d,
-                columns=self._tree_columns,
-                scale=self.learning_rate,
-            )
+            base_score = float(target.mean())
+            # Presort once per fit; every round's tree sorts integer
+            # rank slices instead of re-ranking float columns.
+            gid = _feature_group_ids(X)
+            rows, cols = self._subsamples(n, d)
+            args = (X, target, base_score, gid, rows, cols)
+            packed = _native.boosting_fit(self, *args)
+            if packed is None:
+                packed = self._fit_rounds(*args)
+            self._packed = packed
+            self._base_score = base_score
+            self._n_features = d
         return self
 
-    def _fit_rounds(self, X: np.ndarray, target: np.ndarray, n: int, d: int):
-        rng = np.random.default_rng(self.random_state)
-        self._trees = []
-        self._tree_columns = []
-        self._n_features = d
-        self._base_score = float(target.mean())
-        pred = np.full(n, self._base_score)
+    def _new_tree(self) -> RegressionTree:
+        return RegressionTree(
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+        )
 
+    def _subsamples(self, n: int, d: int):
+        """Every round's row and column draws, in the fit's RNG order.
+
+        ``rows`` is ``(n_estimators, n_rows)`` and ``cols`` is
+        ``(n_estimators, n_cols)`` (sorted per round); either is
+        ``None`` when its fraction keeps every index.
+        """
+        rng = np.random.default_rng(self.random_state)
         n_rows = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample * d)))
+        rows = np.empty((self.n_estimators, n_rows), np.int64) if n_rows < n else None
+        cols = np.empty((self.n_estimators, n_cols), np.int64) if n_cols < d else None
+        for t in range(self.n_estimators):
+            if rows is not None:
+                rows[t] = rng.choice(n, size=n_rows, replace=False)
+            if cols is not None:
+                cols[t] = np.sort(rng.choice(d, size=n_cols, replace=False))
+        return rows, cols
 
-        # Presort once per fit; every round's tree sorts integer rank
-        # slices instead of re-ranking float columns.
-        gid = _feature_group_ids(X)
-
-        # Loop-invariant bases: the hessian of ½(pred − t)² is one for
-        # every row of every round, and the identity row/column indices
-        # only matter when sub-sampling is off.
+    def _fit_rounds(
+        self,
+        X: np.ndarray,
+        target: np.ndarray,
+        base_score: float,
+        gid: np.ndarray,
+        rows: np.ndarray | None,
+        cols: np.ndarray | None,
+    ) -> PackedEnsemble:
+        """The numpy boosting loop: the fallback without a compiler, and
+        the oracle of :func:`repro.ml._native.boosting_fit`."""
+        n, d = X.shape
+        pred = np.full(n, base_score)
+        # The hessian of ½(pred − t)² is one for every row of every round.
         hess = np.ones(n)
-        all_rows = np.arange(n)
-        all_cols = np.arange(d)
-        for _ in range(self.n_estimators):
+        trees = []
+        for t in range(self.n_estimators):
             grad = pred - target  # d/dpred ½(pred − t)²
-            rows = (
-                rng.choice(n, size=n_rows, replace=False)
-                if n_rows < n
-                else all_rows
-            )
-            cols = (
-                np.sort(rng.choice(d, size=n_cols, replace=False))
-                if n_cols < d
-                else all_cols
-            )
-            tree = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-            )
-            if n_rows == n and n_cols == d:
-                # No subsampling: the np.ix_ slices would be exact
-                # copies, so skip them (identical floats either way).
+            r = None if rows is None else rows[t]
+            c = None if cols is None else cols[t]
+            tree = self._new_tree()
+            if r is None and c is None:
                 tree.fit_gradients(X, grad, hess, group_ids=gid)
-            elif n_cols == d:
+            elif c is None:
                 # Row subsampling only: plain row gathers pick the same
-                # elements as the np.ix_ outer product, without
-                # materialising the index mesh.
-                tree.fit_gradients(
-                    X[rows], grad[rows], hess[rows], group_ids=gid[rows]
-                )
+                # elements as the np.ix_ outer product.
+                tree.fit_gradients(X[r], grad[r], hess[r], group_ids=gid[r])
             else:
+                r = np.arange(n) if r is None else r
                 tree.fit_gradients(
-                    X[np.ix_(rows, cols)],
-                    grad[rows],
-                    hess[rows],
-                    group_ids=gid[np.ix_(rows, cols)],
+                    X[np.ix_(r, c)],
+                    grad[r],
+                    hess[r],
+                    group_ids=gid[np.ix_(r, c)],
                 )
-            update = tree.predict(X if n_cols == d else X[:, cols])
+            update = tree.predict(X if c is None else X[:, c])
             pred = pred + self.learning_rate * update
-            self._trees.append(tree)
-            self._tree_columns.append(cols)
+            trees.append(tree)
+        return PackedEnsemble.pack(
+            trees, n_features=d, columns=cols, scale=self.learning_rate
+        )
 
-    def _ensure_packed(self) -> PackedEnsemble:
-        """The packed form, rebuilt on demand.
-
-        Models unpickled from blobs written before packing existed (or
-        with ``_packed`` stripped) repack here from their trees; packing
-        is a pure layout change, so the rebuilt ensemble predicts
-        bit-identically to one packed at fit time.
-        """
-        packed = getattr(self, "_packed", None)
-        if packed is None:
-            packed = PackedEnsemble.pack(
-                self._trees,
-                n_features=self._n_features,
-                columns=self._tree_columns,
-                scale=self.learning_rate,
-            )
-            self._packed = packed
-        return packed
+    def _check_fitted(self) -> PackedEnsemble:
+        if self._packed is None:
+            raise RuntimeError("model is not fitted; call fit() first")
+        return self._packed
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict targets for each row of ``X``."""
-        if not self._trees:
-            raise RuntimeError("model is not fitted; call fit() first")
+        packed = self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -219,18 +238,16 @@ class GradientBoostedTrees:
             category="predict",
             model="boosting",
             rows=X.shape[0],
-            trees=len(self._trees),
+            trees=packed.n_trees,
         ):
-            pred = self._ensure_packed().predict(X, base_score=self._base_score)
+            pred = packed.predict(X, base_score=self._base_score)
             if self.log_target:
                 return np.exp(pred)
             return pred
 
     def leaf_indices(self, X: np.ndarray) -> np.ndarray:
         """Packed leaf assignment per ``(row, tree)`` (for caching layers)."""
-        if not self._trees:
-            raise RuntimeError("model is not fitted; call fit() first")
-        return self._ensure_packed().leaf_indices(np.asarray(X, dtype=np.float64))
+        return self._check_fitted().leaf_indices(np.asarray(X, dtype=np.float64))
 
     def clone(self) -> "GradientBoostedTrees":
         """Return an unfitted copy with identical hyper-parameters."""

@@ -102,6 +102,8 @@ class RandomForestRegressor:
         if not self._trees:
             raise RuntimeError("model is not fitted; call fit() first")
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if X.shape[1] != self._n_features:
             raise ValueError(
                 f"X has {X.shape[1]} features, model was fitted with "

@@ -42,14 +42,16 @@ def _feature_group_ids(X: np.ndarray) -> np.ndarray:
     Computed from one stable argsort per feature (the presort).  A
     node-local stable argsort of a column of the result is bit-identical
     to a stable argsort of the raw feature values, including NaN
-    placement — each NaN gets its own id in stable (original-index)
-    order, matching how stable float sorts tie-break NaNs.
+    placement: every NaN gets the dtype's largest value (above every
+    rank), so NaNs sort last in the node's own row order, as a stable
+    float sort leaves them.  NaN never equals NaN, so the split search
+    treats each boundary after a NaN id as a change of value.
 
-    Ranks are returned in the smallest unsigned dtype that holds them:
-    numpy's stable sort on ≤16-bit integers is a short radix sort, an
-    order of magnitude faster than on 64-bit keys, and sort order
-    depends only on the integer *values*, so the dtype cannot affect
-    any downstream result.
+    Ranks are returned in the smallest dtype that holds them: numpy's
+    stable sort on ≤16-bit integers is a short radix sort, an order of
+    magnitude faster than on wide keys, and sort order depends only on
+    the integer *values*, so the dtype cannot affect any downstream
+    result.
     """
     n, d = X.shape
     order0 = np.argsort(X, axis=0, kind="stable")
@@ -57,11 +59,12 @@ def _feature_group_ids(X: np.ndarray) -> np.ndarray:
     new_group = np.empty((n, d), dtype=np.int64)
     new_group[0] = 0
     new_group[1:] = xs[1:] != xs[:-1]
-    dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.int64
+    dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.int32
     gid = np.empty((n, d), dtype=dtype)
     np.put_along_axis(
         gid, order0, np.cumsum(new_group, axis=0).astype(dtype), axis=0
     )
+    gid[np.isnan(X)] = np.iinfo(dtype).max
     return gid
 
 
@@ -158,9 +161,10 @@ class RegressionTree:
         row/column subsets of one matrix can presort *once* and pass
         slices.  Any integer matrix whose columns have the same stable
         sort order and the same equality pattern as the corresponding
-        columns of ``X`` is valid — in particular a row/column slice of
-        the full matrix's ranks, un-renumbered, since relabelling ranks
-        monotonically changes neither property.
+        columns of ``X`` (NaNs as the dtype's largest value) is valid —
+        in particular a row/column slice of the full matrix's ranks,
+        un-renumbered, since relabelling ranks monotonically changes
+        neither property.
         """
         X = np.asarray(X, dtype=np.float64)
         g = np.asarray(g, dtype=np.float64)
@@ -304,6 +308,7 @@ class RegressionTree:
         lo = self.min_samples_leaf - 1
         hi = m - self.min_samples_leaf
         change = sorted_gid[lo + 1 : hi + 1] != sorted_gid[lo:hi]
+        change |= sorted_gid[lo:hi] == np.iinfo(sorted_gid.dtype).max  # NaN
         GL = gs[lo:hi]
         if unit_h:
             HL = (

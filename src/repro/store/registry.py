@@ -98,14 +98,7 @@ class ModelRegistry:
         return model
 
     def _load(self, key: str):
-        """The stored model under ``key`` (``None`` on a miss or no store).
-
-        Blobs written before the packed-ensemble layout existed unpickle
-        without ``_packed``; repacking is a pure layout transform of the
-        stored trees, so the loaded model still predicts bit-identically
-        to a refit.  Doing it here keeps first-predict latency out of
-        the tuning loop.
-        """
+        """The stored model under ``key`` (``None`` on a miss or no store)."""
         if self.store is None:
             return None
         from repro import telemetry
@@ -113,7 +106,4 @@ class ModelRegistry:
         model = self.store.get_model(key)
         outcome = "misses" if model is None else "hits"
         telemetry.get().counter(f"store.registry.{outcome}").inc()
-        ensure = getattr(model, "_ensure_packed", None)
-        if callable(ensure):
-            ensure()
         return model

@@ -1,8 +1,12 @@
 """Unit tests for gradient boosting."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.ml import _native
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.metrics import rmse
 
@@ -50,6 +54,18 @@ class TestFit:
         y = np.linspace(-1, 1, 10)
         with pytest.raises(ValueError, match="positive"):
             GradientBoostedTrees(log_target=True).fit(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("native", [True, False])
+    def test_rejects_nonfinite_targets(self, rng, bad, native):
+        X = rng.uniform(size=(10, 2))
+        y = np.linspace(1.0, 2.0, 10)
+        y[3] = bad
+        off = mock.patch.object(_native, "boosting_fit", return_value=None)
+        with contextlib.nullcontext() if native else off:
+            for log_target in (False, True):
+                with pytest.raises(ValueError, match="finite"):
+                    GradientBoostedTrees(log_target=log_target).fit(X, y)
 
     def test_deterministic_given_seed(self, data):
         X, y = data

@@ -47,6 +47,13 @@ def test_feature_mismatch(data):
         model.predict(np.ones((2, 5)))
 
 
+def test_predict_rejects_non_2d_input(data):
+    X, y = data
+    model = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
+    with pytest.raises(ValueError, match="2-D"):
+        model.predict(X[0])
+
+
 def test_invalid_estimators():
     with pytest.raises(ValueError):
         RandomForestRegressor(n_estimators=0)

@@ -8,10 +8,14 @@ array equality, across randomly drawn shapes, tie structures, and
 hyper-parameters.
 """
 
+import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.encoding import ConfigEncoder, DerivedFeature
 from repro.config.space import Parameter, ParameterSpace
@@ -20,8 +24,10 @@ from repro.ml import (
     PackedEnsemble,
     RandomForestRegressor,
     RegressionTree,
+    _native,
 )
 from repro.ml._reference import (
+    reference_boosting_fit,
     reference_ensemble_predict,
     reference_fit_gradients,
     reference_forest_predict,
@@ -104,6 +110,12 @@ def test_unfitted_tree_properties_raise():
 # -- packed-ensemble prediction ----------------------------------------------
 
 
+def _assert_same_table(got: PackedEnsemble, want: PackedEnsemble) -> None:
+    for f in dataclasses.fields(PackedEnsemble):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b, equal_nan=True), f.name
+
+
 @pytest.mark.parametrize("case", range(15))
 def test_boosting_predict_bit_identical_to_reference(case):
     rng = np.random.default_rng(100 + case)
@@ -119,11 +131,76 @@ def test_boosting_predict_bit_identical_to_reference(case):
         colsample=float(rng.uniform(0.5, 1.0)),
         log_target=bool(case % 2),
         random_state=case,
-    ).fit(X, y)
+    )
+    reference = reference_boosting_fit(model, X, y)
+    model.fit(X, y)
     X_test = rng.normal(size=(int(rng.integers(1, 400)), d))
     assert np.array_equal(
-        model.predict(X_test), reference_ensemble_predict(model, X_test)
+        model.predict(X_test), reference_ensemble_predict(model, reference, X_test)
     )
+
+
+_BOOSTING_PARAMS = st.fixed_dictionaries({
+    "n_estimators": st.integers(1, 12),
+    "learning_rate": st.sampled_from([0.08, 0.3, 1.0]),
+    "max_depth": st.sampled_from([0, 1, 3, 6, 200]),  # 200: past any buffer
+    "min_samples_leaf": st.integers(1, 3),
+    "min_child_weight": st.sampled_from([1e-6, 1.0, 2.5]),
+    "reg_lambda": st.sampled_from([0.0, 1.0]),
+    "gamma": st.sampled_from([0.0, 0.05]),
+    "subsample": st.sampled_from([1.0, 0.6]),
+    "colsample": st.sampled_from([1.0, 0.5]),
+    "log_target": st.booleans(),
+    "random_state": st.integers(0, 99),
+})
+
+
+@given(
+    kinds=st.lists(
+        st.sampled_from(["float", "ties", "tied", "nan", "all-nan"]),
+        min_size=1, max_size=6,
+    ),
+    n=st.integers(1, 200),
+    dup=st.sampled_from([1, 2, 5, 200]),
+    target=st.sampled_from(["lognormal", "constant", "two-valued"]),
+    seed=st.integers(0, 2**32 - 1),
+    params=_BOOSTING_PARAMS,
+)
+@settings(max_examples=100, deadline=None)
+def test_boosting_fit_compiled_matches_numpy(kinds, n, dup, target, seed, params):
+    """The compiled fit, the numpy loop and the reference loop write the
+    same node table on edge shapes: one row, constant or two-valued
+    targets (tied gains), duplicate rows, tied and NaN columns (compiled
+    side only with a compiler)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == "ties":
+            X[:, j] = rng.integers(0, 3, size=n)
+        elif kind == "tied":
+            X[:, j] = 1.5
+        elif kind != "float":
+            X[rng.random(n) < (0.3 if kind == "nan" else 1.0), j] = np.nan
+    y = {
+        "lognormal": rng.lognormal(size=n),
+        "constant": np.full(n, 2.0),
+        "two-valued": rng.integers(1, 3, size=n).astype(float),
+    }[target]
+    X[:dup], y[:dup] = X[0], y[0]
+    with mock.patch.object(_native, "boosting_fit", return_value=None):
+        fits = [GradientBoostedTrees(**params).fit(X, y)]
+    if _native.available():
+        fits.append(GradientBoostedTrees(**params).fit(X, y))
+    reference = reference_boosting_fit(fits[0], X, y)
+    trees, columns, base = reference
+    want = PackedEnsemble.pack(
+        trees, X.shape[1], columns=columns, scale=params["learning_rate"]
+    )
+    expected = reference_ensemble_predict(fits[0], reference, X)
+    for model in fits:
+        assert model._base_score == base
+        _assert_same_table(model._packed, want)
+        assert np.array_equal(model.predict(X), expected)
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -191,9 +268,9 @@ def test_is_fitted_agrees_with_predict():
     with pytest.raises(RuntimeError):
         model.predict(np.zeros((2, 3)))
 
-    # The historical disagreement: _n_features set but _trees empty
+    # The historical disagreement: _n_features set but no trees
     # (e.g. a strategy poking internals) used to report is_fitted=True
-    # while predict raised.  Both now key off _trees.
+    # while predict raised.  Both now key off _packed.
     model._n_features = 3
     assert not model.is_fitted
     with pytest.raises(RuntimeError):
@@ -218,17 +295,25 @@ def test_packed_model_pickle_roundtrip():
     assert np.array_equal(clone.predict(X), model.predict(X))
 
 
-def test_model_without_packed_state_repacks_lazily():
+def test_old_layout_pickle_packs_on_load():
+    """Blobs pickled with per-tree state (and, older, no ``_packed``)
+    load as the packed-only model a fit produces today."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(60, 4))
     y = np.abs(rng.normal(size=60)) + 0.1
-    model = GradientBoostedTrees(n_estimators=5, random_state=1).fit(X, y)
-    want = model.predict(X)
-    # Simulate a blob pickled before the packed layout existed.
-    stale = pickle.loads(pickle.dumps(model))
-    del stale.__dict__["_packed"]
-    assert np.array_equal(stale.predict(X), want)
-    assert stale._packed is not None
+    model = GradientBoostedTrees(n_estimators=5, colsample=0.5, random_state=1)
+    trees, columns, base = reference_boosting_fit(model, X, y)
+    model.fit(X, y)
+    for packed in ({}, {"_packed": None}, {"_packed": model._packed}):
+        stale = model.clone()  # its __dict__ holds no _packed yet
+        stale.__dict__.update(
+            _trees=trees, _tree_columns=columns, _base_score=base,
+            _n_features=4, **packed,
+        )
+        loaded = pickle.loads(pickle.dumps(stale))
+        assert not {"_trees", "_tree_columns"} & set(vars(loaded))
+        _assert_same_table(loaded._packed, model._packed)
+        assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
 def test_registry_roundtrip_keeps_packed_predictions(tmp_path):
@@ -252,11 +337,11 @@ def test_registry_roundtrip_keeps_packed_predictions(tmp_path):
     assert np.array_equal(loaded.predict(X), fitted.predict(X))
 
 
-# -- encoder memo and pool caches ---------------------------------------------
+# -- pool caches ----------------------------------------------------------------
 
 
-def _a_times_b(space, config):
-    return config[0] * config[1]
+def _a_times_b(space, X):
+    return X[:, 0] * X[:, 1]
 
 
 def _toy_encoder() -> ConfigEncoder:
@@ -264,29 +349,6 @@ def _toy_encoder() -> ConfigEncoder:
         (Parameter("a", (1, 2, 4)), Parameter("b", (10, 20)))
     )
     return ConfigEncoder(space, (DerivedFeature("a_times_b", _a_times_b),))
-
-
-def test_encoder_memo_is_transparent():
-    enc = _toy_encoder()
-    configs = [(1, 10), (2, 20), (1, 10), (4, 20)]
-    first = enc.encode(configs)
-    again = enc.encode(configs)
-    assert np.array_equal(first, again)
-    assert np.array_equal(first[0], enc.encode_one((1, 10)))
-    # Mutating a returned matrix must not poison the memo.
-    first[0, 0] = 999.0
-    assert np.array_equal(enc.encode([(1, 10)])[0], enc.encode_one((1, 10)))
-
-
-def test_encoder_pickle_drops_memo():
-    enc = _toy_encoder()
-    enc.encode([(1, 10), (2, 20)])
-    assert enc._memo
-    restored = pickle.loads(pickle.dumps(enc))
-    assert restored._memo == {}
-    assert np.array_equal(
-        restored.encode([(1, 10), (2, 20)]), enc.encode([(1, 10), (2, 20)])
-    )
 
 
 def test_telemetry_summary_surfaces_ml_kernels(lv, lv_pool, lv_histories):
@@ -347,7 +409,7 @@ def test_native_kernel_matches_numpy_fallback(monkeypatch):
     suite green on toolchain-less machines (the numpy path is then the
     only path, and everything else already tests it).
     """
-    from repro.ml import _native, packed
+    from repro.ml import packed
 
     if not _native.available():
         pytest.skip("compiled kernel unavailable in this environment")
@@ -363,7 +425,8 @@ def test_native_kernel_matches_numpy_fallback(monkeypatch):
     with_native = model.predict(pool)
     monkeypatch.setattr(packed._native, "packed_predict", lambda *a: None)
     assert np.array_equal(model.predict(pool), with_native)
-    assert np.array_equal(with_native, reference_ensemble_predict(model, pool))
+    reference = reference_boosting_fit(model, X, y)
+    assert np.array_equal(with_native, reference_ensemble_predict(model, reference, pool))
 
 
 def test_unit_hessian_fastpath_matches_reference():
