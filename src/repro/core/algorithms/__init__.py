@@ -2,7 +2,8 @@
 
 All consume a :class:`~repro.core.problem.TuningProblem` and return an
 :class:`~repro.core.problem.AutotuneResult`; CEAL itself lives in
-:mod:`repro.core.ceal`.
+:mod:`repro.core.ceal`.  Each algorithm is one dataclass that is also
+its own search strategy (:mod:`repro.core.algorithms.base`).
 """
 
 from repro.core.algorithms.active_learning import ActiveLearning
@@ -10,6 +11,7 @@ from repro.core.algorithms.alph import Alph
 from repro.core.algorithms.bandit import RegionBandit
 from repro.core.algorithms.base import (
     CandidateTracker,
+    PlannedBatches,
     SearchStrategy,
     TuningAlgorithm,
     split_batches,
@@ -26,6 +28,7 @@ __all__ = [
     "CandidateTracker",
     "Geist",
     "LowFidelityOnly",
+    "PlannedBatches",
     "RandomSampling",
     "RegionBandit",
     "SearchStrategy",

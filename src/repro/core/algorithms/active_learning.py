@@ -11,77 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import PlannedBatches
 from repro.core.driver import TuningSession
 
-__all__ = ["ActiveLearning", "ActiveLearningStrategy"]
-
-
-class ActiveLearningStrategy(SearchStrategy):
-    """Random seed batch, then model-guided predicted-top batches."""
-
-    name = "AL"
-
-    def __init__(self, initial_fraction: float, iterations: int) -> None:
-        self.initial_fraction = initial_fraction
-        self.iterations = iterations
-        self._cycle = 0
-        self._model = None
-        self._plan: list[int] | None = None
-
-    def prepare(self, session: TuningSession) -> None:
-        m = session.budget
-        self._m_init = min(max(2, round(self.initial_fraction * m)), m - 1)
-        self._model = session.problem.make_surrogate()
-
-    def ask(self, session: TuningSession):
-        tracker = session.tracker
-        if self._cycle == 0:
-            self._cycle = 1
-            session.annotate(kind="seed")
-            batch = session.problem.sample_unmeasured(
-                tracker.remaining, self._m_init
-            )
-            tracker.mark(batch)
-            return batch
-        if self._plan is None:
-            self._plan = session.plan_batches(
-                session.budget - self._m_init, self.iterations
-            )
-        index = self._cycle - 1
-        if index >= len(self._plan):
-            return []
-        self._cycle += 1
-        measured = session.collector.measured
-        session.annotate(samples=len(measured))
-        session.timed_fit(self._model, list(measured), list(measured.values()))
-        candidates = tracker.remaining
-        batch = session.rank_candidates(self._model, candidates, self._plan[index])
-        tracker.mark(batch)
-        return batch
-
-    def finalize(self, session: TuningSession):
-        measured = session.collector.measured
-        session.timed_fit(self._model, list(measured), list(measured.values()))
-        return self._model
-
-    def state_dict(self) -> dict:
-        return {"cycle": self._cycle, "plan": self._plan}
-
-    def load_state(self, state: dict, session: TuningSession) -> None:
-        # The surrogate is rebuilt, not restored: every ask() and
-        # finalize() refits it from scratch on all measured data, so a
-        # fresh instance continues bit-identically.  The batch plan is
-        # restored (not recomputed) so its one-time ``batch_plan``
-        # annotation is not re-emitted after a resume.
-        self.prepare(session)
-        self._cycle = state["cycle"]
-        self._plan = state["plan"]
+__all__ = ["ActiveLearning"]
 
 
 @dataclass
-class ActiveLearning(TuningAlgorithm):
-    """Iterative predicted-top-batch selection.
+class ActiveLearning(PlannedBatches):
+    """Random seed batch, then model-guided predicted-top batches.
 
     Parameters
     ----------
@@ -101,5 +39,24 @@ class ActiveLearning(TuningAlgorithm):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
-    def make_strategy(self) -> ActiveLearningStrategy:
-        return ActiveLearningStrategy(self.initial_fraction, self.iterations)
+    def prepare(self, session: TuningSession) -> None:
+        self.plan_budget(session.budget)
+        self._model = session.problem.make_surrogate()
+
+    def guided_batch(self, session: TuningSession, n: int):
+        session.annotate(samples=session.collector.n_measured)
+        session.fit_measured(self._model)
+        batch = session.rank_candidates(self._model, session.tracker.remaining, n)
+        session.tracker.mark(batch)
+        return batch
+
+    def finalize(self, session: TuningSession):
+        session.fit_measured(self._model)
+        return self._model
+
+    def load_state(self, state: dict, session: TuningSession) -> None:
+        # The surrogate is rebuilt, not restored: every guided batch and
+        # finalize() refit it from scratch on all measured data, so a
+        # fresh instance continues bit-identically.
+        self.prepare(session)
+        super().load_state(state, session)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import TuningAlgorithm
 from repro.core.driver import TuningSession
 
-__all__ = ["RegionBandit", "RegionBanditStrategy"]
+__all__ = ["RegionBandit"]
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -52,21 +52,36 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels
 
 
-class RegionBanditStrategy(SearchStrategy):
-    """UCB1 over pool regions with a surrogate-guided inner pick."""
+@dataclass
+class RegionBandit(TuningAlgorithm):
+    """UCB1 over pool regions with a surrogate-guided inner pick.
 
-    name = "Bandit"
+    Parameters
+    ----------
+    n_regions:
+        Number of pool clusters (arms).
+    exploration:
+        UCB exploration coefficient ``c`` in
+        ``mean_reward + c·sqrt(ln N / n_arm)``.
+    warmup_per_region:
+        Random configurations measured per region before UCB starts.
+    """
 
-    def __init__(
-        self, n_regions: int, exploration: float, warmup_per_region: int
-    ) -> None:
-        self.n_regions = n_regions
-        self.exploration = exploration
-        self.warmup_per_region = warmup_per_region
-        self._warm_index = 0
-        self._warm_count = 0
-        self._warmup_done = False
-        self._last_region: int | None = None
+    n_regions: int = 8
+    exploration: float = 0.7
+    warmup_per_region: int = 1
+    name: str = "Bandit"
+
+    _warm_index = 0
+    _warm_count = 0
+    _warmup_done = False
+    _last_region = None
+
+    def __post_init__(self) -> None:
+        if self.n_regions < 2:
+            raise ValueError("n_regions must be >= 2")
+        if self.exploration < 0:
+            raise ValueError("exploration must be non-negative")
 
     def prepare(self, session: TuningSession) -> None:
         problem = session.problem
@@ -138,9 +153,7 @@ class RegionBanditStrategy(SearchStrategy):
             return []
         candidates = self._remaining_in(best_region, session)
         if len(measured_all) >= 5:
-            session.timed_fit(
-                self._model, list(measured_all), list(measured_all.values())
-            )
+            session.fit_measured(self._model)
             scores = self._model.predict(candidates)
             pick = [candidates[int(np.argmin(scores))]]
         else:
@@ -155,12 +168,9 @@ class RegionBanditStrategy(SearchStrategy):
             self._rewards[self._last_region].append(value)
 
     def finalize(self, session: TuningSession):
-        measured_all = session.collector.measured
-        if len(measured_all) < 2:
+        if session.collector.n_measured < 2:
             raise RuntimeError("bandit obtained fewer than 2 samples")
-        session.timed_fit(
-            self._model, list(measured_all), list(measured_all.values())
-        )
+        session.fit_measured(self._model)
         return self._model
 
     def summary(self, session: TuningSession) -> dict:
@@ -187,35 +197,3 @@ class RegionBanditStrategy(SearchStrategy):
         # The surrogate refits from scratch on every guided pick, so a
         # fresh instance continues bit-identically.
         self._model = session.problem.make_surrogate()
-
-
-@dataclass
-class RegionBandit(TuningAlgorithm):
-    """UCB1 over pool regions with a surrogate-guided inner pick.
-
-    Parameters
-    ----------
-    n_regions:
-        Number of pool clusters (arms).
-    exploration:
-        UCB exploration coefficient ``c`` in
-        ``mean_reward + c·sqrt(ln N / n_arm)``.
-    warmup_per_region:
-        Random configurations measured per region before UCB starts.
-    """
-
-    n_regions: int = 8
-    exploration: float = 0.7
-    warmup_per_region: int = 1
-    name: str = "Bandit"
-
-    def __post_init__(self) -> None:
-        if self.n_regions < 2:
-            raise ValueError("n_regions must be >= 2")
-        if self.exploration < 0:
-            raise ValueError("exploration must be non-negative")
-
-    def make_strategy(self) -> RegionBanditStrategy:
-        return RegionBanditStrategy(
-            self.n_regions, self.exploration, self.warmup_per_region
-        )

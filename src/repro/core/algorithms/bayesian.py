@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import PlannedBatches
 from repro.core.driver import TuningSession
 from repro.core.low_fidelity import LowFidelityModel
 from repro.ml.gaussian_process import GaussianProcessRegressor
 
-__all__ = ["BayesianOptimization", "BayesianOptimizationStrategy"]
+__all__ = ["BayesianOptimization"]
 
 
 class _GpPoolModel:
@@ -54,128 +54,9 @@ class _GpPoolModel:
         return (best - mean) * norm.cdf(z) + std * norm.pdf(z)
 
 
-class BayesianOptimizationStrategy(SearchStrategy):
-    """Batched expected-improvement acquisition over the pool."""
-
-    def __init__(
-        self,
-        name: str,
-        iterations: int,
-        initial_fraction: float,
-        bootstrap: bool,
-    ) -> None:
-        self.name = name
-        self.iterations = iterations
-        self.initial_fraction = initial_fraction
-        self.bootstrap = bootstrap
-        self._cycle = 0
-        self._plan: list[int] | None = None
-        self._component_data = None
-
-    def prepare(self, session: TuningSession) -> None:
-        collector = session.problem.collector
-        self._m_workflow = session.budget
-        if self.bootstrap:
-            if not collector.histories:
-                raise RuntimeError(
-                    f"{self.name} trains its component models on the "
-                    "problem's component histories, and this problem has none"
-                )
-            self._component_data = collector.free_component_history()
-            self._build_low_fidelity(session)
-        else:
-            self._low_fidelity = None
-        self._m_init = min(
-            max(2, round(self.initial_fraction * self._m_workflow)),
-            self._m_workflow - 1,
-        )
-        self._build_gp(session)
-
-    def _build_low_fidelity(self, session: TuningSession) -> None:
-        self._low_fidelity = LowFidelityModel(
-            session.problem.component_models(self._component_data)
-        )
-
-    def _build_gp(self, session: TuningSession) -> None:
-        self._model = _GpPoolModel(
-            session.problem.workflow.encoder(), GaussianProcessRegressor()
-        )
-
-    def ask(self, session: TuningSession):
-        tracker = session.tracker
-        if self._cycle == 0:
-            self._cycle = 1
-            session.annotate(kind="seed")
-            if self.bootstrap:
-                n_random = max(1, self._m_init // 3)
-                seed_batch = session.problem.sample_unmeasured(
-                    tracker.remaining, n_random
-                )
-                tracker.mark(seed_batch)
-                candidates = tracker.remaining
-                top = tracker.take_top(
-                    self._low_fidelity.predict(candidates),
-                    candidates,
-                    self._m_init - n_random,
-                )
-                tracker.mark(top)
-                return seed_batch + top
-            seed_batch = session.problem.sample_unmeasured(
-                tracker.remaining, self._m_init
-            )
-            tracker.mark(seed_batch)
-            return seed_batch
-        if self._plan is None:
-            self._plan = session.plan_batches(
-                self._m_workflow - self._m_init, self.iterations
-            )
-        index = self._cycle - 1
-        if index >= len(self._plan):
-            return []
-        self._cycle += 1
-        measured = session.collector.measured
-        session.timed_fit(self._model, list(measured), list(measured.values()))
-        candidates = tracker.remaining
-        if not candidates:
-            return []
-        ei = self._model.expected_improvement(candidates, min(measured.values()))
-        batch = tracker.take_top(-ei, candidates, self._plan[index])
-        tracker.mark(batch)
-        session.annotate(max_ei=float(ei.max()))
-        return batch
-
-    def finalize(self, session: TuningSession):
-        measured = session.collector.measured
-        session.timed_fit(self._model, list(measured), list(measured.values()))
-        return self._model
-
-    def state_dict(self) -> dict:
-        return {
-            "cycle": self._cycle,
-            "plan": self._plan,
-            "component_data": self._component_data,
-            "m_workflow": self._m_workflow,
-            "m_init": self._m_init,
-        }
-
-    def load_state(self, state: dict, session: TuningSession) -> None:
-        self._cycle = state["cycle"]
-        self._plan = state["plan"]
-        self._component_data = state["component_data"]
-        self._m_workflow = state["m_workflow"]
-        self._m_init = state["m_init"]
-        if self.bootstrap:
-            self._build_low_fidelity(session)
-        else:
-            self._low_fidelity = None
-        # The GP refits from scratch on all measured data in every
-        # acquisition step, so a fresh instance continues bit-identically.
-        self._build_gp(session)
-
-
 @dataclass
-class BayesianOptimization(TuningAlgorithm):
-    """Batched BO over the candidate pool.
+class BayesianOptimization(PlannedBatches):
+    """Batched expected-improvement acquisition over the candidate pool.
 
     Parameters
     ----------
@@ -196,14 +77,72 @@ class BayesianOptimization(TuningAlgorithm):
     bootstrap: bool = False
     name: str = "BO"
 
+    _component_data = None
+
     def __post_init__(self) -> None:
         if self.bootstrap:
             self.name = "CEAL-BO"
 
-    def make_strategy(self) -> BayesianOptimizationStrategy:
-        return BayesianOptimizationStrategy(
-            self.name,
-            self.iterations,
-            self.initial_fraction,
-            self.bootstrap,
+    def prepare(self, session: TuningSession) -> None:
+        if self.bootstrap:
+            self._component_data = session.history_data(self.name)
+        self.plan_budget(session.budget)
+        self._build_models(session)
+
+    def _build_models(self, session: TuningSession) -> None:
+        problem = session.problem
+        self._low_fidelity = (
+            LowFidelityModel(problem.component_models(self._component_data))
+            if self.bootstrap
+            else None
         )
+        self._model = _GpPoolModel(
+            problem.workflow.encoder(), GaussianProcessRegressor()
+        )
+
+    def seed_batch(self, session: TuningSession, n: int):
+        if not self.bootstrap:
+            return super().seed_batch(session, n)
+        tracker = session.tracker
+        n_random = max(1, n // 3)
+        batch = super().seed_batch(session, n_random)
+        candidates = tracker.remaining
+        top = tracker.take_top(
+            self._low_fidelity.predict(candidates), candidates, n - n_random
+        )
+        tracker.mark(top)
+        return batch + top
+
+    def guided_batch(self, session: TuningSession, n: int):
+        tracker = session.tracker
+        session.fit_measured(self._model)
+        candidates = tracker.remaining
+        if not candidates:
+            return []
+        best = min(session.collector.measured.values())
+        ei = self._model.expected_improvement(candidates, best)
+        batch = tracker.take_top(-ei, candidates, n)
+        tracker.mark(batch)
+        session.annotate(max_ei=float(ei.max()))
+        return batch
+
+    def finalize(self, session: TuningSession):
+        session.fit_measured(self._model)
+        return self._model
+
+    def state_dict(self) -> dict:
+        return {
+            **super().state_dict(),
+            "component_data": self._component_data,
+            "m_workflow": self._m_workflow,
+            "m_init": self._m_init,
+        }
+
+    def load_state(self, state: dict, session: TuningSession) -> None:
+        super().load_state(state, session)
+        self._component_data = state["component_data"]
+        self._m_workflow = state["m_workflow"]
+        self._m_init = state["m_init"]
+        # The GP refits from scratch on all measured data in every
+        # acquisition step, so a fresh instance continues bit-identically.
+        self._build_models(session)

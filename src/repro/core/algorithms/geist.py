@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import PlannedBatches
 from repro.core.driver import TuningSession
 
-__all__ = ["Geist", "GeistStrategy"]
+__all__ = ["Geist"]
 
 
 def _knn_graph(points: np.ndarray, k: int) -> sp.csr_matrix:
@@ -50,120 +50,8 @@ def _normalized(graph: sp.csr_matrix) -> sp.csr_matrix:
     return inv_sqrt @ graph @ inv_sqrt
 
 
-class GeistStrategy(SearchStrategy):
-    """Parameter-graph label spreading guides the sampling."""
-
-    name = "GEIST"
-
-    def __init__(
-        self,
-        top_fraction: float,
-        k_neighbors: int,
-        alpha: float,
-        spread_iterations: int,
-        explore_fraction: float,
-        iterations: int,
-        initial_fraction: float,
-    ) -> None:
-        self.top_fraction = top_fraction
-        self.k_neighbors = k_neighbors
-        self.alpha = alpha
-        self.spread_iterations = spread_iterations
-        self.explore_fraction = explore_fraction
-        self.iterations = iterations
-        self.initial_fraction = initial_fraction
-        self._cycle = 0
-        self._plan: list[int] | None = None
-
-    def prepare(self, session: TuningSession) -> None:
-        problem = session.problem
-        m = session.budget
-        self._m_init = min(max(2, round(self.initial_fraction * m)), m - 1)
-        # The graph is a deterministic function of the pool (no RNG), so
-        # it is recomputed rather than checkpointed.
-        self._configs = list(problem.pool_configs)
-        self._index_of = {c: i for i, c in enumerate(self._configs)}
-        points = problem.workflow.space.normalize(self._configs)
-        self._spread_op = _normalized(_knn_graph(points, self.k_neighbors))
-
-    def ask(self, session: TuningSession):
-        tracker = session.tracker
-        if self._cycle == 0:
-            self._cycle = 1
-            session.annotate(kind="seed")
-            batch = session.problem.sample_unmeasured(
-                tracker.remaining, self._m_init
-            )
-            tracker.mark(batch)
-            return batch
-        if self._plan is None:
-            self._plan = session.plan_batches(
-                session.budget - self._m_init, self.iterations
-            )
-        index = self._cycle - 1
-        if index >= len(self._plan):
-            return []
-        self._cycle += 1
-        batch_size = self._plan[index]
-        goodness = self._spread_labels(session)
-        candidates = tracker.remaining
-        if not candidates:
-            return []
-        n_explore = min(
-            batch_size, max(0, round(self.explore_fraction * batch_size))
-        )
-        n_exploit = batch_size - n_explore
-        cand_scores = np.array(
-            [-goodness[self._index_of[c]] for c in candidates]
-        )  # negate: take_top takes lowest
-        batch = tracker.take_top(cand_scores, candidates, n_exploit)
-        tracker.mark(batch)
-        if n_explore:
-            explore = session.problem.sample_unmeasured(
-                tracker.remaining, n_explore
-            )
-            tracker.mark(explore)
-            batch = batch + explore
-        session.annotate(explore=n_explore)
-        return batch
-
-    def finalize(self, session: TuningSession):
-        measured = session.collector.measured
-        if len(measured) < 2:
-            raise RuntimeError("GEIST obtained fewer than 2 samples")
-        model = session.problem.make_surrogate()
-        session.timed_fit(model, list(measured), list(measured.values()))
-        return model
-
-    def state_dict(self) -> dict:
-        return {"cycle": self._cycle, "plan": self._plan}
-
-    def load_state(self, state: dict, session: TuningSession) -> None:
-        self.prepare(session)
-        self._cycle = state["cycle"]
-        self._plan = state["plan"]
-
-    def _spread_labels(self, session: TuningSession) -> np.ndarray:
-        """Label-spread goodness score per pool configuration."""
-        measured = session.collector.measured
-        seeds = np.zeros(len(self._configs))
-        if measured:
-            values = np.array(list(measured.values()))
-            threshold = np.quantile(values, self.top_fraction)
-            for config, value in measured.items():
-                seeds[self._index_of[config]] = (
-                    1.0 if value <= threshold else -1.0
-                )
-        scores = seeds.copy()
-        for _ in range(self.spread_iterations):
-            scores = self.alpha * (self._spread_op @ scores) + (
-                1 - self.alpha
-            ) * seeds
-        return scores
-
-
 @dataclass
-class Geist(TuningAlgorithm):
+class Geist(PlannedBatches):
     """Parameter-graph label spreading guides the sampling.
 
     Parameters
@@ -194,13 +82,58 @@ class Geist(TuningAlgorithm):
     initial_fraction: float = 0.3
     name: str = "GEIST"
 
-    def make_strategy(self) -> GeistStrategy:
-        return GeistStrategy(
-            self.top_fraction,
-            self.k_neighbors,
-            self.alpha,
-            self.spread_iterations,
-            self.explore_fraction,
-            self.iterations,
-            self.initial_fraction,
-        )
+    def prepare(self, session: TuningSession) -> None:
+        problem = session.problem
+        self.plan_budget(session.budget)
+        # The graph is a deterministic function of the pool (no RNG), so
+        # it is recomputed rather than checkpointed.
+        self._configs = list(problem.pool_configs)
+        self._index_of = {c: i for i, c in enumerate(self._configs)}
+        points = problem.workflow.space.normalize(self._configs)
+        self._spread_op = _normalized(_knn_graph(points, self.k_neighbors))
+
+    def guided_batch(self, session: TuningSession, n: int):
+        tracker = session.tracker
+        goodness = self._spread_labels(session)
+        candidates = tracker.remaining
+        if not candidates:
+            return []
+        n_explore = min(n, max(0, round(self.explore_fraction * n)))
+        cand_scores = np.array(
+            [-goodness[self._index_of[c]] for c in candidates]
+        )  # negate: take_top takes lowest
+        batch = tracker.take_top(cand_scores, candidates, n - n_explore)
+        tracker.mark(batch)
+        if n_explore:
+            batch = batch + self.seed_batch(session, n_explore)
+        session.annotate(explore=n_explore)
+        return batch
+
+    def finalize(self, session: TuningSession):
+        if session.collector.n_measured < 2:
+            raise RuntimeError("GEIST obtained fewer than 2 samples")
+        model = session.problem.make_surrogate()
+        session.fit_measured(model)
+        return model
+
+    def load_state(self, state: dict, session: TuningSession) -> None:
+        self.prepare(session)
+        super().load_state(state, session)
+
+    def _spread_labels(self, session: TuningSession) -> np.ndarray:
+        """Label-spread goodness score per pool configuration."""
+        measured = session.collector.measured
+        seeds = np.zeros(len(self._configs))
+        if measured:
+            values = np.array(list(measured.values()))
+            threshold = np.quantile(values, self.top_fraction)
+            for config, value in measured.items():
+                seeds[self._index_of[config]] = (
+                    1.0 if value <= threshold else -1.0
+                )
+        scores = seeds.copy()
+        for _ in range(self.spread_iterations):
+            scores = self.alpha * (self._spread_op @ scores) + (
+                1 - self.alpha
+            ) * seeds
+        return scores

@@ -12,29 +12,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import TuningAlgorithm
 from repro.core.driver import TuningSession
 from repro.core.low_fidelity import LowFidelityModel
 
-__all__ = ["LowFidelityOnly", "LowFidelityOnlyStrategy"]
+__all__ = ["LowFidelityOnly"]
 
 
-class LowFidelityOnlyStrategy(SearchStrategy):
-    """Rank the pool with the ACM, measure its top picks, return the ACM."""
+@dataclass
+class LowFidelityOnly(TuningAlgorithm):
+    """Rank the pool with the ACM, measure its top picks, return the ACM.
 
-    name = "LowFid"
+    The component models train on the problem's component histories,
+    free of charge, so the whole budget goes to workflow runs; a problem
+    without histories is refused.
+    """
 
-    def __init__(self) -> None:
-        self._asked = False
+    name: str = "LowFid"
+
+    _asked = False
 
     def prepare(self, session: TuningSession) -> None:
-        collector = session.problem.collector
-        if not collector.histories:
-            raise RuntimeError(
-                f"{self.name} trains its component models on the problem's "
-                "component histories, and this problem has none"
-            )
-        self._component_data = collector.free_component_history()
+        self._component_data = session.history_data(self.name)
         self._m_workflow = session.budget
         self._build_model(session)
 
@@ -48,8 +47,9 @@ class LowFidelityOnlyStrategy(SearchStrategy):
             return []
         self._asked = True
         tracker = session.tracker
-        candidates = tracker.remaining
-        top = session.rank_candidates(self._model, candidates, self._m_workflow)
+        top = session.rank_candidates(
+            self._model, tracker.remaining, self._m_workflow
+        )
         tracker.mark(top)
         return top
 
@@ -68,18 +68,3 @@ class LowFidelityOnlyStrategy(SearchStrategy):
         self._component_data = state["component_data"]
         self._m_workflow = state["m_workflow"]
         self._build_model(session)
-
-
-@dataclass
-class LowFidelityOnly(TuningAlgorithm):
-    """Rank the pool with the ACM, measure its top picks, return the ACM.
-
-    The component models train on the problem's component histories,
-    free of charge, so the whole budget goes to workflow runs; a problem
-    without histories is refused.
-    """
-
-    name: str = "LowFid"
-
-    def make_strategy(self) -> LowFidelityOnlyStrategy:
-        return LowFidelityOnlyStrategy()

@@ -9,19 +9,20 @@ accurate everywhere but not *especially* accurate where it matters
 
 from __future__ import annotations
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from dataclasses import dataclass
+
+from repro.core.algorithms.base import TuningAlgorithm
 from repro.core.driver import TuningSession
 
-__all__ = ["RandomSampling", "RandomSamplingStrategy"]
+__all__ = ["RandomSampling"]
 
 
-class RandomSamplingStrategy(SearchStrategy):
-    """One random batch of the full budget, one fit."""
+@dataclass
+class RandomSampling(TuningAlgorithm):
+    """Measure one random batch of the full budget, fit once."""
 
     name = "RS"
-
-    def __init__(self) -> None:
-        self._asked = False
+    _asked = False
 
     def ask(self, session: TuningSession):
         if self._asked:
@@ -35,11 +36,10 @@ class RandomSamplingStrategy(SearchStrategy):
         return batch
 
     def finalize(self, session: TuningSession):
-        measured = session.collector.measured
-        if len(measured) < 2:
+        if session.collector.n_measured < 2:
             raise RuntimeError("random sampling obtained fewer than 2 samples")
         model = session.problem.make_surrogate()
-        session.timed_fit(model, list(measured), list(measured.values()))
+        session.fit_measured(model)
         return model
 
     def state_dict(self) -> dict:
@@ -47,12 +47,3 @@ class RandomSamplingStrategy(SearchStrategy):
 
     def load_state(self, state: dict, session: TuningSession) -> None:
         self._asked = state["asked"]
-
-
-class RandomSampling(TuningAlgorithm):
-    """Measure a random sample, fit once."""
-
-    name = "RS"
-
-    def make_strategy(self) -> RandomSamplingStrategy:
-        return RandomSamplingStrategy()

@@ -100,9 +100,9 @@ class ProblemArtifacts:
     measurement sets the collector draws paid component runs from), and
     the ML feature encoder.  Nothing here is mutated after construction
     — pools and histories are frozen dataclasses over arrays, and the
-    encoder only memoises deterministic encodings — so any number of
-    problems, sequential or concurrent, may share one bundle by
-    reference with results identical to rebuilding it for each.
+    encoder keeps no state between calls — so any number of problems,
+    sequential or concurrent, may share one bundle by reference with
+    results identical to rebuilding it for each.
     """
 
     workflow: WorkflowDefinition

@@ -14,8 +14,8 @@ detector hands ranking over to ``M_H`` once its batch recall beats
 (Alg. 1 lines 16–24).
 
 The measurement loop itself lives in
-:class:`~repro.core.driver.TuningDriver`; :class:`CealStrategy` supplies
-the proposal policy through the ask/tell contract and reports each
+:class:`~repro.core.driver.TuningDriver`; :class:`Ceal` supplies the
+proposal policy through the ask/tell contract and reports each
 iteration's switch-detector state as a typed
 :class:`~repro.core.driver.ModelSwitchState`.
 """
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
+from repro.core.algorithms.base import TuningAlgorithm
 from repro.core.driver import ModelSwitchState, TuningSession, clip_to_budget
 from repro.core.low_fidelity import LowFidelityModel
 from repro.core.model_switch import ModelSwitchDetector
 
-__all__ = ["CealSettings", "Ceal", "CealStrategy"]
+__all__ = ["CealSettings", "Ceal"]
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class CealSettings:
         return m_r, m_0, iters
 
 
-class CealStrategy(SearchStrategy):
-    """The ask/tell form of Alg. 1.
+@dataclass
+class Ceal(TuningAlgorithm):
+    """The paper's auto-tuning algorithm, in ask/tell form.
 
     ``ask`` hands the driver whatever Alg. 1 queued for measurement
     (seed batch, model-guided top picks, bias-guard injections, then a
@@ -111,14 +112,8 @@ class CealStrategy(SearchStrategy):
     model-switch detection and retrains ``M_H``.
     """
 
-    name = "CEAL"
-
-    def __init__(self, settings: CealSettings) -> None:
-        self.settings = settings
-        self._pending: list = []
-        self._i = 0
-        self._phase = "loop"
-        self._cycle_kind = "iteration"
+    settings: CealSettings = CealSettings()
+    name: str = "CEAL"
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -129,32 +124,14 @@ class CealStrategy(SearchStrategy):
         self.m_r, self.m_0, self.iterations = self.settings.resolve(m)
 
         # -- Phase 1: low-fidelity model (Alg. 1 lines 1–6) -------------------
-        warm = None
-        if problem.warm_start in ("components", "full") and not (
-            self.settings.use_history and collector.histories
-        ):
-            from repro.store.warmstart import component_warm_data
-
-            warm = component_warm_data(problem)
-        if self.settings.use_history and collector.histories:
-            self._component_data = collector.free_component_history()
-        elif warm is not None:
+        self._component_data, source = session.component_data(
+            self.settings.use_history, self.m_r
+        )
+        if source == "warm":
             # Stored solo runs stand in for the paid component batches:
             # m_R drops to zero and the freed budget flows into Phase 2
             # through the m_B formula below.
-            self._component_data = warm
             self.m_r = 0
-            session.annotate(
-                warm_components=sum(len(d.configs) for d in warm.values())
-            )
-        elif self.m_r > 0:
-            self._component_data = collector.measure_components(
-                self.m_r, problem.rng
-            )
-        else:
-            self._component_data = (
-                collector.free_component_history() if collector.histories else {}
-            )
         self._build_low_fidelity(session)
 
         # -- Phase 2 bootstrap (lines 7–12) -----------------------------------
@@ -171,6 +148,9 @@ class CealStrategy(SearchStrategy):
         )
         tracker.mark(top)
         self._pending = to_measure + top
+        self._i = 0
+        self._phase = "loop"
+        self._cycle_kind = "iteration"
 
         self.high_fidelity = problem.make_surrogate()  # M_H (line 12)
         self.detector = ModelSwitchDetector()
@@ -226,13 +206,8 @@ class CealStrategy(SearchStrategy):
 
     def tell(self, session: TuningSession, batch, results: dict) -> None:
         if self._cycle_kind == "residual":
-            measured = session.collector.measured
-            if len(measured) >= 2:
-                session.timed_fit(
-                    self.high_fidelity,
-                    list(measured),
-                    np.array(list(measured.values())),
-                )
+            if session.collector.n_measured >= 2:
+                session.fit_measured(self.high_fidelity)
             return
         self._tell_iteration(session, results)
 
@@ -289,7 +264,7 @@ class CealStrategy(SearchStrategy):
                 )
 
         if len(measured) >= 2:
-            session.timed_fit(self.high_fidelity, all_configs, all_values)  # line 25
+            session.fit_measured(self.high_fidelity)  # line 25
 
         session.annotate(
             model_switch=ModelSwitchState(
@@ -378,14 +353,3 @@ class CealStrategy(SearchStrategy):
             )
         self.detector = ModelSwitchDetector()
         self.detector.switched = state["detector_switched"]
-
-
-@dataclass
-class Ceal(TuningAlgorithm):
-    """The paper's auto-tuning algorithm."""
-
-    settings: CealSettings = CealSettings()
-    name: str = "CEAL"
-
-    def make_strategy(self) -> CealStrategy:
-        return CealStrategy(self.settings)

@@ -63,7 +63,7 @@ class Collector:
     pool:
         Pre-measured workflow pool (ground truth for pool configs).
     objective:
-        The metric being optimised; ``measure`` returns its values.
+        The metric being optimised; ``measure_batch`` returns its values.
     histories:
         Per-label solo measurement sets components are "run" against.
     budget_runs:
@@ -73,7 +73,7 @@ class Collector:
         probability (budget and cost are still charged).
     store:
         Optional :class:`~repro.store.db.StoreBinding`: every paid
-        ``measure``/``measure_components`` batch is durably recorded
+        ``measure_batch``/``measure_components`` batch is durably recorded
         through it (write-through, one transaction per batch).  Purely
         observational — results are bit-identical with or without it.
     """
@@ -145,10 +145,6 @@ class Collector:
         if self.failures > failures_before:
             tel.counter("run_failures").inc(self.failures - failures_before)
         return out
-
-    def measure(self, configs: Sequence[Configuration]) -> dict:
-        """Compatibility alias of :meth:`measure_batch`."""
-        return self.measure_batch(configs)
 
     def _measure(self, configs: Sequence[Configuration]) -> dict:
         out: dict = {}

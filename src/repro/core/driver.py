@@ -42,6 +42,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config.space import Configuration
+from repro.core.collector import ComponentBatchData
 from repro.core.problem import AutotuneResult, TuningProblem
 from repro.telemetry import progress
 
@@ -249,8 +250,10 @@ class TuningSession:
 
     Strategies read the problem, draw from ``rng`` (via
     ``problem.sample_unmeasured``), track attempted configurations in
-    the shared ``tracker``, and report through ``annotate`` /
-    ``timed_fit``; the driver owns event emission and checkpointing.
+    the shared ``tracker``, get their Phase-1 solo data from
+    ``component_data`` / ``history_data``, and report through
+    ``annotate`` / ``timed_fit`` / ``fit_measured``; the driver owns
+    event emission and checkpointing.
     """
 
     problem: TuningProblem
@@ -299,6 +302,48 @@ class TuningSession:
         ):
             scores = np.asarray(model.predict(candidates), dtype=np.float64)
             return self.tracker.take_top(scores, candidates, n)
+
+    def fit_measured(self, model):
+        """Fit ``model`` on every measured sample (:meth:`timed_fit`)."""
+        measured = self.collector.measured
+        return self.timed_fit(model, list(measured), list(measured.values()))
+
+    def component_data(
+        self, use_history: bool, batches: int
+    ) -> tuple[dict[str, ComponentBatchData], str]:
+        """Phase-1 solo measurements (Alg. 1 lines 1–6) and their source.
+
+        The choice, in order: the free component histories, when
+        ``use_history`` and the problem has them (``"history"``); stored
+        solo runs under a ``components``/``full`` warm start, annotated
+        as ``warm_components`` (``"warm"``); ``batches`` paid component
+        batches (``"paid"``); otherwise the free histories, which may be
+        empty (``"history"``).
+        """
+        collector = self.collector
+        if use_history and collector.histories:
+            return collector.free_component_history(), "history"
+        if self.problem.warm_start in ("components", "full"):
+            from repro.store.warmstart import component_warm_data
+
+            warm = component_warm_data(self.problem)
+            if warm is not None:
+                self.annotate(
+                    warm_components=sum(len(d.configs) for d in warm.values())
+                )
+                return warm, "warm"
+        if batches > 0:
+            return collector.measure_components(batches, self.rng), "paid"
+        return collector.free_component_history(), "history"
+
+    def history_data(self, name: str) -> dict[str, ComponentBatchData]:
+        """The free component histories; algorithm ``name`` requires them."""
+        if not self.collector.histories:
+            raise RuntimeError(
+                f"{name} trains its component models on the problem's "
+                "component histories, and this problem has none"
+            )
+        return self.collector.free_component_history()
 
     def timed_fit(self, model, configs, values):
         """Fit ``model`` and charge the wall-clock time to this cycle."""
@@ -366,9 +411,10 @@ class TuningSession:
 class SearchStrategy(abc.ABC):
     """The proposal policy half of a tuning algorithm.
 
-    One strategy instance drives one session; algorithms build a fresh
-    strategy per :meth:`~repro.core.algorithms.TuningAlgorithm.tune`
-    call.  All hooks receive the shared :class:`TuningSession`.
+    One strategy instance drives one session.  Every
+    :class:`~repro.core.algorithms.TuningAlgorithm` is its own strategy:
+    its ``make_strategy`` returns a fresh copy of the algorithm for each
+    session.  All hooks receive the shared :class:`TuningSession`.
     """
 
     #: Display name used in results, reports and checkpoints.
@@ -472,13 +518,29 @@ def save_checkpoint(
 
 def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
     """Atomically persist an already-built checkpoint payload."""
+    _write_atomic(
+        path,
+        lambda handle: pickle.dump(
+            payload, handle, protocol=pickle.HIGHEST_PROTOCOL
+        ),
+    )
+
+
+def _write_atomic(path: str | Path, write) -> None:
+    """Write the file ``path`` through ``write(handle)``, atomically.
+
+    ``write`` fills a uniquely named temporary file in the target
+    directory, which is fsynced and renamed over ``path``; on any
+    failure the temporary file is removed.  Readers see the previous
+    complete file or the new one, never a torn one.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -79,10 +79,10 @@ class TuningProblem:
         write-through recording, enables the ``warm_start`` modes, and
         backs the problem's :class:`~repro.store.registry.ModelRegistry`
         (without a store, fits run directly and hash nothing).
-        ``encoder`` optionally shares a prebuilt (possibly warm)
+        ``encoder`` optionally shares a prebuilt
         :class:`~repro.config.encoding.ConfigEncoder` instead of
-        deriving a fresh one per surrogate — encoders only memoise
-        deterministic encodings, so sharing never changes results.
+        deriving a fresh one per surrogate — encoders keep no state
+        between calls, so sharing never changes results.
         """
         if budget_runs < 2:
             raise ValueError("budget_runs must be at least 2")

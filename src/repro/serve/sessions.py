@@ -40,9 +40,7 @@ served transparently.  Anything else is a ``stale_ask`` error.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 import time
 import uuid
@@ -55,6 +53,7 @@ from repro.core.driver import (
     CheckpointError,
     TuningDriver,
     TuningSession,
+    _write_atomic,
     load_checkpoint,
 )
 from repro.core.problem import AutotuneResult
@@ -100,9 +99,7 @@ class SessionRunner:
     ):
         self.name = name
         self.spec = spec
-        algorithm = build_algorithm(spec)
-        self.strategy = algorithm.make_strategy()
-        self.strategy.name = algorithm.name
+        self.strategy = build_algorithm(spec).make_strategy()
         self.problem = build_problem(
             spec, store=store, artifacts=cache.problem_artifacts(spec)
         )
@@ -331,24 +328,6 @@ def _unlink(name: str, path: Path) -> None:
         ) from exc
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class SessionManager:
     """Named tuning sessions with LRU eviction and crash recovery.
 
@@ -511,9 +490,13 @@ class SessionManager:
                 runner = SessionRunner(
                     name, spec, checkpoint_path, self.cache, store=self.store
                 )
-                _write_json_atomic(
-                    spec_path,
+                spec_json = json.dumps(
                     {"spec": spec.as_dict(), "protocol": PROTOCOL_VERSION},
+                    indent=2,
+                    sort_keys=True,
+                )
+                _write_atomic(
+                    spec_path, lambda handle: handle.write(spec_json.encode())
                 )
                 runner.start()
             except Exception as exc:

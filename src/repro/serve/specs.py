@@ -20,6 +20,7 @@ driven through the server matches an offline
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from repro.core.autotuner import (
@@ -50,7 +51,9 @@ class SessionSpec:
     ``seed`` drives pool sampling, component histories, and the tuning
     RNG; ``warm_start`` needs the daemon to be bound to a measurement
     store.  ``history_size`` is exposed (the AutoTuner default is 500)
-    so hundred-session load tests can keep setup cheap.
+    so hundred-session load tests can keep setup cheap.  Fields are
+    type-checked, not coerced: the integer fields take integers only
+    (not bools), ``use_history`` a bool, ``noise_sigma`` a number.
     """
 
     workflow: str = "LV"
@@ -88,16 +91,31 @@ class SessionSpec:
                 f"warm_start must be one of {_WARM_STARTS}, "
                 f"got {self.warm_start!r}",
             )
-        if int(self.budget) < 2:
+        for name in ("budget", "pool_size", "seed", "history_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ServeError(
+                    "bad_request", f"{name} must be an integer, got {value!r}"
+                )
+        if not isinstance(self.use_history, bool):
+            raise ServeError(
+                "bad_request",
+                f"use_history must be true or false, got {self.use_history!r}",
+            )
+        if self.budget < 2:
             raise ServeError("bad_request", "budget must be at least 2")
-        if int(self.pool_size) < 2:
+        if self.pool_size < 2:
             raise ServeError("bad_request", "pool_size must be at least 2")
         # Every component model trains on its solo history, which needs
         # at least two samples.
-        if int(self.history_size) < 2:
+        if self.history_size < 2:
             raise ServeError("bad_request", "history_size must be at least 2")
-        noise = float(self.noise_sigma)
-        if not (math.isfinite(noise) and noise >= 0):
+        noise = self.noise_sigma
+        if (
+            isinstance(noise, bool)
+            or not isinstance(noise, numbers.Real)
+            or not (math.isfinite(noise) and noise >= 0)
+        ):
             raise ServeError(
                 "bad_request", "noise_sigma must be a finite number >= 0"
             )
@@ -123,7 +141,7 @@ class SessionSpec:
 
 
 def build_algorithm(spec: SessionSpec):
-    """The spec's tuning algorithm instance (strategy factory)."""
+    """The spec's tuning algorithm instance."""
     return make_algorithm(spec.algorithm, spec.use_history)
 
 

@@ -11,6 +11,7 @@ from repro.core.algorithms import (
     split_batches,
 )
 from repro.core.algorithms.base import CandidateTracker
+from repro.core.autotuner import ALGORITHMS, make_algorithm
 from repro.core.objectives import EXECUTION_TIME
 from repro.core.problem import TuningProblem
 
@@ -160,3 +161,32 @@ class TestAlph:
         # The surrogate's feature function exists and produces 2 extra cols.
         extra = result.model.extra_features(list(problem.pool.configs[:4]))
         assert extra.shape == (2, 4) or extra.shape == (4, 2)
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_one_instance_tunes_many_problems(name, lv, lv_pool, lv_histories):
+    """Per-session state lives on each session's copy of the algorithm,
+    so a reused instance matches a fresh instance per problem."""
+
+    def problems():
+        return [
+            TuningProblem.create(
+                lv, EXECUTION_TIME, lv_pool, budget, seed=seed,
+                histories=lv_histories,
+            )
+            for budget, seed in ((BUDGET, 3), (12, 4))
+        ]
+
+    def outcome(result):
+        return (
+            result.algorithm,
+            list(result.measured.items()),
+            result.runs_used,
+            result.cost_core_hours,
+            [e.as_dict(include_timing=False) for e in result.trace],
+        )
+
+    shared = make_algorithm(name)
+    reused = [outcome(shared.tune(p)) for p in problems()]
+    fresh = [outcome(make_algorithm(name).tune(p)) for p in problems()]
+    assert reused == fresh

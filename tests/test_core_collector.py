@@ -20,24 +20,24 @@ def collector(lv_pool, lv_histories):
 class TestWorkflowRuns:
     def test_measure_returns_objective_values(self, collector, lv_pool):
         configs = lv_pool.configs[:3]
-        result = collector.measure(configs)
+        result = collector.measure_batch(configs)
         for config in configs:
             assert result[config] == lv_pool.lookup(config).execution_seconds
         assert collector.runs_used == 3
 
     def test_budget_enforced(self, collector, lv_pool):
-        collector.measure(lv_pool.configs[:10])
+        collector.measure_batch(lv_pool.configs[:10])
         with pytest.raises(BudgetExhausted):
-            collector.measure(lv_pool.configs[10:11])
+            collector.measure_batch(lv_pool.configs[10:11])
 
     def test_remeasure_rejected(self, collector, lv_pool):
-        collector.measure(lv_pool.configs[:1])
+        collector.measure_batch(lv_pool.configs[:1])
         with pytest.raises(ValueError, match="already measured"):
-            collector.measure(lv_pool.configs[:1])
+            collector.measure_batch(lv_pool.configs[:1])
 
     def test_cost_accumulates_both_units(self, collector, lv_pool):
         configs = lv_pool.configs[:2]
-        collector.measure(configs)
+        collector.measure_batch(configs)
         expected_exec = sum(lv_pool.lookup(c).execution_seconds for c in configs)
         expected_ch = sum(lv_pool.lookup(c).computer_core_hours for c in configs)
         assert collector.cost_execution_seconds == pytest.approx(expected_exec)
@@ -113,7 +113,7 @@ class TestFaultInjection:
             failure_rate=0.5,
             failure_seed=1,
         )
-        result = collector.measure(lv_pool.configs[:60])
+        result = collector.measure_batch(lv_pool.configs[:60])
         assert collector.runs_used == 60
         assert collector.failures > 5
         assert len(result) == 60 - collector.failures

@@ -116,7 +116,7 @@ class TestCollectorBudget:
             pool=lv_pool, objective=EXECUTION_TIME, budget_runs=None
         )
         assert collector.runs_remaining == math.inf
-        collector.measure([lv_pool.configs[0]])
+        collector.measure_batch([lv_pool.configs[0]])
         assert collector.runs_remaining == math.inf
         assert collector.runs_used == 1
 
@@ -125,7 +125,7 @@ class TestCollectorBudget:
             pool=lv_pool, objective=EXECUTION_TIME, budget_runs=3
         )
         assert collector.runs_remaining == 3
-        collector.measure(list(lv_pool.configs[:2]))
+        collector.measure_batch(list(lv_pool.configs[:2]))
         assert collector.runs_remaining == 1
 
     def test_clip_to_budget_handles_inf(self, lv, lv_pool):
@@ -140,7 +140,7 @@ class TestCollectorBudget:
             pool=lv_pool, objective=EXECUTION_TIME, budget_runs=5,
             failure_rate=0.5, failure_seed=1,
         )
-        collector.measure(list(lv_pool.configs[:3]))
+        collector.measure_batch(list(lv_pool.configs[:3]))
         state = collector.state_dict()
         other = Collector(
             pool=lv_pool, objective=EXECUTION_TIME, budget_runs=5,
@@ -150,8 +150,8 @@ class TestCollectorBudget:
         assert list(other.measured) == list(collector.measured)
         assert other.runs_used == collector.runs_used
         # The fault-injection stream continues identically.
-        a = collector.measure(list(lv_pool.configs[3:5]))
-        b = other.measure(list(lv_pool.configs[3:5]))
+        a = collector.measure_batch(list(lv_pool.configs[3:5]))
+        b = other.measure_batch(list(lv_pool.configs[3:5]))
         assert a == b
 
 

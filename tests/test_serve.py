@@ -18,7 +18,12 @@ import pytest
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.protocol import ServeError, latency_digest
 from repro.serve.sessions import SessionManager
-from repro.serve.specs import SessionSpec, build_algorithm, build_problem
+from repro.serve.specs import (
+    ALGORITHMS,
+    SessionSpec,
+    build_algorithm,
+    build_problem,
+)
 
 SMALL = dict(budget=8, pool_size=60, history_size=40, seed=3)
 
@@ -67,24 +72,29 @@ def drive(manager: SessionManager, name: str, evict_every_step=False) -> dict:
     raise AssertionError("session did not finish in 100 cycles")
 
 
+#: Every algorithm with free histories (ceal and rs under both cache
+#: regimes), plus the two that pay for Phase 1 without them.
+EVICTION_CASES = [
+    pytest.param(algorithm, cache_mode, True, id=f"{algorithm}-{cache_mode}")
+    for algorithm in ALGORITHMS
+    for cache_mode in (CACHE_MODES if algorithm in ("ceal", "rs") else ("on",))
+] + [
+    pytest.param(algorithm, "on", False, id=f"{algorithm}-on-no-history")
+    for algorithm in ("ceal", "alph")
+]
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize(
-        "algorithm,cache_mode",
-        [
-            ("ceal", "on"),
-            ("ceal", "thrash"),
-            ("rs", "on"),
-            ("rs", "thrash"),
-            ("bo", "on"),
-            ("bandit", "on"),
-        ],
-        ids=lambda v: str(v),
+        "algorithm,cache_mode,use_history", EVICTION_CASES
     )
     def test_eviction_every_step_matches_offline(
-        self, tmp_path, algorithm, cache_mode
+        self, tmp_path, algorithm, cache_mode, use_history
     ):
         """Eviction forced between every single request: byte-equal."""
-        spec = SessionSpec(algorithm=algorithm, use_history=True, **SMALL)
+        spec = SessionSpec(
+            algorithm=algorithm, use_history=use_history, **SMALL
+        )
         straight = offline_result(spec)
         manager = SessionManager(
             tmp_path / "state", max_active=4, cache=make_cache(cache_mode)
@@ -146,6 +156,20 @@ class TestBitIdentity:
         assert rehydrated["completed"] is True
         assert rehydrated["recommended_config"] == best["recommended_config"]
         assert rehydrated["recommended_value"] == best["recommended_value"]
+
+
+#: Spec fields of the wrong type, each of which a coercing spec would
+#: have accepted.
+MISTYPED = [
+    ("budget", 8.7),
+    ("pool_size", "60"),
+    ("seed", 3.9),
+    ("seed", True),
+    ("history_size", 40.0),
+    ("use_history", "false"),
+    ("use_history", 1),
+    ("noise_sigma", "0.05"),
+]
 
 
 class TestLifecycleAndErrors:
@@ -264,6 +288,19 @@ class TestLifecycleAndErrors:
         with pytest.raises(ServeError) as err:
             manager.create(spec, name="s")
         assert err.value.code == "bad_request"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        MISTYPED,
+        ids=[f"{field}-{type(value).__name__}" for field, value in MISTYPED],
+    )
+    def test_mistyped_spec_fields(self, field, value):
+        """Fields are type-checked, never coerced: ``"false"`` is not
+        false, and a fractional budget is not silently truncated."""
+        with pytest.raises(ServeError) as err:
+            SessionSpec.from_dict({**SMALL, "algorithm": "ceal", field: value})
+        assert err.value.code == "bad_request"
+        assert field in err.value.message
 
     def test_failed_prepare_leaves_nothing_behind(self, tmp_path):
         """A spec that validates but cannot be prepared (CEAL needs a
