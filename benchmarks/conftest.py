@@ -7,7 +7,7 @@ evaluation and prints the reproduced rows.  Scale knobs (the paper uses
 ``REPRO_BENCH_REPEATS``
     Trials per algorithm per cell (default 4).
 ``REPRO_BENCH_POOL``
-    Measured-pool size (default 600).
+    Measured-pool size (default 1000).
 ``REPRO_BENCH_SEED``
     Base seed (default 2021).
 ``REPRO_BENCH_JOBS``

@@ -4,8 +4,7 @@ A :class:`RunTracer` passed to :func:`repro.insitu.coupled.run_coupled`
 records a timeline of component activity — step compute intervals,
 publishes, drains, and blocking waits — without perturbing the
 simulation.  Useful for understanding *why* a configuration is slow
-(e.g. producer back-pressure vs consumer starvation) and used by the
-``molecular_dynamics_lv`` example's diagnostics.
+(e.g. producer back-pressure vs consumer starvation).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.ml.metrics import (
 )
 from repro.ml.neighbors import KNeighborsRegressor
 from repro.ml.tree import RegressionTree
-from repro.ml.validation import kfold_indices, train_test_split
 
 __all__ = [
     "GaussianProcessRegressor",
@@ -39,9 +38,7 @@ __all__ = [
     "RandomForestRegressor",
     "RegressionTree",
     "absolute_percentage_errors",
-    "kfold_indices",
     "mdape",
     "rmse",
     "top_n_overlap",
-    "train_test_split",
 ]

@@ -17,7 +17,6 @@ ROADMAP item 1.  The package splits into orthogonal layers:
 * :mod:`repro.serve.http` — stdlib asyncio JSON-over-HTTP daemon with
   a bounded worker pool and graceful SIGTERM drain.
 * :mod:`repro.serve.client` — blocking keep-alive client.
-* :mod:`repro.serve.loadgen` — the BENCH_serve load generator.
 
 Start a daemon with ``repro serve --state-dir .serve`` and talk to it
 with :class:`ServeClient`; see README's "Tuning as a service" section.
@@ -25,7 +24,6 @@ with :class:`ServeClient`; see README's "Tuning as a service" section.
 
 from repro.serve.client import ServeClient
 from repro.serve.http import BackgroundServer, TuningServer, run_daemon
-from repro.serve.loadgen import apply_floors, run_load
 from repro.serve.protocol import ERROR_CODES, PROTOCOL_VERSION, ServeError
 from repro.serve.sessions import SessionManager, SessionRunner
 from repro.serve.specs import ALGORITHMS, SessionSpec
@@ -41,7 +39,5 @@ __all__ = [
     "SessionRunner",
     "SessionSpec",
     "TuningServer",
-    "apply_floors",
     "run_daemon",
-    "run_load",
 ]

@@ -1,9 +1,9 @@
 """Blocking stdlib client for the tuning service.
 
 ``http.client`` with a persistent keep-alive connection — the natural
-counterpart of :mod:`repro.serve.http` for scripts, tests, and the load
-generator.  Server-side failures surface as the same
-:class:`~repro.serve.protocol.ServeError` the daemon raised, carrying
+counterpart of :mod:`repro.serve.http` for scripts, tests, and the
+benchmark's closed-loop clients.  Server-side failures surface as the
+same :class:`~repro.serve.protocol.ServeError` the daemon raised, carrying
 the structured code (``unknown_session``, ``stale_ask``, ...), so
 callers branch on ``exc.code`` rather than scraping messages.
 
@@ -30,7 +30,7 @@ class ServeClient:
     """Thin blocking JSON client for one tuning daemon.
 
     Not thread-safe (one underlying connection); give each thread its
-    own instance — the load generator does exactly that.
+    own instance, as perfbench's ``served_churn`` client threads do.
     """
 
     def __init__(

@@ -57,6 +57,10 @@ __all__ = ["BackgroundServer", "TuningServer", "run_daemon"]
 #: Largest accepted request body; every real body here is < 1 KiB.
 MAX_BODY_BYTES = 1 << 20
 
+#: How long a connection refused for a malformed request keeps reading
+#: (and dropping) what the client is still sending before it closes.
+LINGER_SECONDS = 1.0
+
 #: Latency histogram buckets (seconds) for request timing.
 _LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
@@ -138,6 +142,7 @@ class TuningServer:
                     self._write_response(
                         writer, exc.http_status, exc.as_dict(), False
                     )
+                    await self._linger(reader, writer)
                     break
                 if request is None:
                     break
@@ -163,7 +168,34 @@ class TuningServer:
                 pass
 
     @staticmethod
-    async def _read_request(reader):
+    async def _linger(reader, writer) -> None:
+        """Half-close after an error reply, then drop the unread request.
+
+        Closing a socket whose input is still queued makes the kernel
+        answer with a reset, which can destroy the reply before the
+        client has read it.
+        """
+        await writer.drain()
+        writer.write_eof()
+
+        async def discard():
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_SECONDS)
+        except (asyncio.TimeoutError, TimeoutError):
+            pass
+
+    @classmethod
+    async def _read_request(cls, reader):
+        try:
+            return await cls._parse_request(reader)
+        except ValueError as exc:  # a line past the reader's limit, a bad URL
+            raise ServeError("bad_request", f"malformed request: {exc}") from exc
+
+    @staticmethod
+    async def _parse_request(reader):
         line = await reader.readline()
         if not line:
             return None
@@ -347,7 +379,7 @@ def run_daemon(
     """Run the daemon until SIGTERM/SIGINT; returns a CLI exit code.
 
     Prints one machine-greppable readiness line (``listening on ...``)
-    so wrappers (CI smoke, the load generator) can wait for startup,
+    so wrappers (CI smoke, perfbench's ``served_churn``) can wait for startup,
     and exits 0 on a graceful signal — the CLI then flushes telemetry
     through the normal post-command path.
     """
@@ -393,7 +425,7 @@ def run_daemon(
 
 
 class BackgroundServer:
-    """An in-process daemon on a background thread (tests, load gen).
+    """An in-process daemon on a background thread (tests).
 
     Usage::
 

@@ -40,6 +40,7 @@ served transparently.  Anything else is a ``stale_ask`` error.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -58,7 +59,7 @@ from repro.core.driver import (
 )
 from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
-from repro.serve.protocol import PROTOCOL_VERSION, ServeError, latency_digest
+from repro.serve.protocol import PROTOCOL_VERSION, ServeError
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
 from repro.store.registry import ModelRegistry
 
@@ -326,6 +327,30 @@ def _unlink(name: str, path: Path) -> None:
         raise ServeError(
             "internal", f"session {name!r}: cannot delete {path.name}: {exc}"
         ) from exc
+
+
+def _latency_digest(values) -> dict:
+    """Nearest-rank digest of a latency series: count, mean, p50/p95/p99, max.
+
+    Every value is rounded to 3 decimals; an empty series is
+    ``{"count": 0}``.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        return {"count": 0}
+
+    def pct(q: float) -> float:
+        index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+        return round(ordered[index], 3)
+
+    return {
+        "count": len(ordered),
+        "mean": round(sum(ordered) / len(ordered), 3),
+        "p50": pct(0.50),
+        "p95": pct(0.95),
+        "p99": pct(0.99),
+        "max": round(ordered[-1], 3),
+    }
 
 
 class SessionManager:
@@ -671,7 +696,7 @@ class SessionManager:
             "directory": str(self.directory),
             "store": None if self.store is None else self.store.path,
             "cache": self.cache.stats(),
-            "rehydrate_ms": latency_digest(rehydrate_ms),
+            "rehydrate_ms": _latency_digest(rehydrate_ms),
         }
 
     def shutdown(self) -> None:

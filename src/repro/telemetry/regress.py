@@ -36,7 +36,6 @@ __all__ = [
     "RunSnapshot",
     "check_floors",
     "diff_runs",
-    "list_runs",
     "load_run",
     "render_diff",
     "render_floors",
@@ -87,11 +86,6 @@ def _open_store(store):
     if isinstance(store, MeasurementStore):
         return store
     return MeasurementStore(store)
-
-
-def list_runs(store) -> list[dict]:
-    """Every persisted run's provenance row, oldest first."""
-    return _open_store(store).telemetry_runs()
 
 
 def load_run(store, ref: str | int | None = None) -> RunSnapshot:

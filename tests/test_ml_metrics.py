@@ -1,4 +1,4 @@
-"""Unit tests for ML metrics (APE, MdAPE, top-n overlap) and validation."""
+"""Unit tests for ML metrics (APE, MdAPE, top-n overlap)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.ml.metrics import (
     top_n_indices,
     top_n_overlap,
 )
-from repro.ml.validation import cross_val_mdape, kfold_indices, train_test_split
 
 
 class TestApe:
@@ -76,41 +75,3 @@ class TestTopN:
         with pytest.raises(ValueError):
             top_n_indices(np.arange(3.0), 0)
 
-
-class TestValidation:
-    def test_split_partitions(self):
-        rng = np.random.default_rng(0)
-        train, test = train_test_split(20, 0.25, rng)
-        assert len(train) + len(test) == 20
-        assert len(set(train) & set(test)) == 0
-        assert len(test) == 5
-
-    def test_split_bad_fraction(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            train_test_split(10, 0.0, rng)
-
-    def test_kfold_covers_everything(self):
-        rng = np.random.default_rng(0)
-        folds = kfold_indices(17, 4, rng)
-        assert len(folds) == 4
-        all_val = np.concatenate([v for _, v in folds])
-        assert sorted(all_val.tolist()) == list(range(17))
-        for train, val in folds:
-            assert len(set(train) & set(val)) == 0
-
-    def test_kfold_too_few_samples(self):
-        with pytest.raises(ValueError):
-            kfold_indices(3, 4, np.random.default_rng(0))
-
-    def test_cross_val_mdape_runs(self):
-        from repro.ml.boosting import GradientBoostedTrees
-
-        rng = np.random.default_rng(0)
-        X = rng.uniform(1, 2, size=(40, 2))
-        y = X[:, 0] * 10
-        score = cross_val_mdape(
-            lambda: GradientBoostedTrees(n_estimators=20, random_state=0),
-            X, y, 4, rng,
-        )
-        assert 0 <= score < 50

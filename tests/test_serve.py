@@ -16,8 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.serve.artifacts import ArtifactCache
-from repro.serve.protocol import ServeError, latency_digest
-from repro.serve.sessions import SessionManager
+from repro.serve.protocol import ServeError
+from repro.serve.sessions import SessionManager, _latency_digest
 from repro.serve.specs import (
     ALGORITHMS,
     SessionSpec,
@@ -439,7 +439,7 @@ class TestTelemetry:
 class TestLatencyDigest:
     def test_known_series(self):
         values = [i + 0.12345 for i in range(1, 21)]
-        digest = latency_digest(values[::-1])  # order does not matter
+        digest = _latency_digest(values[::-1])  # order does not matter
         assert digest == {
             "count": 20,
             "mean": 10.623,
@@ -450,6 +450,6 @@ class TestLatencyDigest:
         }
 
     def test_empty_series(self, tmp_path):
-        assert latency_digest([]) == {"count": 0}
+        assert _latency_digest([]) == {"count": 0}
         manager = SessionManager(tmp_path / "state")
         assert manager.stats()["rehydrate_ms"] == {"count": 0}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -67,8 +68,13 @@ class TestEndToEnd:
     def test_concurrent_sessions_with_eviction_churn(self, served):
         server, client = served
         names = [f"c{i}" for i in range(6)]  # > max_active=4: churn
-        for index, name in enumerate(names):
-            client.create_session({**SMALL, "seed": index}, name=name)
+        # A model-fitting algorithm beside ``rs`` keeps the model tier busy.
+        specs = {
+            name: {**SMALL, "seed": index, "algorithm": ("rs", "lowfid")[index % 2]}
+            for index, name in enumerate(names)
+        }
+        for name in names:
+            client.create_session(specs[name], name=name)
         results = {}
         failures = []
 
@@ -85,13 +91,19 @@ class TestEndToEnd:
         for t in threads:
             t.join()
         assert not failures
-        for index, name in enumerate(names):
-            spec = SessionSpec(**{**SMALL, "seed": index})
+        for name in names:
+            spec = SessionSpec(**specs[name])
             straight = build_algorithm(spec).tune(build_problem(spec))
             pool = build_problem(spec).pool
             assert results[name]["recommended_config"] == list(
                 straight.best_config(pool)
             ), name
+        # The churn went through rehydration, and every cache tier served it.
+        stats = client.health()["stats"]
+        assert stats["rehydrate_ms"]["count"] > 0, stats
+        for tier in ("problem", "model", "snapshot"):
+            assert stats["cache"][tier]["hits"] > 0, (tier, stats["cache"])
+        assert stats["active"] <= stats["max_active"], stats
 
     @pytest.mark.parametrize("cache_mode", ["on", "thrash"], ids=str)
     def test_restart_mid_session_finishes_bit_identically(
@@ -175,6 +187,28 @@ class TestWireErrors:
         assert response.status == 400
         assert json.loads(response.read())["error"]["code"] == "bad_request"
         conn.close()
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET //[ HTTP/1.1\r\n\r\n",
+        ],
+        ids=["long_header_line", "long_request_line", "bad_target"],
+    )
+    def test_malformed_request_head_is_bad_request(self, served, request_head):
+        # The long lines pass the stream reader's 64 KiB line limit.
+        server, client = served
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request_head)
+            reply = b""
+            while chunk := sock.recv(1 << 16):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert client.health()["ok"] is True
 
     def test_request_timeout_is_structured(self, tmp_path):
         # A zero budget times out deterministically: wait_for(0) fires
