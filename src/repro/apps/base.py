@@ -13,6 +13,18 @@ know about one application:
 The in-situ runner (:mod:`repro.insitu`) drives these per-step profiles
 through the DES engine; :meth:`ComponentApp.solo_run` produces the
 closed-form standalone execution used to train CEAL's component models.
+
+Placement, step profile and start-up cost each have an array form
+(``placement_batch``, ``step_profile_batch``, ``startup_seconds_batch``)
+over *columns*: one array per parameter of the app's space, one row
+per configuration.  Pool builds and histories evaluate a whole batch
+through them (:mod:`repro.insitu.fast`, :meth:`ComponentApp.
+solo_run_batch`); every row must equal the scalar method bit for bit,
+and the scalar methods stay the reference.  The catalog apps implement
+the array forms with numpy.  By default an array form calls its scalar
+method row by row, and a subclass that overrides a scalar method
+without its array form gets that row loop back, so the two never
+disagree.
 """
 
 from __future__ import annotations
@@ -20,7 +32,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.cluster.allocation import Placement
+import numpy as np
+
+from repro.cluster.allocation import Placement, placement_ok_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace
 
@@ -75,8 +89,54 @@ class SoloRunResult:
     nodes: int
 
 
+def _rows(columns) -> list[Configuration]:
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _placement_rows(self, columns) -> Placement:
+    placements = [self.placement(config) for config in _rows(columns)]
+    return Placement(
+        *(
+            np.array([getattr(p, name) for p in placements], dtype=np.int64)
+            for name in ("procs", "procs_per_node", "threads_per_proc", "nodes")
+        )
+    )
+
+
+def _step_profile_rows(self, machine, columns, input_bytes):
+    profiles = [
+        self.step_profile(machine, config, b)
+        for config, b in zip(_rows(columns), input_bytes.tolist())
+    ]
+    return (
+        np.array([p.compute_seconds for p in profiles], dtype=np.float64),
+        np.array([p.output_bytes for p in profiles], dtype=np.float64),
+    )
+
+
+def _startup_seconds_rows(self, machine, columns):
+    return np.array(
+        [self.startup_seconds(machine, config) for config in _rows(columns)],
+        dtype=np.float64,
+    )
+
+
+#: Scalar method -> (its array form, the row loop that stands in for it).
+_ARRAY_FORMS = {
+    "placement": ("placement_batch", _placement_rows),
+    "step_profile": ("step_profile_batch", _step_profile_rows),
+    "startup_seconds": ("startup_seconds_batch", _startup_seconds_rows),
+}
+
+
 class ComponentApp(abc.ABC):
     """Abstract base of all component application models."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for scalar, (array, rows) in _ARRAY_FORMS.items():
+            if scalar in vars(cls) and array not in vars(cls):
+                setattr(cls, array, rows)
 
     #: Application name; also the label prefix in joint workflow spaces.
     name: str = "app"
@@ -116,6 +176,21 @@ class ComponentApp(abc.ABC):
 
         return startup_seconds(self.placement(config))
 
+    # -- array forms (one row per configuration; see the module docstring) ----------
+
+    #: ``placement_batch(columns)``: a :class:`Placement` of integer arrays.
+    placement_batch = _placement_rows
+
+    #: ``step_profile_batch(machine, columns, input_bytes)``: the arrays
+    #: ``(compute_seconds, output_bytes)``; ``input_bytes`` is an array.
+    step_profile_batch = _step_profile_rows
+
+    def startup_seconds_batch(self, machine: Machine, columns) -> np.ndarray:
+        """Array form of :meth:`startup_seconds` (the MPI bring-up model)."""
+        from repro.apps.scaling import startup_seconds_batch
+
+        return startup_seconds_batch(self.placement_batch(columns))
+
     # -- standalone execution -------------------------------------------------------
 
     def solo_run(
@@ -147,6 +222,29 @@ class ComponentApp(abc.ABC):
             computer_core_hours=machine.core_hours(exec_seconds, placement.nodes),
             nodes=placement.nodes,
         )
+
+    def solo_run_batch(self, machine: Machine, columns, n_steps) -> tuple:
+        """Array form of :meth:`solo_run`: ``(execution_seconds,
+        computer_core_hours)`` arrays, ``n_steps`` an integer array."""
+        n_steps = np.asarray(n_steps)
+        if np.any(n_steps < 1):
+            raise ValueError("n_steps must be >= 1")
+        placement = self.placement_batch(columns)
+        bad = np.flatnonzero(~placement_ok_batch(placement, machine))
+        if bad.size:  # the scalar run raises this row's error
+            row = bad[0]
+            self.solo_run(machine, _rows(columns)[row], int(n_steps[row]))
+        compute, output = self.step_profile_batch(
+            machine, columns, np.full(len(n_steps), self.nominal_input_bytes)
+        )
+        pfs_seconds = (self.nominal_input_bytes + output) / (
+            PFS_BANDWIDTH_GBPS * 1e9
+        )
+        exec_seconds = self.startup_seconds_batch(machine, columns) + n_steps * (
+            compute + pfs_seconds
+        )
+        core_hours = exec_seconds * placement.nodes * machine.node.cores / 3600.0
+        return exec_seconds, core_hours
 
     # -- conveniences ---------------------------------------------------------------
 

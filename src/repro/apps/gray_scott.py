@@ -13,14 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
 from repro.apps.scaling import (
     amdahl_compute_seconds,
+    amdahl_compute_seconds_batch,
     collective_seconds,
+    collective_seconds_batch,
     exchange_seconds,
+    exchange_seconds_batch,
     halo_bytes_3d,
+    halo_bytes_3d_batch,
 )
-from repro.cluster.allocation import Placement, place_component
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, int_range
 
@@ -64,6 +70,10 @@ class GrayScott(ComponentApp):
         procs, ppn = config
         return place_component(procs, ppn, 1)
 
+    def placement_batch(self, columns) -> Placement:
+        procs, ppn = columns
+        return place_component_batch(procs, ppn, 1)
+
     @property
     def field_bytes(self) -> float:
         """One concentration field dump (u field, 8-byte doubles)."""
@@ -96,4 +106,31 @@ class GrayScott(ComponentApp):
         return StepProfile(
             compute_seconds=compute + halo + reductions,
             output_bytes=self.field_bytes,
+        )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        placement = self.placement_batch(columns)
+        cells = float(self.grid_side) ** 3
+        work_gflop = (
+            cells * 2.0 * self.flops_per_cell * 1e-9 * self.sweeps_per_step
+        )
+        compute = amdahl_compute_seconds_batch(
+            machine,
+            placement,
+            work_gflop,
+            self.serial_fraction,
+            thread_efficiency=0.0,
+            bytes_per_flop=self.bytes_per_flop,
+            imbalance_per_doubling=self.imbalance_per_doubling,
+        )
+        halo = self.sweeps_per_step * exchange_seconds_batch(
+            machine,
+            placement,
+            halo_bytes_3d_batch(2.0 * self.field_bytes, placement.procs),
+            messages_per_proc=6.0,
+        )
+        reductions = 4.0 * collective_seconds_batch(machine, placement.procs)
+        return (
+            compute + halo + reductions,
+            np.full(len(compute), self.field_bytes),
         )

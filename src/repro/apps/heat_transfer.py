@@ -18,14 +18,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
 from repro.apps.scaling import (
     amdahl_compute_seconds,
+    amdahl_compute_seconds_batch,
     collective_seconds,
+    collective_seconds_batch,
     exchange_seconds,
+    exchange_seconds_batch,
     halo_bytes_2d,
+    halo_bytes_2d_batch,
+    per_distinct,
 )
-from repro.cluster.allocation import Placement, place_component
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import (
     Configuration,
@@ -80,6 +87,10 @@ class HeatTransfer(ComponentApp):
     def placement(self, config: Configuration) -> Placement:
         px, py, ppn, _outputs, _buffer = config
         return place_component(px * py, ppn, 1)
+
+    def placement_batch(self, columns) -> Placement:
+        px, py, ppn, _outputs, _buffer = columns
+        return place_component_batch(px * py, ppn, 1)
 
     @property
     def grid_bytes(self) -> float:
@@ -139,4 +150,41 @@ class HeatTransfer(ComponentApp):
             + sweeps * (halo_per_sweep + reduction)
             + drain_overhead,
             output_bytes=self.grid_bytes,
+        )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        px, py, ppn, outputs, buffer_mb = columns
+        placement = self.placement_batch(columns)
+        sweeps = self.total_sweeps / outputs
+        work_gflop = (
+            self.grid_side * self.grid_side * self.flops_per_cell * 1e-9 * sweeps
+        )
+        compute = amdahl_compute_seconds_batch(
+            machine,
+            placement,
+            work_gflop,
+            self.serial_fraction,
+            thread_efficiency=0.0,
+            bytes_per_flop=self.bytes_per_flop,
+            imbalance_per_doubling=0.005,
+        )
+        workset = 3.0 * self.grid_bytes / placement.procs
+        cache_share = self.llc_bytes / np.maximum(placement.procs_per_node, 1)
+        penalty = 1.0 + self.cache_penalty_per_doubling * per_distinct(
+            math.log2, workset / cache_share
+        )
+        compute = np.where(workset > cache_share, compute * penalty, compute)
+        halo_per_sweep = exchange_seconds_batch(
+            machine,
+            placement,
+            halo_bytes_2d_batch(self.grid_bytes, px, py),
+            messages_per_proc=4.0,
+        )
+        reduction = collective_seconds_batch(machine, placement.procs)
+        per_proc_output = self.grid_bytes / placement.procs
+        drains = np.maximum(1, np.ceil(per_proc_output / (buffer_mb * 1e6)))
+        drain_overhead = (drains - 1) * 0.03
+        return (
+            compute + sweeps * (halo_per_sweep + reduction) + drain_overhead,
+            np.full(len(compute), self.grid_bytes),
         )

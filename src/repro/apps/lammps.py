@@ -14,14 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
 from repro.apps.scaling import (
     amdahl_compute_seconds,
+    amdahl_compute_seconds_batch,
     collective_seconds,
+    collective_seconds_batch,
     exchange_seconds,
+    exchange_seconds_batch,
     halo_bytes_3d,
+    halo_bytes_3d_batch,
 )
-from repro.cluster.allocation import Placement, place_component
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, int_range
 
@@ -75,6 +81,10 @@ class Lammps(ComponentApp):
         procs, ppn, threads = config
         return place_component(procs, ppn, threads)
 
+    def placement_batch(self, columns) -> Placement:
+        procs, ppn, threads = columns
+        return place_component_batch(procs, ppn, threads)
+
     @property
     def stream_bytes_per_step(self) -> float:
         """Positions + velocities: 6 doubles per atom."""
@@ -106,4 +116,27 @@ class Lammps(ComponentApp):
         return StepProfile(
             compute_seconds=compute + halo + collectives,
             output_bytes=self.stream_bytes_per_step,
+        )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        placement = self.placement_batch(columns)
+        compute = amdahl_compute_seconds_batch(
+            machine,
+            placement,
+            self.work_gflop_per_step,
+            self.serial_fraction,
+            self.thread_efficiency,
+            self.bytes_per_flop,
+            self.imbalance_per_doubling,
+        )
+        halo = exchange_seconds_batch(
+            machine,
+            placement,
+            halo_bytes_3d_batch(self.stream_bytes_per_step, placement.procs),
+            messages_per_proc=26.0,
+        )
+        collectives = 12.0 * collective_seconds_batch(machine, placement.procs)
+        return (
+            compute + halo + collectives,
+            np.full(len(compute), self.stream_bytes_per_step),
         )

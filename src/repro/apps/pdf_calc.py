@@ -15,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
-from repro.apps.scaling import amdahl_compute_seconds, collective_seconds
-from repro.cluster.allocation import Placement, place_component
+from repro.apps.scaling import (
+    amdahl_compute_seconds,
+    amdahl_compute_seconds_batch,
+    collective_seconds,
+    collective_seconds_batch,
+)
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, int_range
 
@@ -55,6 +62,10 @@ class PdfCalculator(ComponentApp):
         procs, ppn = config
         return place_component(procs, ppn, 1)
 
+    def placement_batch(self, columns) -> Placement:
+        procs, ppn = columns
+        return place_component_batch(procs, ppn, 1)
+
     @property
     def output_bytes_per_step(self) -> float:
         """Histogram bins (value + count per bin)."""
@@ -80,4 +91,24 @@ class PdfCalculator(ComponentApp):
         return StepProfile(
             compute_seconds=compute + merge,
             output_bytes=self.output_bytes_per_step,
+        )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        placement = self.placement_batch(columns)
+        bytes_in = np.where(input_bytes > 0, input_bytes, self.nominal_input_bytes)
+        compute = amdahl_compute_seconds_batch(
+            machine,
+            placement,
+            self.gflop_per_gb * bytes_in / 1e9,
+            self.serial_fraction,
+            thread_efficiency=0.0,
+            bytes_per_flop=0.8,
+            imbalance_per_doubling=self.imbalance_per_doubling,
+        )
+        merge = 3.0 * collective_seconds_batch(
+            machine, placement.procs, per_stage_us=25.0
+        )
+        return (
+            compute + merge,
+            np.full(len(compute), self.output_bytes_per_step),
         )

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
-from repro.cluster.allocation import Placement, place_component
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, choice
 
@@ -42,8 +44,15 @@ class _SerialPlotter(ComponentApp):
         (procs,) = config
         return place_component(procs, 1, 1)
 
+    def placement_batch(self, columns) -> Placement:
+        (procs,) = columns
+        return place_component_batch(procs, 1, 1)
+
     def startup_seconds(self, machine: Machine, config: Configuration) -> float:
         return 0.8  # serial tool, no MPI wire-up
+
+    def startup_seconds_batch(self, machine: Machine, columns) -> np.ndarray:
+        return np.full(len(columns[0]), 0.8)
 
     def step_profile(
         self, machine: Machine, config: Configuration, input_bytes: float
@@ -54,6 +63,10 @@ class _SerialPlotter(ComponentApp):
             output_bytes=0.0,
             write_bytes=self.write_bytes_per_step,
         )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        read = input_bytes / (self.read_gbps * 1e9)
+        return self.render_seconds_per_step + read, np.zeros(len(read))
 
 
 @dataclass

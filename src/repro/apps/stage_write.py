@@ -14,12 +14,19 @@ configurations in a small region as the paper's method assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import PFS_BANDWIDTH_GBPS, ComponentApp, StepProfile
-from repro.apps.scaling import collective_seconds
-from repro.cluster.allocation import Placement, place_component
-from repro.cluster.contention import nic_share
+from repro.apps.scaling import (
+    collective_seconds,
+    collective_seconds_batch,
+    per_distinct,
+)
+from repro.cluster.allocation import Placement, place_component, place_component_batch
+from repro.cluster.contention import nic_share, nic_share_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, int_range
 
@@ -61,6 +68,10 @@ class StageWrite(ComponentApp):
         procs, ppn = config
         return place_component(procs, ppn, 1)
 
+    def placement_batch(self, columns) -> Placement:
+        procs, ppn = columns
+        return place_component_batch(procs, ppn, 1)
+
     def aggregate_write_gbps(self, machine: Machine, config: Configuration) -> float:
         """Achievable write bandwidth of the whole writer set."""
         placement = self.placement(config)
@@ -81,8 +92,6 @@ class StageWrite(ComponentApp):
         placement = self.placement(config)
         bytes_in = input_bytes if input_bytes > 0 else self.nominal_input_bytes
         write_seconds = bytes_in / (self.aggregate_write_gbps(machine, config) * 1e9)
-        import math
-
         metadata = self.metadata_seconds_per_doubling * math.log2(
             max(placement.procs, 2)
         )
@@ -92,3 +101,20 @@ class StageWrite(ComponentApp):
             output_bytes=0.0,
             write_bytes=bytes_in,
         )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        placement = self.placement_batch(columns)
+        streams = np.minimum(
+            placement.procs * self.per_writer_gbps,
+            placement.nodes * nic_share_batch(machine, placement),
+        )
+        fs = PFS_BANDWIDTH_GBPS * streams / (streams + 0.5 * PFS_BANDWIDTH_GBPS)
+        crowding = 1.0 + 0.002 * np.maximum(0, placement.procs - 64)
+        aggregate_gbps = np.minimum(streams, fs) / crowding
+        bytes_in = np.where(input_bytes > 0, input_bytes, self.nominal_input_bytes)
+        write_seconds = bytes_in / (aggregate_gbps * 1e9)
+        metadata = self.metadata_seconds_per_doubling * per_distinct(
+            math.log2, np.maximum(placement.procs, 2)
+        )
+        sync = 2.0 * collective_seconds_batch(machine, placement.procs)
+        return write_seconds + metadata + sync, np.zeros(len(write_seconds))

@@ -16,14 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import ComponentApp, StepProfile
 from repro.apps.scaling import (
     amdahl_compute_seconds,
+    amdahl_compute_seconds_batch,
     collective_seconds,
+    collective_seconds_batch,
     exchange_seconds,
+    exchange_seconds_batch,
     halo_bytes_3d,
+    halo_bytes_3d_batch,
 )
-from repro.cluster.allocation import Placement, place_component
+from repro.cluster.allocation import Placement, place_component, place_component_batch
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace, int_range
 
@@ -64,6 +70,10 @@ class VoroPlusPlus(ComponentApp):
         procs, ppn, threads = config
         return place_component(procs, ppn, threads)
 
+    def placement_batch(self, columns) -> Placement:
+        procs, ppn, threads = columns
+        return place_component_batch(procs, ppn, threads)
+
     def step_profile(
         self, machine: Machine, config: Configuration, input_bytes: float
     ) -> StepProfile:
@@ -96,3 +106,30 @@ class VoroPlusPlus(ComponentApp):
             output_bytes=0.0,
             write_bytes=4e6,  # tessellation summary / viz frame to storage
         )
+
+    def step_profile_batch(self, machine: Machine, columns, input_bytes):
+        placement = self.placement_batch(columns)
+        scale = np.where(
+            input_bytes > 0, input_bytes / self.nominal_input_bytes, 1.0
+        )
+        compute = amdahl_compute_seconds_batch(
+            machine,
+            placement,
+            self.work_gflop_per_step * scale,
+            self.serial_fraction,
+            self.thread_efficiency,
+            self.bytes_per_flop,
+            self.imbalance_per_doubling,
+        )
+        ghost = exchange_seconds_batch(
+            machine,
+            placement,
+            halo_bytes_3d_batch(
+                np.maximum(input_bytes, self.nominal_input_bytes), placement.procs
+            ),
+            messages_per_proc=26.0,
+        )
+        merge = 6.0 * collective_seconds_batch(
+            machine, placement.procs, per_stage_us=20.0
+        )
+        return compute + ghost + merge, np.zeros(len(compute))

@@ -12,9 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cluster.machine import Machine
 
-__all__ = ["Placement", "place_component"]
+__all__ = [
+    "Placement",
+    "place_component",
+    "place_component_batch",
+    "placement_ok_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -82,4 +89,34 @@ def place_component(
         procs_per_node=procs_per_node,
         threads_per_proc=threads_per_proc,
         nodes=math.ceil(procs / procs_per_node),
+    )
+
+
+def place_component_batch(procs, procs_per_node, threads_per_proc=1) -> Placement:
+    """Array form of :func:`place_component`: one placement per row.
+
+    Returns a :class:`Placement` whose fields are integer arrays.  Its
+    density properties work elementwise; :meth:`Placement.validate`
+    does not (use :func:`placement_ok_batch`).  ``nodes`` is the same
+    float division and ceiling as the scalar form.
+    """
+    procs, procs_per_node, threads_per_proc = np.broadcast_arrays(
+        procs, procs_per_node, threads_per_proc
+    )
+    return Placement(
+        procs=procs,
+        procs_per_node=procs_per_node,
+        threads_per_proc=threads_per_proc,
+        nodes=np.ceil(procs / procs_per_node).astype(np.int64),
+    )
+
+
+def placement_ok_batch(placement: Placement, machine: Machine) -> np.ndarray:
+    """Rows of an array :class:`Placement` that ``validate`` accepts."""
+    return (
+        (placement.procs >= 1)
+        & (placement.procs_per_node >= 1)
+        & (placement.threads_per_proc >= 1)
+        & (placement.busy_cores_per_node <= machine.node.cores)
+        & (placement.nodes <= machine.max_nodes)
     )

@@ -9,10 +9,18 @@ sharing between concurrent couplings) rather than cycle accuracy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.allocation import Placement
 from repro.cluster.machine import Machine
 
-__all__ = ["memory_bandwidth_slowdown", "nic_share", "fabric_share"]
+__all__ = [
+    "fabric_share",
+    "memory_bandwidth_slowdown",
+    "memory_bandwidth_slowdown_batch",
+    "nic_share",
+    "nic_share_batch",
+]
 
 
 def memory_bandwidth_slowdown(
@@ -44,6 +52,24 @@ def memory_bandwidth_slowdown(
     return 1.0 + bound_fraction * (oversubscription - 1.0)
 
 
+def memory_bandwidth_slowdown_batch(
+    machine: Machine, placement: Placement, bytes_per_flop: float
+) -> np.ndarray:
+    """Array form of :func:`memory_bandwidth_slowdown` (array placement)."""
+    if bytes_per_flop < 0:
+        raise ValueError("bytes_per_flop must be non-negative")
+    node = machine.node
+    workers = placement.busy_cores_per_node
+    demand = workers * node.memory_bw_per_core_gbps * min(bytes_per_flop, 1.0)
+    oversubscription = demand / node.memory_bandwidth_gbps
+    bound_fraction = min(bytes_per_flop, 1.0)
+    return np.where(
+        (demand <= node.memory_bandwidth_gbps) | (workers == 0),
+        1.0,
+        1.0 + bound_fraction * (oversubscription - 1.0),
+    )
+
+
 def nic_share(machine: Machine, placement: Placement) -> float:
     """Effective per-node NIC bandwidth (GB/s) available to the component.
 
@@ -54,6 +80,15 @@ def nic_share(machine: Machine, placement: Placement) -> float:
     node = machine.node
     single_stream = node.nic_bandwidth_gbps * 0.45
     return min(node.nic_bandwidth_gbps, single_stream * placement.procs_per_node)
+
+
+def nic_share_batch(machine: Machine, placement: Placement) -> np.ndarray:
+    """Array form of :func:`nic_share` (array placement)."""
+    node = machine.node
+    single_stream = node.nic_bandwidth_gbps * 0.45
+    return np.minimum(
+        node.nic_bandwidth_gbps, single_stream * placement.procs_per_node
+    )
 
 
 def fabric_share(machine: Machine, concurrent_streams: int) -> float:

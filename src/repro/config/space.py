@@ -24,6 +24,9 @@ import numpy as np
 #: owning :class:`ParameterSpace`'s parameter order.
 Configuration = tuple
 
+#: Largest rejection-sampling chunk (rows), which bounds its memory.
+_MAX_CHUNK = 1 << 14
+
 __all__ = [
     "Configuration",
     "Parameter",
@@ -183,6 +186,48 @@ class ParameterSpace:
                 )
         return tuple(config)
 
+    def value_matrix(self, configs: Sequence[Configuration]) -> np.ndarray:
+        """``configs`` as an ``(n, dimension)`` array, one row per configuration.
+
+        Numeric values keep a numeric dtype; any other value (a string
+        choice, a bool) makes it an object array, whose ``tolist()``
+        gives back the very values.  Raises ``ValueError`` when a row
+        does not have one entry per parameter.
+        """
+        if not configs:
+            return np.empty((0, self.dimension), dtype=np.int64)
+        values = np.array(configs)
+        if values.dtype.kind not in "iuf":
+            values = np.array(configs, dtype=object)
+        if values.shape != (len(configs), self.dimension):
+            raise ValueError(
+                f"configurations must have {self.dimension} entries each"
+            )
+        return values
+
+    def index_matrix(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value indices of a numeric ``(n, dimension)`` value matrix.
+
+        Returns ``(idx, member)``: ``member[r]`` is true when every
+        entry of row ``r`` is admissible (:meth:`contains`), and then
+        ``idx[r]`` holds the entries' positions in their parameters'
+        values (:meth:`to_indices`); other rows' ``idx`` is arbitrary.
+        A parameter with non-numeric values leaves every row unconfirmed
+        (``member`` false) for the caller's scalar check.
+        """
+        idx = np.zeros(values.shape, dtype=np.int64)
+        member = np.ones(len(values), dtype=bool)
+        for j, parameter in enumerate(self.parameters):
+            table = np.asarray(parameter.values)
+            if table.dtype.kind not in "iuf":
+                member[:] = False
+                continue
+            order = np.argsort(table, kind="stable")
+            pos = np.searchsorted(table[order], values[:, j])
+            idx[:, j] = order[np.minimum(pos, len(table) - 1)]
+            member &= table[idx[:, j]] == values[:, j]
+        return idx, member
+
     def value(self, config: Configuration, name: str):
         """Extract the value of parameter ``name`` from a configuration."""
         return config[self._index[name]]
@@ -228,13 +273,15 @@ class ParameterSpace:
         # Chunked rejection sampling.  ``Generator.integers`` consumes
         # the bit stream element-wise in order, so one tiled array call
         # per chunk draws the exact same index sequence as the former
-        # per-parameter scalar calls — accepted configurations (a prefix
-        # of the try sequence) are bit-identical to the sequential
-        # implementation; only the generator's position after an
-        # over-drawn final chunk differs, and every caller uses a fresh
-        # single-purpose generator.  Constraints exposing
-        # ``feasible_batch`` (the allocation rules) are evaluated
-        # vectorized over the whole chunk.
+        # per-parameter scalar calls, whatever the chunk sizes — the
+        # result is the first ``n`` accepted rows of one long stream.
+        # Only the generator's position after an over-drawn final chunk
+        # depends on them, and every caller uses a fresh single-purpose
+        # generator.  After the first chunk, the next is sized from the
+        # acceptance rate so far (LV's allocation rules accept under 2%
+        # of draws), capped at ``_MAX_CHUNK`` rows and at the draws left
+        # under the limit.  Constraints exposing ``feasible_batch`` (the
+        # allocation rules) are evaluated vectorized over the chunk.
         out: list[Configuration] = []
         seen: set[Configuration] = set()
         tries = 0
@@ -252,7 +299,13 @@ class ParameterSpace:
                     f"rejection sampling exceeded {limit} draws; the "
                     "constraint is too tight for this space"
                 )
-            chunk = min(limit - tries, max(64, 2 * (n - len(out))))
+            remaining = n - len(out)
+            if tries == 0:
+                chunk = max(64, 2 * remaining)
+            else:
+                rate = max(len(out), 1) / tries
+                chunk = max(64, math.ceil(1.25 * remaining / rate))
+            chunk = min(limit - tries, _MAX_CHUNK, chunk)
             idx = rng.integers(np.tile(highs, chunk)).reshape(chunk, -1)
             tries += chunk
             if batch_eval is not None:

@@ -91,10 +91,10 @@ def paired_permutation_test(
     if n < 2 or float(np.abs(diffs).max()) == 0.0:
         return {"mean_diff": observed, "p": 1.0, "n": n, "exact": True}
     if n <= 20:
-        # All 2^n sign assignments, exactly.
-        signs = np.array(
-            [[1.0 if (m >> k) & 1 else -1.0 for k in range(n)]
-             for m in range(1 << n)]
+        # All 2^n sign assignments, exactly: row m flips pair k when bit
+        # k of m is clear.  Built per call, not cached (168 MB at n = 20).
+        signs = np.where(
+            (np.arange(1 << n)[:, None] >> np.arange(n)) & 1, 1.0, -1.0
         )
         exact = True
     else:

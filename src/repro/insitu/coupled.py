@@ -88,23 +88,8 @@ def run_coupled(
         the workflow's machine.
     """
     machine = workflow.machine
-    workflow.space.validate(config)
-    if not workflow.constraint(config):
-        raise ValueError(
-            f"configuration {config!r} is infeasible on {workflow.name} "
-            f"(needs {workflow.constraint.total_nodes(config)} nodes, cap "
-            f"{machine.max_nodes}; or oversubscribed cores)"
-        )
-
+    placements = workflow.placements(config)
     n_steps = workflow.steps(config)
-    placements = {
-        label: workflow.app(label).placement(
-            workflow.component_config(label, config)
-        )
-        for label in workflow.labels
-    }
-    for placement in placements.values():
-        placement.validate(machine)
 
     # Producer output sizes are configuration-dependent, so channel models
     # are derived from the producer's step profile under its actual input.

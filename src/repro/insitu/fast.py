@@ -7,9 +7,14 @@ Per-configuration DES runs dominate every pool build and every paid
 measurement batch, so this module replays the *same arithmetic* without
 the event engine:
 
-1. **Memoized channel costs.**  Per (producer placement, consumer
-   placement, payload) triple, publish/drain seconds are computed once
-   instead of once per message.
+1. **One array cost pass.**  Validity, placements, start-up, per-step
+   compute, payloads and channel publish/drain seconds of the whole
+   batch come from the apps' array forms (``placement_batch``,
+   ``step_profile_batch``, ``startup_seconds_batch``) and
+   :func:`~repro.insitu.transport.channel_costs_batch`: a few numpy
+   operations per component and coupling, not a Python loop per
+   configuration.  ``math.log2`` and ``**`` terms take one scalar call
+   per distinct argument, so every cost is the scalar path's float.
 2. **Steady-state recurrence.**  All catalog apps declare
    ``stationary_steps``: a component's per-step costs (drain, compute,
    publish) are constant across the run, so the coupled timeline reduces
@@ -25,9 +30,11 @@ fast path is **bit-identical** to the oracle — enforced by
 sweep disengages (falling back to per-config :func:`run_coupled`) when
 
 * ``REPRO_NO_FAST_DES=1`` is set (mirrors ``REPRO_NO_NATIVE``),
-* any component app sets ``stationary_steps = False``, or
+* any component app sets ``stationary_steps = False``,
 * two couplings compare equal (they would share one staging store,
-  which the per-coupling recurrence does not model).
+  which the per-coupling recurrence does not model), or
+* the batch is not a numeric matrix (a row of the wrong length, or a
+  non-numeric value); the oracle then raises or runs each row itself.
 
 The derivation (buffer back-pressure as a ``max`` over the consumer's
 lagged removal times) is documented in DESIGN.md §12.
@@ -42,6 +49,7 @@ import networkx as nx
 import numpy as np
 
 from repro import telemetry
+from repro.cluster.allocation import placement_ok_batch
 from repro.config.space import Configuration
 from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.measurement import (
@@ -49,7 +57,7 @@ from repro.insitu.measurement import (
     observe_run,
     stable_seed,
 )
-from repro.insitu.transport import StagingChannelModel
+from repro.insitu.transport import channel_costs_batch
 from repro.insitu.workflow import WorkflowDefinition
 
 __all__ = [
@@ -112,109 +120,111 @@ def _plan(workflow: WorkflowDefinition) -> _SweepPlan:
     return _SweepPlan(order=order, inputs=inputs, outputs=outputs)
 
 
-# -- per-configuration constant costs ------------------------------------------------
+# -- the batch's constant costs ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _RunCosts:
-    """The constant per-step costs of one configuration.
+class _BatchCosts:
+    """The constant per-step costs of a batch, one array row per configuration.
 
-    ``startup``/``compute`` align with the plan's ``order``;
-    ``drain``/``publish``/``buffers`` align with ``workflow.couplings``.
+    ``startup``/``compute`` map component labels to arrays;
+    ``drain``/``publish``/``buffers`` are lists aligned with
+    ``workflow.couplings``.
     """
 
-    n_steps: int
-    nodes: int
-    startup: tuple
-    compute: tuple
-    drain: tuple
-    publish: tuple
-    buffers: tuple
+    steps: np.ndarray
+    nodes: np.ndarray
+    startup: dict
+    compute: dict
+    drain: list
+    publish: list
+    buffers: list
 
 
-def _run_costs(
-    workflow: WorkflowDefinition,
-    config: Configuration,
-    plan: _SweepPlan,
-    channel_cache: dict,
-) -> _RunCosts:
-    """Validate ``config`` and extract its constant per-step costs.
+def _check(workflow: WorkflowDefinition, configs: list, ok: np.ndarray) -> None:
+    """Raise the per-configuration loop's first error when ``ok`` rejects a row.
 
-    Validation mirrors :func:`run_coupled` exactly (same checks, same
-    messages) so callers observe identical errors on either path.
+    The scalar validation is the arbiter: once any row is rejected, it
+    runs in batch order on every row up to the last rejected one, so
+    the batch raises exactly the error :func:`run_coupled` would raise
+    first.
     """
+    rejected = np.flatnonzero(~ok)
+    if rejected.size:
+        for config in configs[: rejected[-1] + 1]:
+            workflow.placements(config)
+
+
+def _batch_costs(
+    workflow: WorkflowDefinition, plan: _SweepPlan, configs: list, values
+) -> _BatchCosts:
+    """Validate the batch and compute its constant costs as arrays."""
     machine = workflow.machine
-    workflow.space.validate(config)
-    if not workflow.constraint(config):
-        raise ValueError(
-            f"configuration {config!r} is infeasible on {workflow.name} "
-            f"(needs {workflow.constraint.total_nodes(config)} nodes, cap "
-            f"{machine.max_nodes}; or oversubscribed cores)"
-        )
-    n_steps = workflow.steps(config)
+    space = workflow.space
+    idx, ok = space.index_matrix(values)
+    _check(workflow, configs, ok & workflow.constraint.feasible_batch(space, idx))
+
+    columns = {
+        label: workflow.component_columns(label, values) for label in workflow.labels
+    }
     placements = {
-        label: workflow.app(label).placement(
-            workflow.component_config(label, config)
-        )
+        label: workflow.app(label).placement_batch(columns[label])
         for label in workflow.labels
     }
+    ok = np.ones(len(configs), dtype=bool)
     for placement in placements.values():
-        placement.validate(machine)
+        ok &= placement_ok_batch(placement, machine)
+    _check(workflow, configs, ok)
 
     n_streams = len(workflow.couplings)
     payload: list = [None] * n_streams
-    startup = []
-    compute = []
+    startup = {}
+    compute = {}
     for label in plan.order:
         app = workflow.app(label)
-        comp_config = workflow.component_config(label, config)
         # Accumulate in inputs_of order — float addition order matters.
-        input_bytes = 0.0
+        input_bytes = np.zeros(len(configs))
         for ci in plan.inputs[label]:
-            input_bytes += payload[ci]
-        profile = app.step_profile(machine, comp_config, input_bytes)
+            input_bytes = input_bytes + payload[ci]
+        compute[label], output_bytes = app.step_profile_batch(
+            machine, columns[label], input_bytes
+        )
         for ci in plan.outputs[label]:
-            payload[ci] = profile.output_bytes
-        startup.append(app.startup_seconds(machine, comp_config))
-        compute.append(profile.compute_seconds)
+            payload[ci] = output_bytes
+        startup[label] = app.startup_seconds_batch(machine, columns[label])
 
-    drain = []
     publish = []
-    buffers = []
+    drain = []
     for ci, coupling in enumerate(workflow.couplings):
-        key = (placements[coupling.producer], placements[coupling.consumer],
-               payload[ci])
-        costs = channel_cache.get(key)
-        if costs is None:
-            channel = StagingChannelModel(
-                machine=machine,
-                producer=placements[coupling.producer],
-                consumer=placements[coupling.consumer],
-                message_bytes=payload[ci],
-                concurrent_streams=n_streams,
-            )
-            costs = (channel.publish_seconds(), channel.drain_seconds())
-            channel_cache[key] = costs
+        costs = channel_costs_batch(
+            machine,
+            placements[coupling.producer],
+            placements[coupling.consumer],
+            payload[ci],
+            concurrent_streams=n_streams,
+        )
         publish.append(costs[0])
         drain.append(costs[1])
-        buffers.append(workflow.buffer_messages(coupling, config))
 
-    return _RunCosts(
-        n_steps=n_steps,
+    return _BatchCosts(
+        steps=workflow.steps_batch(values),
         nodes=sum(p.nodes for p in placements.values()),
-        startup=tuple(startup),
-        compute=tuple(compute),
-        drain=tuple(drain),
-        publish=tuple(publish),
-        buffers=tuple(buffers),
+        startup=startup,
+        compute=compute,
+        drain=drain,
+        publish=publish,
+        buffers=[
+            workflow.buffer_messages_batch(coupling, values)
+            for coupling in workflow.couplings
+        ],
     )
 
 
 # -- the vectorized recurrence -------------------------------------------------------
 
 
-def _sweep(plan: _SweepPlan, runs: list, n_steps: int, n_couplings: int):
-    """Advance every configuration's timeline through ``n_steps`` steps.
+def _sweep(plan: _SweepPlan, costs: _BatchCosts, group: np.ndarray, n_steps: int):
+    """Advance the batch rows ``group`` through ``n_steps`` steps.
 
     Replays the engine's arithmetic: a resume timestamp is ``prev +
     cost`` after a timeout, the other endpoint's timestamp after a
@@ -224,34 +234,18 @@ def _sweep(plan: _SweepPlan, runs: list, n_steps: int, n_couplings: int):
     ``r_i = max(get_call, a_i)`` — both pure selections, so every lane
     of the batch lands on exactly the floats the event heap would.
     """
-    n = len(runs)
+    n = len(group)
     lanes = np.arange(n)
-    startup = {
-        label: np.array([r.startup[k] for r in runs], dtype=np.float64)
-        for k, label in enumerate(plan.order)
-    }
-    compute = {
-        label: np.array([r.compute[k] for r in runs], dtype=np.float64)
-        for k, label in enumerate(plan.order)
-    }
-    drain = [
-        np.array([r.drain[ci] for r in runs], dtype=np.float64)
-        for ci in range(n_couplings)
-    ]
-    publish = [
-        np.array([r.publish[ci] for r in runs], dtype=np.float64)
-        for ci in range(n_couplings)
-    ]
-    buffers = [
-        np.array([r.buffers[ci] for r in runs], dtype=np.int64)
-        for ci in range(n_couplings)
-    ]
+    compute = {label: costs.compute[label][group] for label in plan.order}
+    drain = [d[group] for d in costs.drain]
+    publish = [p[group] for p in costs.publish]
+    buffers = [b[group] for b in costs.buffers]
     # Put-grant and removal timestamps per coupling, per step, per lane.
-    a_hist = [np.empty((n_steps, n)) for _ in range(n_couplings)]
-    r_hist = [np.empty((n_steps, n)) for _ in range(n_couplings)]
+    a_hist = [np.empty((n_steps, n)) for _ in drain]
+    r_hist = [np.empty((n_steps, n)) for _ in drain]
 
-    clock = {label: startup[label].copy() for label in plan.order}
-    busy = {label: startup[label].copy() for label in plan.order}
+    clock = {label: costs.startup[label][group] for label in plan.order}
+    busy = dict(clock)
 
     for i in range(n_steps):
         for label in plan.order:
@@ -288,10 +282,13 @@ def run_coupled_batch(
     ``REPRO_NO_FAST_DES`` is unset, the DES oracle otherwise.
     """
     configs = list(configs)
-    if not fast_path_enabled() or fast_path_reason(workflow) is not None:
-        return [run_coupled(workflow, config) for config in configs]
     if not configs:
         return []
+    values = None
+    if fast_path_enabled() and fast_path_reason(workflow) is None:
+        values = _value_matrix(workflow.space, configs)
+    if values is None:
+        return [run_coupled(workflow, config) for config in configs]
     tel = telemetry.get()
     if tel.enabled:
         with tel.span(
@@ -300,43 +297,42 @@ def run_coupled_batch(
             workflow=workflow.name,
             batch=len(configs),
         ):
-            results = _run_batch(workflow, configs)
+            results = _run_batch(workflow, configs, values)
         tel.counter("des.fast_runs").inc(len(configs))
     else:
-        results = _run_batch(workflow, configs)
+        results = _run_batch(workflow, configs, values)
     return results
 
 
-def _run_batch(workflow, configs) -> list[CoupledRunResult]:
+def _value_matrix(space, configs: list):
+    """The batch as a numeric ``(n, dimension)`` matrix, or ``None``."""
+    try:
+        values = space.value_matrix(configs)
+    except ValueError:
+        return None
+    return None if values.dtype == object else values
+
+
+def _run_batch(workflow, configs, values) -> list[CoupledRunResult]:
     plan = _plan(workflow)
-    channel_cache: dict = {}
-    costs = [
-        _run_costs(workflow, config, plan, channel_cache) for config in configs
-    ]
+    costs = _batch_costs(workflow, plan, configs, values)
+    results: list = [None] * len(configs)
     # Step counts can be configuration-dependent (HS); sweep each group
     # of equal-length timelines as one numpy batch.
-    groups: dict[int, list[int]] = {}
-    for index, run in enumerate(costs):
-        groups.setdefault(run.n_steps, []).append(index)
-
-    n_couplings = len(workflow.couplings)
-    results: list = [None] * len(configs)
-    for n_steps, indices in groups.items():
-        runs = [costs[i] for i in indices]
-        clock, busy = _sweep(plan, runs, n_steps, n_couplings)
-        for lane, index in enumerate(indices):
-            component_seconds = {
-                label: float(clock[label][lane]) for label in workflow.labels
-            }
+    for n_steps in np.unique(costs.steps).tolist():
+        group = np.flatnonzero(costs.steps == n_steps)
+        clock, busy = _sweep(plan, costs, group, n_steps)
+        clock = {label: clock[label].tolist() for label in workflow.labels}
+        busy = {label: busy[label].tolist() for label in workflow.labels}
+        nodes = costs.nodes[group].tolist()
+        for lane, index in enumerate(group.tolist()):
+            component_seconds = {label: clock[label][lane] for label in clock}
             results[index] = CoupledRunResult(
                 component_seconds=component_seconds,
                 execution_seconds=max(component_seconds.values()),
-                busy_seconds={
-                    label: float(busy[label][lane])
-                    for label in workflow.labels
-                },
+                busy_seconds={label: busy[label][lane] for label in busy},
                 steps=n_steps,
-                nodes=runs[lane].nodes,
+                nodes=nodes[lane],
             )
     return results
 

@@ -19,11 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.apps.scaling import per_distinct
 from repro.cluster.allocation import Placement
-from repro.cluster.contention import fabric_share, nic_share
+from repro.cluster.contention import fabric_share, nic_share, nic_share_batch
 from repro.cluster.machine import Machine
 
-__all__ = ["StagingChannelModel"]
+__all__ = ["StagingChannelModel", "channel_costs_batch"]
 
 GB = 1e9
 
@@ -98,3 +101,40 @@ class StagingChannelModel:
         """Decomposition mismatch: how far from 1 the proc ratio is."""
         a, b = self.producer.procs, self.consumer.procs
         return max(a, b) / max(min(a, b), 1) - 1.0
+
+
+def channel_costs_batch(
+    machine: Machine,
+    producer: Placement,
+    consumer: Placement,
+    message_bytes,
+    concurrent_streams: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``(publish_seconds(), drain_seconds())``.
+
+    One channel per row of the array placements ``producer`` and
+    ``consumer``; every row equals the :class:`StagingChannelModel`
+    of that row bit for bit.
+    """
+    if np.any(message_bytes < 0):
+        raise ValueError("message_bytes must be non-negative")
+    node = machine.node
+    metadata = (
+        StagingChannelModel.metadata_us_per_proc
+        * 1e-6
+        * (producer.procs + consumer.procs)
+    )
+    copy_bw = (node.memory_bandwidth_gbps / 2.0) * producer.nodes
+    publish = message_bytes / (copy_bw * GB) + metadata
+
+    prod_agg = nic_share_batch(machine, producer) * producer.nodes
+    cons_agg = nic_share_batch(machine, consumer) * consumer.nodes
+    fabric = fabric_share(machine, concurrent_streams)
+    channel_gbps = np.minimum(np.minimum(prod_agg, cons_agg), fabric)
+    latency = machine.fabric_latency_us * 1e-6
+    transfer = message_bytes / (channel_gbps * GB)
+    a, b = producer.procs, consumer.procs
+    mismatch = np.maximum(a, b) / np.maximum(np.minimum(a, b), 1) - 1.0
+    redistribution = 0.2 * transfer * per_distinct(math.log2, mismatch + 1.0)
+    drain = latency + transfer + redistribution + metadata
+    return publish, drain

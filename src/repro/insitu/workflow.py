@@ -14,8 +14,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from repro.apps.base import ComponentApp, SoloRunResult
+from repro.cluster.allocation import Placement
 from repro.cluster.machine import Machine
 from repro.config.constraints import AllocationConstraint, ComponentPlacementSpec
 from repro.config.encoding import ConfigEncoder, DerivedFeature
@@ -72,6 +74,12 @@ class WorkflowDefinition:
         coupling's buffer depth from configuration parameters.
     extra_features:
         Additional derived features for the ML encoder.
+
+    A callable ``n_steps`` or ``buffer_hook`` may carry a ``batch``
+    attribute: the same function over an ``(n, dimension)`` value
+    matrix (one row per configuration) returning an integer array.
+    Without one, :meth:`steps_batch` and :meth:`buffer_messages_batch`
+    call the hook row by row.
     """
 
     name: str
@@ -118,21 +126,11 @@ class WorkflowDefinition:
         self._constraint = AllocationConstraint(
             space=self._space,
             components=tuple(
-                self._placement_spec(label, app) for label, app in self.components
+                _placement_spec(app, f"{label}.") for label, app in self.components
             ),
             max_nodes=self.machine.max_nodes,
             cores_per_node=self.machine.node.cores,
         )
-
-    def _placement_spec(self, label: str, app: ComponentApp) -> ComponentPlacementSpec:
-        names = set(app.space.names)
-        if {"px", "py"} <= names:
-            procs_names = (f"{label}.px", f"{label}.py")
-        else:
-            procs_names = (f"{label}.procs",)
-        ppn = f"{label}.ppn" if "ppn" in names else None
-        threads = f"{label}.threads" if "threads" in names else None
-        return ComponentPlacementSpec(procs_names, ppn, threads)
 
     # -- structure --------------------------------------------------------------
 
@@ -170,15 +168,66 @@ class WorkflowDefinition:
         """Machine-level feasibility of joint configurations."""
         return self._constraint
 
+    def component_constraint(self, label: str) -> AllocationConstraint:
+        """The placement rules of component ``label`` alone, over its own space.
+
+        A standalone run occupies the whole allocation by itself, so
+        the rules are the joint ones restricted to one component.
+        """
+        app = self.app(label)
+        return AllocationConstraint(
+            space=app.space,
+            components=(_placement_spec(app, ""),),
+            max_nodes=self.machine.max_nodes,
+            cores_per_node=self.machine.node.cores,
+        )
+
+    def placements(self, config: Configuration) -> dict[str, Placement]:
+        """Validated component placements of ``config``.
+
+        The one validation of a coupled run: raises ``ValueError`` when
+        ``config`` is outside the joint space, infeasible, or places a
+        component the machine cannot hold.
+        """
+        self._space.validate(config)
+        if not self._constraint(config):
+            raise ValueError(
+                f"configuration {config!r} is infeasible on {self.name} "
+                f"(needs {self._constraint.total_nodes(config)} nodes, cap "
+                f"{self.machine.max_nodes}; or oversubscribed cores)"
+            )
+        placements = {
+            label: self.app(label).placement(self.component_config(label, config))
+            for label in self.labels
+        }
+        for placement in placements.values():
+            placement.validate(self.machine)
+        return placements
+
     def component_config(self, label: str, config: Configuration) -> Configuration:
         """Extract component ``label``'s sub-configuration ``c_j`` from ``c``."""
         return tuple(config[self._slices[label]])
+
+    def component_columns(self, label: str, values: np.ndarray) -> tuple:
+        """Component ``label``'s columns of an ``(n, dimension)`` value matrix."""
+        return tuple(values[:, self._slices[label]].T)
 
     def steps(self, config: Configuration) -> int:
         """Number of coupled streaming steps for this configuration."""
         if callable(self.n_steps):
             return int(self.n_steps(self, config))
         return int(self.n_steps)
+
+    def steps_batch(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`steps` of every row of an ``(n, dimension)`` value matrix."""
+        if not callable(self.n_steps):
+            return np.full(len(values), int(self.n_steps), dtype=np.int64)
+        batch = getattr(self.n_steps, "batch", None)
+        if batch is not None:
+            return np.asarray(batch(self, values)).astype(np.int64)
+        return np.array(
+            [self.steps(tuple(row)) for row in values.tolist()], dtype=np.int64
+        )
 
     def buffer_messages(self, coupling: Coupling, config: Configuration) -> int:
         """Staging depth of ``coupling`` under ``config``."""
@@ -187,6 +236,21 @@ class WorkflowDefinition:
             if depth is not None:
                 return max(1, int(depth))
         return coupling.buffer_messages
+
+    def buffer_messages_batch(
+        self, coupling: Coupling, values: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`buffer_messages` of every row of a value matrix."""
+        if self.buffer_hook is None:
+            return np.full(len(values), coupling.buffer_messages, dtype=np.int64)
+        batch = getattr(self.buffer_hook, "batch", None)
+        if batch is not None:
+            depth = np.asarray(batch(self, coupling, values)).astype(np.int64)
+            return np.maximum(1, depth)
+        return np.array(
+            [self.buffer_messages(coupling, tuple(row)) for row in values.tolist()],
+            dtype=np.int64,
+        )
 
     def total_nodes(self, config: Configuration) -> int:
         """Node footprint of the whole workflow."""
@@ -200,17 +264,12 @@ class WorkflowDefinition:
         from repro.config.encoding import component_footprint_features
 
         derived: list[DerivedFeature] = []
-        for label, app in self.components:
-            names = set(app.space.names)
-            if {"px", "py"} <= names:
-                procs_names: tuple[str, ...] = (f"{label}.px", f"{label}.py")
-            else:
-                procs_names = (f"{label}.procs",)
-            ppn = f"{label}.ppn" if "ppn" in names else None
-            threads = f"{label}.threads" if "threads" in names else None
-            if ppn is not None:
+        for label, spec in zip(self.labels, self._constraint.components):
+            if spec.ppn_name is not None:
                 derived.extend(
-                    component_footprint_features(label, procs_names, ppn, threads)
+                    component_footprint_features(
+                        label, spec.procs_names, spec.ppn_name, spec.threads_name
+                    )
                 )
         return ConfigEncoder(self._space, tuple(derived) + self.extra_features)
 
@@ -234,3 +293,15 @@ class WorkflowDefinition:
         return app.solo_run(
             self.machine, comp_config, self.solo_steps(label, comp_config)
         )
+
+
+def _placement_spec(app: ComponentApp, prefix: str) -> ComponentPlacementSpec:
+    """Where ``app``'s placement parameters sit, named with ``prefix``."""
+    names = set(app.space.names)
+    if {"px", "py"} <= names:
+        procs_names: tuple[str, ...] = (f"{prefix}px", f"{prefix}py")
+    else:
+        procs_names = (f"{prefix}procs",)
+    ppn = f"{prefix}ppn" if "ppn" in names else None
+    threads = f"{prefix}threads" if "threads" in names else None
+    return ComponentPlacementSpec(procs_names, ppn, threads)

@@ -18,11 +18,14 @@ Division of labour:
   worker thread finishes in the background (a thread cannot be
   cancelled) and its session simply reaches its next cycle boundary.
 
-Graceful shutdown (SIGTERM/SIGINT): stop accepting connections, refuse
-new requests with ``overloaded``, wait for in-flight work to drain,
-then :meth:`SessionManager.shutdown` — every session is left at a
-durable cycle-boundary checkpoint, so a restarted daemon resumes
+Graceful shutdown (SIGTERM/SIGINT): stop accepting connections, close
+keep-alive connections idle between requests, refuse new requests with
+``overloaded``, wait for in-flight work to drain, then
+:meth:`SessionManager.shutdown` — every session is left at a durable
+cycle-boundary checkpoint, so a restarted daemon resumes
 bit-identically (proven by the serve tests and the CI smoke job).
+Closing idle connections matters from Python 3.12 on, where
+``Server.wait_closed()`` waits for every open connection.
 
 Routes (all JSON; success bodies carry ``"protocol"``)::
 
@@ -106,6 +109,8 @@ class TuningServer:
         self._stopping = False
         self._inflight = 0
         self._idle: asyncio.Event | None = None
+        #: Connections waiting for their next request.
+        self._waiting: set = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -123,9 +128,16 @@ class TuningServer:
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for writer in self._waiting:
+            writer.close()
+
+        async def drained() -> None:
+            if self._server is not None:
+                await self._server.wait_closed()
+            await self._idle.wait()
+
         try:
-            await asyncio.wait_for(self._idle.wait(), self.drain_timeout)
+            await asyncio.wait_for(drained(), self.drain_timeout)
         except (asyncio.TimeoutError, TimeoutError):
             telemetry.get().counter("serve.http.drain_timeouts").inc()
         self._executor.shutdown(wait=True)
@@ -135,7 +147,8 @@ class TuningServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            while True:
+            while not self._stopping:
+                self._waiting.add(writer)
                 try:
                     request = await self._read_request(reader)
                 except ServeError as exc:
@@ -144,6 +157,8 @@ class TuningServer:
                     )
                     await self._linger(reader, writer)
                     break
+                finally:
+                    self._waiting.discard(writer)
                 if request is None:
                     break
                 method, path, query, headers, body = request

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.apps import (
     GPlot,
     GrayScott,
@@ -67,6 +69,13 @@ def _hs_steps(workflow: WorkflowDefinition, config: Configuration) -> int:
     return int(workflow.space.value(config, "heat.outputs"))
 
 
+def _hs_steps_batch(workflow: WorkflowDefinition, values: np.ndarray) -> np.ndarray:
+    return values[:, workflow.space.position("heat.outputs")]
+
+
+_hs_steps.batch = _hs_steps_batch
+
+
 def _hs_buffer(workflow, coupling, config: Configuration) -> int:
     """Staging depth from Heat Transfer's per-process ADIOS buffer.
 
@@ -81,6 +90,16 @@ def _hs_buffer(workflow, coupling, config: Configuration) -> int:
     aggregate = heat.buffer_bytes(comp) * procs
     depth = math.floor(aggregate / heat.grid_bytes)
     return max(1, min(8, depth))
+
+
+def _hs_buffer_batch(workflow, coupling, values: np.ndarray) -> np.ndarray:
+    heat: HeatTransfer = workflow.app("heat")
+    px, py, _ppn, _outputs, buffer_mb = workflow.component_columns("heat", values)
+    aggregate = buffer_mb * 1e6 * (px * py)
+    return np.clip(np.floor(aggregate / heat.grid_bytes), 1, 8)
+
+
+_hs_buffer.batch = _hs_buffer_batch
 
 
 def make_hs(machine: Machine | None = None) -> WorkflowDefinition:

@@ -210,35 +210,35 @@ def _generate_history(
     seed: int,
     noise_sigma: float,
 ) -> ComponentHistory:
+    """Sample ``size`` solo configurations and run them in one array pass.
+
+    Equal to solo-running each configuration with
+    :meth:`~repro.insitu.WorkflowDefinition.solo_run` and drawing one
+    scalar ``noise_rng.normal`` factor per configuration: ``normal``
+    with ``size=n`` draws the scalar calls' stream, and ``np.exp``
+    rounds each element as it rounds a scalar.
+    """
     app = workflow.app(label)
-    machine = workflow.machine
     rng = np.random.default_rng(
         stable_seed("history", workflow.name, label, size, seed)
     )
-
-    def feasible(comp_config: Configuration) -> bool:
-        placement = app.placement(comp_config)
-        return (
-            placement.busy_cores_per_node <= machine.node.cores
-            and placement.procs >= placement.procs_per_node
-            and placement.nodes <= machine.max_nodes
-        )
-
-    configs = app.space.sample(rng, size, constraint=feasible, unique=True)
+    configs = app.space.sample(
+        rng, size, constraint=workflow.component_constraint(label), unique=True
+    )
+    steps = np.array(
+        [workflow.solo_steps(label, config) for config in configs], dtype=np.int64
+    )
+    exec_times, comp_hours = app.solo_run_batch(
+        workflow.machine, tuple(app.space.value_matrix(configs).T), steps
+    )
     noise_rng = np.random.default_rng(
         stable_seed("history-noise", workflow.name, label, size, seed)
     )
-    exec_times = np.empty(size)
-    comp_hours = np.empty(size)
-    for i, comp_config in enumerate(configs):
-        solo = workflow.solo_run(label, comp_config)
-        factor = float(np.exp(noise_rng.normal(0.0, noise_sigma)))
-        exec_times[i] = solo.execution_seconds * factor
-        comp_hours[i] = solo.computer_core_hours * factor
+    factors = np.exp(noise_rng.normal(0.0, noise_sigma, size=size))
     return ComponentHistory(
         workflow_name=workflow.name,
         label=label,
         configs=tuple(configs),
-        execution_seconds=exec_times,
-        computer_core_hours=comp_hours,
+        execution_seconds=exec_times * factors,
+        computer_core_hours=comp_hours * factors,
     )

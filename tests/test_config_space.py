@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.space import (
     Parameter,
@@ -118,6 +120,17 @@ class TestParameterSpace:
         with pytest.raises(RuntimeError, match="rejection sampling"):
             s.sample(rng, 1, constraint=lambda c: False, max_tries_factor=10)
 
+    def test_sample_gives_up_after_exactly_the_draw_limit(self):
+        tried = []
+        with pytest.raises(RuntimeError, match="exceeded 150 draws"):
+            make_space().sample(
+                np.random.default_rng(0),
+                3,
+                constraint=lambda c: tried.append(c) and False,
+                max_tries_factor=50,
+            )
+        assert len(tried) == 150
+
     def test_sample_deterministic_given_seed(self):
         s = make_space()
         a = s.sample(np.random.default_rng(3), 10)
@@ -170,3 +183,34 @@ class TestJoinSpaces:
         a = ParameterSpace((int_range("p", 1, 2),))
         with pytest.raises(ValueError):
             join_spaces([("x", a), ("x", a)])
+
+
+@given(n=st.integers(1, 120), seed=st.integers(0, 2**32), batched=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_sample_is_a_prefix_of_one_long_stream(n, seed, batched):
+    """Chunk sizes never change which configurations a seed yields.
+
+    LV's allocation rules accept under 2% of uniform draws, so chunks
+    are re-sized several times; with and without ``feasible_batch``.
+    """
+    from repro.workflows.catalog import make_lv
+
+    lv = make_lv()
+    space, rule = lv.space, lv.constraint
+    got = space.sample(
+        np.random.default_rng(seed),
+        n,
+        constraint=rule if batched else (lambda c: rule(c)),
+        unique=True,
+    )
+    highs = np.array([p.n_options for p in space.parameters])
+    draws = 400 * n + 1000
+    stream = np.random.default_rng(seed).integers(np.tile(highs, draws))
+    expected: list = []
+    for row in stream.reshape(draws, -1).tolist():
+        config = space.from_indices(row)
+        if rule(config) and config not in expected:
+            expected.append(config)
+            if len(expected) == n:
+                break
+    assert got == expected

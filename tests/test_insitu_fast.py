@@ -4,12 +4,22 @@ The contract under test is *bit-identity*: ``run_coupled_batch`` and
 ``measure_batch`` must return exactly the floats the DES oracle
 (:func:`run_coupled` / :func:`measure_workflow`) produces — no
 tolerances — across all catalog workflows, including the HS workflow's
-configuration-dependent step counts and the GP fan-out DAG.
+configuration-dependent step counts and the GP fan-out DAG.  The batch
+legs are seeded ``hypothesis`` properties over generated feasible
+batches: single rows, duplicate rows, every HS ``outputs`` value (one
+step group each), HS buffers small enough for several drains, heat
+placements on both sides of the cache-penalty test, and a one-process
+PDF calculator.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.machine import Machine
 from repro.core.collector import Collector
 from repro.core.objectives import EXECUTION_TIME
 from repro.insitu.coupled import run_coupled
@@ -22,9 +32,67 @@ from repro.insitu.fast import (
 )
 from repro.insitu.measurement import measure_workflow, stable_seed
 from repro.insitu.tracing import RunTracer
-from repro.workflows.catalog import expert_config
+from repro.workflows.catalog import expert_config, make_gp, make_hs, make_lv
 
 N_SAMPLE = 12
+
+#: Heat spills its cache share whenever procs < 35.8 × ppn, i.e. on
+#: every placement of 32 or fewer nodes; 64 nodes reach the other side.
+WORKFLOWS = {"gp": make_gp(), "hs": make_hs(Machine(max_nodes=64)), "lv": make_lv()}
+
+
+def _component(draw, low, high, max_nodes, threads=False):
+    """``(procs, ppn[, threads])`` with procs >= ppn and <= max_nodes nodes."""
+    ppn = draw(st.integers(1, 35))
+    procs = draw(st.integers(max(low, ppn), min(high, ppn * max_nodes)))
+    if not threads:
+        return (procs, ppn)
+    return (procs, ppn, draw(st.integers(1, min(4, 36 // ppn))))
+
+
+def _nodes(procs, ppn):
+    return -(-procs // ppn)
+
+
+@st.composite
+def _lv_row(draw):
+    lammps = _component(draw, 2, 1085, 30, threads=True)
+    voro = _component(draw, 2, 1085, 32 - _nodes(*lammps[:2]), threads=True)
+    return lammps + voro
+
+
+@st.composite
+def _hs_row(draw):
+    px, py = draw(st.integers(2, 32)), draw(st.integers(2, 32))
+    ppn = draw(st.integers(-(-px * py // 60), min(35, px * py)))
+    outputs = draw(st.sampled_from((4, 8, 16, 32)))
+    buffer_mb = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    writers = _component(draw, 2, 1085, 64 - _nodes(px * py, ppn))
+    return (px, py, ppn, outputs, buffer_mb) + writers
+
+
+@st.composite
+def _gp_row(draw):
+    gray_scott = _component(draw, 2, 1085, 28)
+    free = 30 - _nodes(*gray_scott)
+    pdf = draw(st.sampled_from([(1, 1), None])) or _component(draw, 1, 512, free)
+    return gray_scott + pdf + (1, 1)
+
+
+ROWS = {"gp": _gp_row(), "hs": _hs_row(), "lv": _lv_row()}
+
+
+@st.composite
+def _batches(draw, name):
+    groups = name == "hs" and draw(st.booleans())  # all four step groups
+    batch = draw(st.lists(ROWS[name], min_size=4 if groups else 1, max_size=8))
+    if groups:
+        batch = [
+            row[:3] + (outputs,) + row[4:]
+            for row, outputs in zip(batch, itertools.cycle((4, 8, 16, 32)))
+        ]
+    copies = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
+    return batch + [batch[i] for i in copies]
 
 
 def _sample(workflow, n=N_SAMPLE, seed=11):
@@ -59,22 +127,17 @@ class TestEligibility:
 
 
 class TestBitIdentity:
-    def test_batch_matches_oracle(self, workflow):
-        configs = _sample(workflow)
-        fast_results = run_coupled_batch(workflow, configs)
-        for config, fast_result in zip(configs, fast_results):
-            oracle = run_coupled(workflow, config)
-            assert fast_result.component_seconds == oracle.component_seconds
-            assert fast_result.execution_seconds == oracle.execution_seconds
-            assert fast_result.busy_seconds == oracle.busy_seconds
-            assert fast_result.steps == oracle.steps
-            assert fast_result.nodes == oracle.nodes
-
-    def test_expert_config_matches_oracle(self, lv):
-        config = expert_config("LV", "execution_time")
-        fast_result = run_coupled_fast(lv, config)
-        oracle = run_coupled(lv, config)
-        assert fast_result == oracle
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_oracle(self, name, data):
+        workflow = WORKFLOWS[name]
+        batch = data.draw(_batches(name))
+        assert all(workflow.constraint(config) for config in batch)
+        fast = run_coupled_batch(workflow, batch)
+        # == is bit identity on these floats: no NaN or signed zero arises.
+        assert fast == [run_coupled(workflow, config) for config in batch]
+        assert all(type(r.nodes) is int and type(r.steps) is int for r in fast)
 
     def test_measure_batch_matches_measure_workflow(self, workflow):
         configs = _sample(workflow)
@@ -131,6 +194,29 @@ class TestFallback:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_first_invalid_row_raises_its_oracle_error(self, name, data):
+        workflow = WORKFLOWS[name]
+        batch = data.draw(st.lists(ROWS[name], min_size=2, max_size=6))
+        bad = []
+        for _ in range(2):
+            row = list(data.draw(ROWS[name]))
+            if data.draw(st.booleans()):  # a value outside its parameter
+                row[data.draw(st.integers(0, len(row) - 1))] = 0
+            else:  # admissible values, one node per process: too many nodes
+                spread = (32, 32, 1) if name == "hs" else (1085, 1)
+                row[: len(spread)] = spread
+            bad.append(tuple(row))
+        first = data.draw(st.integers(1, len(batch) - 1))
+        batch = batch[:first] + bad[:1] + batch[first:] + bad[1:]
+        with pytest.raises(ValueError) as oracle_err:
+            run_coupled(workflow, bad[0])
+        with pytest.raises(ValueError) as fast_err:
+            run_coupled_batch(workflow, batch)
+        assert str(fast_err.value) == str(oracle_err.value)
+
     def test_infeasible_error_parity(self, lv):
         infeasible = (1085, 35, 1, 1085, 35, 1)  # 31 + 31 nodes > 32
         with pytest.raises(ValueError) as oracle_err:

@@ -11,6 +11,7 @@ offline run.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import socket
@@ -19,7 +20,7 @@ import threading
 import pytest
 
 from repro.serve.client import ServeClient
-from repro.serve.http import BackgroundServer
+from repro.serve.http import BackgroundServer, TuningServer
 from repro.serve.protocol import PROTOCOL_VERSION, ServeError
 from repro.serve.sessions import SessionManager
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
@@ -222,6 +223,31 @@ class TestWireErrors:
                 with pytest.raises(ServeError) as err:
                     client.create_session(SMALL, name="slow")
                 assert err.value.code == "timeout"
+
+
+class TestShutdown:
+    def test_stop_closes_an_idle_connection(self, tmp_path):
+        # From Python 3.12 on, Server.wait_closed() waits for every open
+        # connection, so a client idle between requests blocked the drain.
+        async def scenario():
+            server = TuningServer(
+                SessionManager(tmp_path / "state"), drain_timeout=1.0
+            )
+            await server.start()
+            with socket.create_connection(("127.0.0.1", server.port)) as idle:
+                idle.setblocking(False)
+                # Accepted after the idle one, so answered after it is served.
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                assert (await reader.read()).startswith(b"HTTP/1.1 200 ")
+                writer.close()
+                await asyncio.wait_for(server.stop(), 1.0 + 1.0)
+                loop = asyncio.get_running_loop()
+                assert await asyncio.wait_for(loop.sock_recv(idle, 1), 1.0) == b""
+
+        asyncio.run(scenario())
 
 
 class TestDaemonCli:

@@ -1,7 +1,11 @@
 """Tests for repro.experiments.stats (bootstrap CIs, paired tests)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.stats import (
     bootstrap_ci,
@@ -65,6 +69,22 @@ class TestPairedPermutation:
         out = paired_permutation_test(x, y)
         assert out["p"] <= 2 / 2**15 + 1e-12
         assert out["mean_diff"] == pytest.approx(-1.0, abs=0.1)
+
+    @given(
+        diffs=st.lists(
+            st.floats(-100.0, 100.0, allow_subnormal=False), min_size=2, max_size=10
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_p_equals_brute_force_enumeration(self, diffs):
+        out = paired_permutation_test(diffs, [0.0] * len(diffs))
+        observed = abs(np.mean(diffs))
+        hits = sum(
+            abs(np.dot(signs, diffs) / len(diffs)) >= observed - 1e-12
+            for signs in itertools.product((-1.0, 1.0), repeat=len(diffs))
+        )
+        assert out["exact"] is True
+        assert out["p"] == hits / 2 ** len(diffs)
 
     def test_monte_carlo_path_deterministic(self):
         rng = np.random.default_rng(3)

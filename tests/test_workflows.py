@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.insitu.measurement import measure_workflow
+from repro.insitu.measurement import measure_workflow, stable_seed
 from repro.lru import LruCache
 from repro.telemetry import Telemetry
 from repro.workflows import pools
@@ -179,6 +181,63 @@ class TestPools:
         assert lv_pool.lookup(config).execution_seconds == pytest.approx(
             direct.execution_seconds
         )
+
+
+def _history_oracle(workflow, label, size, seed, noise_sigma):
+    """A history the per-configuration way: one solo run, one scalar draw."""
+    app = workflow.app(label)
+    machine = workflow.machine
+
+    def feasible(config):
+        placement = app.placement(config)
+        return (
+            placement.busy_cores_per_node <= machine.node.cores
+            and placement.procs >= placement.procs_per_node
+            and placement.nodes <= machine.max_nodes
+        )
+
+    rng = np.random.default_rng(
+        stable_seed("history", workflow.name, label, size, seed)
+    )
+    configs = app.space.sample(rng, size, constraint=feasible, unique=True)
+    noise_rng = np.random.default_rng(
+        stable_seed("history-noise", workflow.name, label, size, seed)
+    )
+    exec_times, core_hours = [], []
+    for config in configs:
+        solo = workflow.solo_run(label, config)
+        factor = float(np.exp(noise_rng.normal(0.0, noise_sigma)))
+        exec_times.append(solo.execution_seconds * factor)
+        core_hours.append(solo.computer_core_hours * factor)
+    return configs, exec_times, core_hours
+
+
+_CONFIGURABLE = [
+    (workflow.name, label)
+    for workflow in map(make_workflow, ("LV", "HS", "GP"))
+    for label in workflow.labels
+    if workflow.app(label).space.size() > 1
+]
+
+
+@given(
+    component=st.sampled_from(_CONFIGURABLE),
+    size=st.integers(1, 80),
+    seed=st.integers(0, 2**32),
+    noise_sigma=st.sampled_from((0.0, 0.05, 0.3)),
+)
+@settings(max_examples=30, deadline=None)
+def test_history_equals_per_config_oracle(component, size, seed, noise_sigma):
+    workflow = make_workflow(component[0])
+    history = generate_component_history(
+        workflow, component[1], size=size, seed=seed, noise_sigma=noise_sigma
+    )
+    configs, exec_times, core_hours = _history_oracle(
+        workflow, component[1], size, seed, noise_sigma
+    )
+    assert history.configs == tuple(configs)
+    assert history.execution_seconds.tolist() == exec_times
+    assert history.computer_core_hours.tolist() == core_hours
 
 
 class TestComponentHistory:
