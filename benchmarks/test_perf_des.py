@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.insitu.coupled import run_coupled
-from repro.insitu.fast import fast_path_enabled, run_coupled_batch
+from repro.insitu.fast import fast_path_reason, run_coupled_batch
 from repro.insitu.measurement import stable_seed
 from repro.workflows.catalog import make_gp, make_lv
 
@@ -54,10 +54,10 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def test_des_batch_speedup():
-    assert fast_path_enabled(), "REPRO_NO_FAST_DES is set; nothing to benchmark"
     result = {"workload": {"batch": BATCH}, "floor": SWEEP_FLOOR}
     print()
     for workflow in (make_lv(), make_gp()):
+        assert fast_path_reason(workflow) is None, fast_path_reason(workflow)
         configs = _sample(workflow, BATCH)
 
         batched = run_coupled_batch(workflow, configs)  # warm-up + identity

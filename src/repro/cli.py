@@ -7,7 +7,7 @@ Six subcommands::
     python -m repro suite run examples/suites/smoke.toml --store runs.db
     python -m repro store stats runs.db
     python -m repro serve --state-dir .repro-serve --port 8765
-    python -m repro telemetry diff runs.db --baseline main
+    python -m repro telemetry report runs.db
 
 ``tune`` runs the auto-tuner once and prints the recommendation;
 ``reproduce`` regenerates one of the paper's tables/figures and prints
@@ -25,9 +25,8 @@ subcommands accept ``--telemetry PATH`` (with ``--telemetry-format
 format loads directly in Perfetto / ``chrome://tracing`` — plus
 ``--telemetry-store PATH`` to persist an end-of-run snapshot into a
 measurement store for cross-run history, and ``--progress`` for live
-heartbeats on stderr.  ``telemetry`` queries that history: ``report``
-prints one run, ``diff`` gates on p50/p90 self-time regressions
-(non-zero exit — the CI hook), ``baseline`` names a run durably.
+heartbeats on stderr.  ``telemetry report`` prints one run of that
+history with the same span and metric rows as the ``-v`` summary.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--telemetry-store", metavar="PATH", default=None,
         help="persist an end-of-run telemetry snapshot (per-span self "
         "times, counters, provenance) into this measurement store for "
-        "cross-run history and 'repro telemetry diff'")
+        "cross-run history and 'repro telemetry report'")
     parser.add_argument(
         "--telemetry-label", metavar="NAME", default=None,
         help="label the persisted run (with --telemetry-store) so it "
@@ -245,40 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(tel)
     tel.add_argument(
-        "action", choices=("report", "diff", "baseline"),
-        help="'report' prints one run's top self-time spans and "
-        "metrics; 'diff' compares a run against --baseline and exits "
-        "non-zero on a p50/p90 self-time regression beyond --threshold "
-        "(the CI gate); 'baseline' durably names a run via --name")
+        "action", choices=("report",),
+        help="'report' prints one run's provenance, top self-time spans "
+        "and metrics")
     tel.add_argument(
-        "store", nargs="?", default=None,
+        "store",
         help="measurement store holding persisted runs (written by "
-        "--telemetry-store); optional with --floors")
+        "--telemetry-store)")
     tel.add_argument(
         "run", nargs="?", default=None,
-        help="run reference: run key, label, numeric id, or a baseline "
-        "name (default: the newest run)")
+        help="run reference: run key, label or numeric id (default: the "
+        "newest run)")
     tel.add_argument(
-        "--baseline", metavar="REF", default=None,
-        help="diff: the reference run to compare against (run key, "
-        "label, id, or baseline name)")
-    tel.add_argument(
-        "--name", metavar="NAME", default="baseline",
-        help="baseline: the durable name to give the run "
-        "(default: 'baseline')")
-    tel.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="diff: flag spans whose p50/p90 self time grew by more "
-        "than FRAC (default: 0.20)")
-    tel.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="number of top self-time spans to report/watch "
-        "(default: 10 for diff, 15 for report)")
-    tel.add_argument(
-        "--floors", nargs="+", metavar="PATH", default=None,
-        help="check committed benchmark floors (BENCH_*.json) instead "
-        "of store runs; exits non-zero when any speedup is below its "
-        "floor")
+        "--top", type=int, default=15, metavar="N",
+        help="number of top self-time spans to report (default: 15)")
     return parser
 
 
@@ -545,62 +524,18 @@ def _cmd_suite(args, out) -> int:
 def _cmd_telemetry(args, out) -> int:
     import os
 
-    from repro.telemetry import regress
+    from repro.telemetry.persist import load_run, render_run
 
-    if args.floors:
-        report = regress.check_floors(args.floors)
-        print(regress.render_floors(report), file=out)
-        return 0 if report["ok"] else 1
-    if not args.store:
-        log.error("telemetry %s requires a store database path", args.action)
-        return 2
     if not os.path.exists(args.store):
         log.error("store database %s does not exist", args.store)
         return 2
-    from repro.store import MeasurementStore
-
-    store = MeasurementStore(args.store)
     try:
-        if args.action == "baseline":
-            try:
-                marker = regress.set_baseline(store, args.name, args.run)
-            except LookupError as exc:
-                log.error("%s", exc)
-                return 2
-            print(f"baseline {args.name} = {marker['run_key']}", file=out)
-            return 0
-        try:
-            current = regress.load_run(store, args.run)
-        except LookupError as exc:
-            log.error("%s", exc)
-            return 2
-        if args.action == "report":
-            print(
-                regress.render_run(current, top=args.top or 15), file=out
-            )
-            return 0
-        if args.baseline is None:
-            log.error("telemetry diff requires --baseline REF")
-            return 2
-        try:
-            baseline = regress.load_run(store, args.baseline)
-        except LookupError as exc:
-            log.error("%s", exc)
-            return 2
-        report = regress.diff_runs(
-            baseline,
-            current,
-            threshold=(
-                regress.DEFAULT_THRESHOLD
-                if args.threshold is None
-                else args.threshold
-            ),
-            top=args.top or regress.DEFAULT_TOP,
-        )
-        print(regress.render_diff(report), file=out)
-        return 0 if report["ok"] else 1
-    finally:
-        store.close()
+        snapshot = load_run(args.store, args.run)
+    except LookupError as exc:
+        log.error("%s", exc)
+        return 2
+    print(render_run(snapshot, top=args.top), file=out)
+    return 0
 
 
 def _cmd_serve(args, out) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.core.algorithms.base import PlannedBatches
 from repro.core.driver import TuningSession
@@ -51,7 +51,10 @@ class _GpPoolModel:
         mean, std = self.gp.predict_latent(X)
         best = float(self.gp.to_latent(np.array([best_observed]))[0])
         z = (best - mean) / np.maximum(std, 1e-12)
-        return (best - mean) * norm.cdf(z) + std * norm.pdf(z)
+        # scipy.stats.norm's own cdf and pdf formulas, bit for bit, without
+        # the scipy.stats import that every process would otherwise pay.
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+        return (best - mean) * ndtr(z) + std * pdf
 
 
 @dataclass

@@ -19,12 +19,11 @@ with optional deterministic measurement noise.
 :mod:`repro.insitu.fast` evaluates whole batches of configurations
 through one vectorized steady-state sweep, bit-identical to per-config
 ``run_coupled`` runs (the DES stays on as the verbatim oracle and the
-fallback for non-stationary workflows or ``REPRO_NO_FAST_DES=1``).
+fallback for non-stationary workflows).
 """
 
 from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.fast import (
-    fast_path_enabled,
     fast_path_reason,
     measure_batch,
     run_coupled_batch,
@@ -43,7 +42,6 @@ __all__ = [
     "TraceEvent",
     "WorkflowDefinition",
     "WorkflowMeasurement",
-    "fast_path_enabled",
     "fast_path_reason",
     "measure_batch",
     "measure_workflow",

@@ -29,7 +29,6 @@ fast path is **bit-identical** to the oracle — enforced by
 ``tests/test_insitu_fast.py`` and the pinned regression suite.  The
 sweep disengages (falling back to per-config :func:`run_coupled`) when
 
-* ``REPRO_NO_FAST_DES=1`` is set (mirrors ``REPRO_NO_NATIVE``),
 * any component app sets ``stationary_steps = False``,
 * two couplings compare equal (they would share one staging store,
   which the per-coupling recurrence does not model), or
@@ -42,7 +41,6 @@ lagged removal times) is documented in DESIGN.md §12.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import networkx as nx
@@ -61,17 +59,11 @@ from repro.insitu.transport import channel_costs_batch
 from repro.insitu.workflow import WorkflowDefinition
 
 __all__ = [
-    "fast_path_enabled",
     "fast_path_reason",
     "measure_batch",
     "run_coupled_batch",
     "run_coupled_fast",
 ]
-
-
-def fast_path_enabled() -> bool:
-    """False when ``REPRO_NO_FAST_DES`` forces the DES oracle."""
-    return not os.environ.get("REPRO_NO_FAST_DES")
 
 
 def fast_path_reason(workflow: WorkflowDefinition) -> str | None:
@@ -278,14 +270,14 @@ def run_coupled_batch(
     """Coupled-run results for a whole batch of configurations.
 
     Bit-identical to ``[run_coupled(workflow, c) for c in configs]``;
-    uses the vectorized sweep when the workflow is eligible and
-    ``REPRO_NO_FAST_DES`` is unset, the DES oracle otherwise.
+    uses the vectorized sweep when the workflow is eligible and the
+    batch is a numeric matrix, the DES oracle otherwise.
     """
     configs = list(configs)
     if not configs:
         return []
     values = None
-    if fast_path_enabled() and fast_path_reason(workflow) is None:
+    if fast_path_reason(workflow) is None:
         values = _value_matrix(workflow.space, configs)
     if values is None:
         return [run_coupled(workflow, config) for config in configs]

@@ -624,7 +624,7 @@ class MeasurementStore:
     # -- metadata -------------------------------------------------------------
 
     def set_metadata(self, key: str, value: dict) -> None:
-        """Upsert one JSON metadata row (suite cells, telemetry baselines)."""
+        """Upsert one JSON metadata row (suite cells)."""
         conn = self._conn()
         text = json.dumps(value, sort_keys=True)
 

@@ -49,9 +49,9 @@ from repro.telemetry.persist import (
     TELEMETRY_SCHEMA_VERSION,
     aggregate_spans,
     flush_run,
+    render_hub,
 )
 from repro.telemetry.sinks import SCHEMA_VERSION, JsonlSink, load_jsonl
-from repro.telemetry.summary import render_summary
 
 __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
@@ -114,5 +114,9 @@ def use(hub: Telemetry | NullTelemetry | None):
 
 
 def summarize(hub: Telemetry | NullTelemetry | None = None, top: int = 15):
-    """Text report of the given (default: current) hub's telemetry."""
-    return render_summary(hub if hub is not None else _current, top=top)
+    """Text report of the given (default: current) hub's telemetry.
+
+    Below its two-line header it prints exactly the rows that
+    ``repro telemetry report`` prints for the same hub once flushed.
+    """
+    return render_hub(hub if hub is not None else _current, top=top)

@@ -1,14 +1,15 @@
-"""Store-backed telemetry persistence: end-of-run perf history.
+"""Store-backed telemetry: write, read and render one run.
 
 A :class:`~repro.telemetry.hub.Telemetry` hub evaporates at process
-exit; the only durable perf record used to be two hand-committed
-``BENCH_*.json`` files.  This module flushes one *aggregated* snapshot
-of a finished run — per-span-name self-time totals and percentiles,
+exit.  :func:`flush_run` persists one *aggregated* snapshot of a
+finished run — per-span-name self-time totals and percentiles,
 counter/gauge totals, histogram percentile estimates, plus provenance
 (git revision, machine, session/suite identity) — into the
-:class:`~repro.store.db.MeasurementStore` telemetry tables, where the
-regression layer (:mod:`repro.telemetry.regress`) can compare any two
-runs months apart.
+:class:`~repro.store.db.MeasurementStore` telemetry tables;
+:func:`load_run` reads one back.  One renderer prints a live hub
+(``telemetry.summarize``, the CLI's ``-v`` summary) and a stored run
+(``repro telemetry report``): both pass the same span and metric rows to
+:func:`_render_rows`, so the two reports cannot drift apart.
 
 Aggregation happens *after* the runner's deterministic
 ``merge_worker`` pass, so a ``--jobs N`` run persists exactly the same
@@ -28,6 +29,8 @@ import os
 import platform
 import subprocess
 import uuid
+from contextlib import closing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +38,14 @@ from repro.telemetry.hub import NullTelemetry, Telemetry
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
+    "RunSnapshot",
     "aggregate_spans",
     "flush_run",
     "git_revision",
     "histogram_percentiles",
+    "load_run",
+    "render_hub",
+    "render_run",
     "run_provenance",
 ]
 
@@ -56,9 +63,10 @@ def aggregate_spans(hub: Telemetry | NullTelemetry) -> list[dict]:
 
     Self time is each record's duration minus its direct children's;
     ``self_p50_s``/``self_p90_s`` are percentiles of the *per-record*
-    self times, which is what the regression gate compares (a mean
-    hides a stretched tail).  A disabled or empty hub aggregates to
-    ``[]`` — reporting on nothing is clean, never an error.
+    self times (a mean hides a stretched tail).  Rows are sorted by
+    descending self time, name-tiebroken — the store's read order.  A
+    disabled or empty hub aggregates to ``[]`` — reporting on nothing is
+    clean, never an error.
     """
     records = list(getattr(hub, "spans", ()) or ())
     if not records:
@@ -203,7 +211,7 @@ def flush_run(
     ``run_key``, or ``None`` for a disabled hub (flushing nothing is a
     clean no-op, mirroring :class:`~repro.telemetry.hub.NullTelemetry`).
     An enabled-but-empty hub still records a run row — an empty profile
-    is a fact worth diffing against, not an error.
+    is a fact worth reporting, not an error.
     """
     if hub is None:
         from repro import telemetry
@@ -218,3 +226,129 @@ def flush_run(
     run = run_provenance(label=label, session=session, suite=suite)
     store.record_telemetry_run(run, aggregate_spans(hub), _metric_rows(hub))
     return run["run_key"]
+
+
+# -- reading -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunSnapshot:
+    """One persisted telemetry run, fully loaded."""
+
+    run: dict
+    spans: tuple = ()
+    metrics: tuple = ()
+    #: Set when the stored payload version is unsupported; ``spans`` and
+    #: ``metrics`` are then empty and reports must say so, not raise.
+    skipped_reason: str | None = None
+
+    @property
+    def run_key(self) -> str:
+        return self.run["run_key"]
+
+    @property
+    def name(self) -> str:
+        label = self.run.get("label") or ""
+        return f"{self.run_key} ({label})" if label else self.run_key
+
+
+def load_run(store, ref: str | int | None = None) -> RunSnapshot:
+    """Load one run: the newest, or by run key, label or numeric id.
+
+    ``store`` is a :class:`~repro.store.db.MeasurementStore` or a path
+    (opened and closed here).  Raises ``LookupError`` when nothing
+    matches; an unsupported payload version loads as a skipped snapshot
+    instead of raising.
+    """
+    from repro.store.db import MeasurementStore
+
+    if not isinstance(store, MeasurementStore):
+        with closing(MeasurementStore(store)) as opened:
+            return load_run(opened, ref)
+    row = store.find_telemetry_run(ref)
+    if row is None:
+        known = ", ".join(r["run_key"] for r in store.telemetry_runs()[-5:])
+        raise LookupError(
+            f"no telemetry run matches {ref!r}"
+            + (f" (recent runs: {known})" if known else " (store has none)")
+        )
+    if int(row["schema_version"]) > TELEMETRY_SCHEMA_VERSION:
+        return RunSnapshot(
+            run=row,
+            skipped_reason=(
+                f"payload schema {row['schema_version']} is newer than "
+                f"supported {TELEMETRY_SCHEMA_VERSION}; spans/metrics "
+                "not loaded"
+            ),
+        )
+    return RunSnapshot(
+        run=row,
+        spans=tuple(store.telemetry_spans(row["id"])),
+        metrics=tuple(store.telemetry_metrics(row["id"])),
+    )
+
+
+# -- rendering -----------------------------------------------------------------
+
+
+def _render_rows(spans, metrics, top: int) -> list[str]:
+    """The span table and metric list of one run, live or stored.
+
+    ``spans`` are :func:`aggregate_spans` rows and ``metrics``
+    :func:`_metric_rows` rows; the store reads both back in the order
+    they were written, so a hub and its flushed run print alike.
+    """
+    if spans:
+        lines = [
+            f"{'span':32s} {'count':>7s} {'total s':>10s} {'self s':>10s} "
+            f"{'p50 ms':>9s} {'p90 ms':>9s}"
+        ]
+        for span in spans[:top]:
+            lines.append(
+                f"{span['name']:32s} {span['count']:7d} "
+                f"{span['total_s']:10.3f} {span['self_s']:10.3f} "
+                f"{span['self_p50_s'] * 1e3:9.2f} "
+                f"{span['self_p90_s'] * 1e3:9.2f}"
+            )
+        if len(spans) > top:
+            lines.append(f"... and {len(spans) - top} more span names")
+    else:
+        lines = ["no spans recorded"]
+    if metrics:
+        lines.extend(["", "metrics"])
+        for metric in metrics:
+            payload = metric["payload"]
+            value = (
+                f"count={payload['count']} mean={payload['mean']:.4f}"
+                if metric["kind"] == "histogram"
+                else metric["value"]
+            )
+            lines.append(f"  {metric['name']:30s} {value}")
+    return lines
+
+
+def render_hub(hub: Telemetry | NullTelemetry, top: int = 15) -> str:
+    """Human-readable summary of one live hub's spans and metrics."""
+    if not hub.enabled:
+        return "telemetry disabled"
+    rows = _render_rows(aggregate_spans(hub), _metric_rows(hub), top)
+    return "\n".join(["telemetry summary", "-----------------", *rows])
+
+
+def render_run(snapshot: RunSnapshot, top: int = 15) -> str:
+    """Human-readable report of one stored run, provenance first."""
+    run = snapshot.run
+    lines = [
+        f"telemetry run {snapshot.name}",
+        f"  recorded {run['created_at']}  machine={run['machine'] or '?'}"
+        f"  rev={run['git_rev'] or '?'}  schema={run['schema_version']}",
+    ]
+    if run.get("session"):
+        lines.append(f"  session {run['session']}")
+    if run.get("suite"):
+        lines.append(f"  suite {run['suite']}")
+    if snapshot.skipped_reason:
+        lines.append(f"  SKIPPED: {snapshot.skipped_reason}")
+    else:
+        lines.extend(_render_rows(snapshot.spans, snapshot.metrics, top))
+    return "\n".join(lines)

@@ -160,7 +160,7 @@ def generate_pool(
         )
         # One vectorized sweep for the whole pool (bit-identical to the
         # former per-config measure_workflow loop; the DES oracle is the
-        # fallback for ineligible workflows or REPRO_NO_FAST_DES=1).
+        # fallback for ineligible workflows).
         measurements = tuple(
             measure_batch(
                 workflow,

@@ -1,9 +1,17 @@
 """Tests for the Didona ensembles (§8.2) and the BO tuner (§9)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithms import BayesianOptimization
+from repro.core.algorithms.bayesian import _GpPoolModel
 from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.ensembles import HyBoost, KnnModelSelector, Probing
@@ -163,3 +171,60 @@ class TestBayesianOptimization:
             result = BayesianOptimization(iterations=4).tune(problem)
             gaps.append(result.best_actual_value(lv_pool) / best)
         assert np.mean(gaps) < 1.3
+
+
+class _LatentStub:
+    """A GP stand-in whose latent mean and std are given."""
+
+    def __init__(self, mean, std):
+        self.mean, self.std = mean, std
+
+    def predict_latent(self, X):
+        return self.mean, self.std
+
+    def to_latent(self, y):
+        return y
+
+
+class _IdentityEncoder:
+    def encode(self, configs):
+        return configs
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    data=st.lists(
+        st.tuples(_finite, st.floats(0.0, 1e3, allow_nan=False)),
+        min_size=1,
+        max_size=64,
+    ),
+    best=_finite,
+)
+@settings(max_examples=200, deadline=None)
+def test_expected_improvement_matches_scipy_norm_bit_for_bit(data, best):
+    from scipy.stats import norm
+
+    mean = np.array([m for m, _ in data])
+    std = np.array([s for _, s in data])
+    model = _GpPoolModel(_IdentityEncoder(), _LatentStub(mean, std))
+    z = (best - mean) / np.maximum(std, 1e-12)
+    want = (best - mean) * norm.cdf(z) + std * norm.pdf(z)
+    got = model.expected_improvement(np.zeros((len(data), 1)), best)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_importing_the_tuner_does_not_import_scipy_stats():
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys, repro.core, repro.serve.sessions, repro.cli; "
+        "assert 'scipy.stats' not in sys.modules"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )

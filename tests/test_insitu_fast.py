@@ -24,7 +24,6 @@ from repro.core.collector import Collector
 from repro.core.objectives import EXECUTION_TIME
 from repro.insitu.coupled import run_coupled
 from repro.insitu.fast import (
-    fast_path_enabled,
     fast_path_reason,
     measure_batch,
     run_coupled_batch,
@@ -108,14 +107,6 @@ def workflow(request):
 
 
 class TestEligibility:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FAST_DES", raising=False)
-        assert fast_path_enabled()
-
-    def test_env_knob_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
-        assert not fast_path_enabled()
-
     def test_catalog_workflows_eligible(self, workflow):
         assert fast_path_reason(workflow) is None
 
@@ -160,7 +151,9 @@ class TestBitIdentity:
         fast_ms = measure_batch(
             hs, configs, noise_sigma=0.05, noise_seed=5, replicates=3
         )
-        monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
+        monkeypatch.setattr(
+            hs.app("stage_write"), "stationary_steps", False, raising=False
+        )
         oracle_ms = measure_batch(
             hs, configs, noise_sigma=0.05, noise_seed=5, replicates=3
         )
@@ -168,13 +161,6 @@ class TestBitIdentity:
 
 
 class TestFallback:
-    def test_env_knob_falls_back_to_same_results(self, lv, monkeypatch):
-        configs = _sample(lv, n=4)
-        fast_results = run_coupled_batch(lv, configs)
-        monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
-        oracle_results = run_coupled_batch(lv, configs)
-        assert fast_results == oracle_results
-
     def test_non_stationary_falls_back_to_same_results(self, gp, monkeypatch):
         configs = _sample(gp, n=4)
         fast_results = run_coupled_batch(gp, configs)

@@ -91,14 +91,19 @@ def test_oracle_pool_preserves_pinned_output(lv, lv_pool, lv_histories, monkeypa
     """The fast measurement sweep never moves a pinned number.
 
     The fixtures' pools go through ``repro.insitu.fast`` by default; a
-    pool regenerated with ``REPRO_NO_FAST_DES=1`` (per-config DES
-    oracle) must be bit-identical, and tuning on it must reproduce the
-    pinned pre-fast-path output.
+    pool regenerated on the per-config DES oracle (forced the way the
+    sweep observes it: one app declares non-stationary steps) must be
+    bit-identical, and tuning on it must reproduce the pinned
+    pre-fast-path output.
     """
+    from repro.insitu.fast import fast_path_reason
     from repro.lru import LruCache
     from repro.workflows import pools
 
-    monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
+    monkeypatch.setattr(
+        lv.app("voro"), "stationary_steps", False, raising=False
+    )
+    assert fast_path_reason(lv) is not None
     monkeypatch.setattr(pools, "_POOL_MEMO", LruCache("pool.memo", 128))
     oracle_pool = pools.generate_pool(lv, len(lv_pool), seed=7)
     assert oracle_pool.configs == lv_pool.configs
@@ -135,8 +140,7 @@ def test_observability_preserves_pinned_output(
 
     from repro import telemetry as tel
     from repro.telemetry import progress
-    from repro.telemetry.persist import flush_run
-    from repro.telemetry.regress import load_run
+    from repro.telemetry.persist import flush_run, load_run
 
     pin = PINNED[key]
     problem = TuningProblem.create(

@@ -1,4 +1,4 @@
-"""Persistent telemetry: store round-trips, regression gate, progress.
+"""Persistent telemetry: store round-trips, one renderer, progress.
 
 Three contracts under test:
 
@@ -7,10 +7,9 @@ Three contracts under test:
   with identical deterministic fields, and a parallel (``jobs=2``)
   fan-out aggregates to the same span names/counts/metric totals as
   its serial twin (wall-clock columns excepted).
-* **Regression gate** — :func:`repro.telemetry.regress.diff_runs`
-  trips on a synthetic slowdown beyond the threshold, passes on an
-  identical re-run, ignores sub-jitter spans, and treats unreadable
-  (newer-schema) runs as inconclusive-but-ok.
+* **One renderer** — ``telemetry.summarize`` of a live hub and
+  ``repro telemetry report`` of its flushed run print the same rows,
+  and an unreadable (newer-schema) run reports as skipped, not fatal.
 * **Progress** — heartbeat sinks throttle, flush their last event on
   close, and never touch tuning state (bit-identity is pinned in
   ``test_regression_pinned.py``).
@@ -25,13 +24,15 @@ import pytest
 from repro import telemetry
 from repro.experiments.runner import fanout
 from repro.store.db import MeasurementStore
-from repro.telemetry import progress, regress
+from repro.telemetry import progress
 from repro.telemetry.hub import NullTelemetry, Telemetry
 from repro.telemetry.persist import (
     TELEMETRY_SCHEMA_VERSION,
     aggregate_spans,
     flush_run,
     histogram_percentiles,
+    load_run,
+    render_run,
     run_provenance,
 )
 from repro.telemetry.sinks import JsonlSink, load_jsonl
@@ -94,7 +95,7 @@ def test_flush_run_roundtrip(tmp_path):
     hub = _busy_hub()
     key = flush_run(store, hub, label="first", session="test", suite="s1")
     assert key
-    snap = regress.load_run(store, key)
+    snap = load_run(store, key)
     assert snap.run["label"] == "first"
     assert snap.run["session"] == "test"
     assert snap.run["suite"] == "s1"
@@ -116,7 +117,7 @@ def test_ring_overflow_counts_dropped_spans(tmp_path):
             pass
     assert len(hub.spans) == 2
     store = MeasurementStore(tmp_path / "t.db")
-    snap = regress.load_run(store, flush_run(store, hub))
+    snap = load_run(store, flush_run(store, hub))
     metrics = {m["name"]: m["value"] for m in snap.metrics}
     assert metrics["telemetry.spans_dropped"] == 1.0
     store.close()
@@ -132,9 +133,9 @@ def test_flush_run_disabled_hub_is_noop(tmp_path):
 def test_flush_run_empty_hub_records_row(tmp_path):
     store = MeasurementStore(tmp_path / "t.db")
     key = flush_run(store, Telemetry(), label="empty")
-    snap = regress.load_run(store, key)
+    snap = load_run(store, key)
     assert snap.spans == ()
-    assert "no spans recorded" in regress.render_run(snap)
+    assert "no spans recorded" in render_run(snap)
     store.close()
 
 
@@ -142,11 +143,11 @@ def test_load_run_resolution_and_missing(tmp_path):
     store = MeasurementStore(tmp_path / "t.db")
     k1 = flush_run(store, _busy_hub(), label="one")
     k2 = flush_run(store, _busy_hub(), label="two")
-    assert regress.load_run(store, None).run_key == k2  # newest
-    assert regress.load_run(store, "one").run_key == k1  # by label
-    assert regress.load_run(store, k1).run_key == k1  # by key
+    assert load_run(store, None).run_key == k2  # newest
+    assert load_run(store, "one").run_key == k1  # by label
+    assert load_run(store, k1).run_key == k1  # by key
     with pytest.raises(LookupError, match="no telemetry run"):
-        regress.load_run(store, "nonesuch")
+        load_run(store, "nonesuch")
     store.close()
 
 
@@ -165,7 +166,7 @@ def test_parallel_flush_matches_serial(tmp_path, jobs):
     with telemetry.use(hub):
         fanout(_span_worker, None, 4, jobs=jobs)
     key = flush_run(store, hub, label=f"jobs{jobs}")
-    snap = regress.load_run(store, key)
+    snap = load_run(store, key)
     # The runner wraps each task in its own span; both aggregate
     # identically across jobs settings.
     assert sorted((s["name"], s["count"]) for s in snap.spans) == [
@@ -176,13 +177,7 @@ def test_parallel_flush_matches_serial(tmp_path, jobs):
     store.close()
 
 
-# -- regression gate -----------------------------------------------------------
-
-
-def _fake_run(store, spans, label=""):
-    run = run_provenance(label=label)
-    store.record_telemetry_run(run, spans, [])
-    return regress.load_run(store, run["run_key"])
+# -- one renderer --------------------------------------------------------------
 
 
 def _span(name, p50, p90, self_s=1.0):
@@ -192,48 +187,26 @@ def _span(name, p50, p90, self_s=1.0):
     }
 
 
-def test_diff_identical_runs_pass(tmp_path):
-    store = MeasurementStore(tmp_path / "t.db")
-    spans = [_span("fit", 0.010, 0.020), _span("predict", 0.005, 0.008)]
-    base = _fake_run(store, spans, "base")
-    cur = _fake_run(store, spans, "cur")
-    report = regress.diff_runs(base, cur)
-    assert report["ok"] and not report["regressions"]
-    assert "PASS" in regress.render_diff(report)
-    store.close()
-
-
-def test_diff_flags_regression_beyond_threshold(tmp_path):
-    store = MeasurementStore(tmp_path / "t.db")
-    base = _fake_run(store, [_span("fit", 0.010, 0.020)], "base")
-    cur = _fake_run(store, [_span("fit", 0.010, 0.030)], "cur")  # +50% p90
-    report = regress.diff_runs(base, cur, threshold=0.20)
-    assert not report["ok"]
-    assert report["regressions"] == ["fit"]
-    assert "REGRESSION" in regress.render_diff(report)
-    # The same delta under a looser gate passes.
-    assert regress.diff_runs(base, cur, threshold=0.60)["ok"]
-    store.close()
-
-
-def test_diff_ignores_sub_jitter_spans(tmp_path):
-    store = MeasurementStore(tmp_path / "t.db")
-    # p90 below MIN_GATE_SECONDS: a 10x blowup is still scheduler noise.
-    base = _fake_run(store, [_span("tiny", 0.00001, 0.0001)], "base")
-    cur = _fake_run(store, [_span("tiny", 0.0001, 0.001)], "cur")
-    assert regress.diff_runs(base, cur)["ok"]
-    store.close()
-
-
-def test_diff_reports_removed_spans_informationally(tmp_path):
-    store = MeasurementStore(tmp_path / "t.db")
-    base = _fake_run(store, [_span("gone", 0.01, 0.02)], "base")
-    cur = _fake_run(store, [_span("new", 0.01, 0.02)], "cur")
-    report = regress.diff_runs(base, cur)
-    assert report["ok"]
-    assert report["spans"][0]["status"] == "removed"
-    assert any("only in current" in n for n in report["notes"])
-    store.close()
+def test_summary_and_report_print_the_same_rows(tmp_path):
+    """A live hub and its flushed run print through one renderer."""
+    hub = _busy_hub()
+    store_path = str(tmp_path / "t.db")
+    flush_run(store_path, hub)
+    rc, text = _cli(["telemetry", "report", store_path])
+    assert rc == 0
+    live = telemetry.summarize(hub).splitlines()
+    stored = text.splitlines()
+    # Two header lines each: the summary's title, the run's provenance.
+    assert live[:2] == ["telemetry summary", "-----------------"]
+    assert stored[0].startswith("telemetry run ")
+    assert stored[1].startswith("  recorded ")
+    assert live[2:] == stored[2:]
+    # The shared rows: spans, a counter by value, a histogram by count
+    # and mean.
+    body = "\n".join(live[2:])
+    for name in ("outer", "inner", "widgets", "lat"):
+        assert name in body
+    assert "count=2 mean=0.2750" in body
 
 
 def test_newer_schema_run_is_inconclusive_not_fatal(tmp_path):
@@ -241,54 +214,10 @@ def test_newer_schema_run_is_inconclusive_not_fatal(tmp_path):
     run = run_provenance(label="future")
     run["schema_version"] = TELEMETRY_SCHEMA_VERSION + 1
     store.record_telemetry_run(run, [_span("fit", 0.01, 0.02)], [])
-    snap = regress.load_run(store, run["run_key"])
+    snap = load_run(store, run["run_key"])
     assert snap.skipped_reason and snap.spans == ()
-    assert "SKIPPED" in regress.render_run(snap)
-    base = _fake_run(store, [_span("fit", 0.01, 0.02)], "base")
-    report = regress.diff_runs(base, snap)
-    assert report["ok"] and report["inconclusive"]
+    assert "SKIPPED" in render_run(snap)
     store.close()
-
-
-def test_named_baseline_roundtrip(tmp_path):
-    store = MeasurementStore(tmp_path / "t.db")
-    k1 = flush_run(store, _busy_hub(), label="one")
-    flush_run(store, _busy_hub(), label="two")
-    marker = regress.set_baseline(store, "main", "one")
-    assert marker["run_key"] == k1
-    assert regress.load_run(store, "main").run_key == k1
-    store.close()
-
-
-# -- BENCH floors --------------------------------------------------------------
-
-
-def test_check_floors_on_committed_bench_files():
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parent.parent
-    report = regress.check_floors(
-        [root / "BENCH_ml.json", root / "BENCH_des.json"]
-    )
-    assert report["checks"], "floor walker found no floor/speedup pairs"
-    assert report["ok"], f"committed floors violated: {report['regressions']}"
-    assert "PASS" in regress.render_floors(report)
-
-
-def test_check_floors_flags_violation(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"kern": {"floor": 5.0, "speedup": 1.2}}))
-    report = regress.check_floors([path])
-    assert not report["ok"]
-    assert report["regressions"] == ["bench.json/kern"]
-    assert "BELOW FLOOR" in regress.render_floors(report)
-
-
-def test_check_floors_unreadable_file(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("{not json")
-    report = regress.check_floors([path])
-    assert not report["ok"]
 
 
 # -- progress sinks ------------------------------------------------------------
@@ -487,35 +416,14 @@ def _cli(argv):
 def test_cli_telemetry_diff_exit_codes(tmp_path):
     store_path = str(tmp_path / "t.db")
     store = MeasurementStore(store_path)
-    _fake_run(store, [_span("fit", 0.010, 0.020)], "base")
-    _fake_run(store, [_span("fit", 0.010, 0.030)], "slow")
+    store.record_telemetry_run(
+        run_provenance(label="base"), [_span("fit", 0.010, 0.020)], []
+    )
     store.close()
-    rc, text = _cli(["telemetry", "baseline", store_path, "base",
-                     "--name", "main"])
-    assert rc == 0 and "baseline main" in text
-    rc, text = _cli(["telemetry", "diff", store_path, "slow",
-                     "--baseline", "main"])
-    assert rc == 1 and "REGRESSION" in text
-    rc, text = _cli(["telemetry", "diff", store_path, "base",
-                     "--baseline", "main"])
-    assert rc == 0 and "PASS" in text
-    rc, _ = _cli(["telemetry", "diff", store_path, "base"])
-    assert rc == 2  # --baseline is required
     rc, _ = _cli(["telemetry", "report", str(tmp_path / "absent.db")])
     assert rc == 2
     rc, text = _cli(["telemetry", "report", store_path])
     assert rc == 0 and "fit" in text
-
-
-def test_cli_telemetry_floors(tmp_path):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"k": {"floor": 1.0, "speedup": 2.0}}))
-    rc, text = _cli(["telemetry", "diff", "--floors", str(good)])
-    assert rc == 0 and "PASS" in text
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"k": {"floor": 5.0, "speedup": 2.0}}))
-    rc, text = _cli(["telemetry", "diff", "--floors", str(bad)])
-    assert rc == 1 and "BELOW FLOOR" in text
 
 
 def test_cli_telemetry_store_flag_persists_run(tmp_path):
