@@ -19,7 +19,9 @@ with optional deterministic measurement noise.
 :mod:`repro.insitu.fast` evaluates whole batches of configurations
 through one vectorized steady-state sweep, bit-identical to per-config
 ``run_coupled`` runs (the DES stays on as the verbatim oracle and the
-fallback for non-stationary workflows).
+fallback for non-stationary workflows); its ``measure_batch`` returns a
+batch's observables as the columns of a
+:class:`~repro.insitu.measurement.MeasuredBatch`.
 """
 
 from repro.insitu.coupled import CoupledRunResult, run_coupled
@@ -29,7 +31,11 @@ from repro.insitu.fast import (
     run_coupled_batch,
     run_coupled_fast,
 )
-from repro.insitu.measurement import WorkflowMeasurement, measure_workflow
+from repro.insitu.measurement import (
+    MeasuredBatch,
+    WorkflowMeasurement,
+    measure_workflow,
+)
 from repro.insitu.tracing import RunTracer, TraceEvent
 from repro.insitu.transport import StagingChannelModel
 from repro.insitu.workflow import Coupling, WorkflowDefinition
@@ -37,6 +43,7 @@ from repro.insitu.workflow import Coupling, WorkflowDefinition
 __all__ = [
     "Coupling",
     "CoupledRunResult",
+    "MeasuredBatch",
     "RunTracer",
     "StagingChannelModel",
     "TraceEvent",

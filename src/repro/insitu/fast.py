@@ -23,6 +23,12 @@ the event engine:
    component's timestamp, exactly the operations the event heap would
    perform, in the same order.  The whole ``ask()`` batch advances in
    lock-step as numpy arrays (one lane per configuration).
+3. **Columns, not objects.**  The sweep yields one array per observable;
+   :func:`measure_batch` scales them by the batch's noise factors
+   (:func:`~repro.insitu.measurement.noise_factors`, one seed pass) and
+   returns a :class:`~repro.insitu.measurement.MeasuredBatch`.
+   :func:`run_coupled_batch` is the per-configuration view of the same
+   columns.
 
 Because additions and selections are replayed in the engine's order, the
 fast path is **bit-identical** to the oracle — enforced by
@@ -41,6 +47,7 @@ lagged removal times) is documented in DESIGN.md §12.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -50,11 +57,7 @@ from repro import telemetry
 from repro.cluster.allocation import placement_ok_batch
 from repro.config.space import Configuration
 from repro.insitu.coupled import CoupledRunResult, run_coupled
-from repro.insitu.measurement import (
-    WorkflowMeasurement,
-    observe_run,
-    stable_seed,
-)
+from repro.insitu.measurement import MeasuredBatch, noise_factors, stable_seed
 from repro.insitu.transport import channel_costs_batch
 from repro.insitu.workflow import WorkflowDefinition
 
@@ -263,6 +266,87 @@ def _sweep(plan: _SweepPlan, costs: _BatchCosts, group: np.ndarray, n_steps: int
     return clock, busy
 
 
+@dataclass(frozen=True)
+class _Runs:
+    """A batch's noise-free coupled runs, one array per observable.
+
+    ``component_seconds``/``busy_seconds`` map each label, in
+    ``workflow.labels`` order, to a float64 column; ``nodes`` and
+    ``steps`` are int64 columns.
+    """
+
+    component_seconds: dict
+    busy_seconds: dict
+    nodes: np.ndarray
+    steps: np.ndarray
+
+    @classmethod
+    def of(cls, labels, results: list) -> "_Runs":
+        """The columns of a list of :class:`CoupledRunResult`."""
+
+        def columns(field):
+            return {
+                label: np.array(
+                    [getattr(r, field)[label] for r in results], dtype=np.float64
+                )
+                for label in labels
+            }
+
+        return cls(
+            component_seconds=columns("component_seconds"),
+            busy_seconds=columns("busy_seconds"),
+            nodes=np.array([r.nodes for r in results], dtype=np.int64),
+            steps=np.array([r.steps for r in results], dtype=np.int64),
+        )
+
+    def results(self) -> list[CoupledRunResult]:
+        """The per-configuration view of the batch."""
+        clock = {k: v.tolist() for k, v in self.component_seconds.items()}
+        busy = {k: v.tolist() for k, v in self.busy_seconds.items()}
+        results = []
+        for row, (nodes, steps) in enumerate(
+            zip(self.nodes.tolist(), self.steps.tolist())
+        ):
+            component_seconds = {label: clock[label][row] for label in clock}
+            results.append(
+                CoupledRunResult(
+                    component_seconds=component_seconds,
+                    execution_seconds=max(component_seconds.values()),
+                    busy_seconds={label: busy[label][row] for label in busy},
+                    steps=steps,
+                    nodes=nodes,
+                )
+            )
+        return results
+
+
+def _coupled_runs(workflow: WorkflowDefinition, configs: list) -> _Runs:
+    """The noise-free coupled runs of a batch, as columns.
+
+    The one place that chooses between the vectorized sweep and the
+    per-configuration :func:`run_coupled` oracle.
+    """
+    values = None
+    if configs and fast_path_reason(workflow) is None:
+        values = _value_matrix(workflow.space, configs)
+    if values is None:
+        return _Runs.of(
+            workflow.labels, [run_coupled(workflow, c) for c in configs]
+        )
+    tel = telemetry.get()
+    if not tel.enabled:
+        return _run_batch(workflow, configs, values)
+    with tel.span(
+        "insitu.fast_sweep",
+        category="insitu",
+        workflow=workflow.name,
+        batch=len(configs),
+    ):
+        runs = _run_batch(workflow, configs, values)
+    tel.counter("des.fast_runs").inc(len(configs))
+    return runs
+
+
 def run_coupled_batch(
     workflow: WorkflowDefinition,
     configs,
@@ -273,27 +357,7 @@ def run_coupled_batch(
     uses the vectorized sweep when the workflow is eligible and the
     batch is a numeric matrix, the DES oracle otherwise.
     """
-    configs = list(configs)
-    if not configs:
-        return []
-    values = None
-    if fast_path_reason(workflow) is None:
-        values = _value_matrix(workflow.space, configs)
-    if values is None:
-        return [run_coupled(workflow, config) for config in configs]
-    tel = telemetry.get()
-    if tel.enabled:
-        with tel.span(
-            "insitu.fast_sweep",
-            category="insitu",
-            workflow=workflow.name,
-            batch=len(configs),
-        ):
-            results = _run_batch(workflow, configs, values)
-        tel.counter("des.fast_runs").inc(len(configs))
-    else:
-        results = _run_batch(workflow, configs, values)
-    return results
+    return _coupled_runs(workflow, list(configs)).results()
 
 
 def _value_matrix(space, configs: list):
@@ -305,28 +369,26 @@ def _value_matrix(space, configs: list):
     return None if values.dtype == object else values
 
 
-def _run_batch(workflow, configs, values) -> list[CoupledRunResult]:
+def _run_batch(workflow, configs, values) -> _Runs:
     plan = _plan(workflow)
     costs = _batch_costs(workflow, plan, configs, values)
-    results: list = [None] * len(configs)
+    labels = workflow.labels
+    clock = {label: np.empty(len(configs)) for label in labels}
+    busy = {label: np.empty(len(configs)) for label in labels}
     # Step counts can be configuration-dependent (HS); sweep each group
     # of equal-length timelines as one numpy batch.
     for n_steps in np.unique(costs.steps).tolist():
         group = np.flatnonzero(costs.steps == n_steps)
-        clock, busy = _sweep(plan, costs, group, n_steps)
-        clock = {label: clock[label].tolist() for label in workflow.labels}
-        busy = {label: busy[label].tolist() for label in workflow.labels}
-        nodes = costs.nodes[group].tolist()
-        for lane, index in enumerate(group.tolist()):
-            component_seconds = {label: clock[label][lane] for label in clock}
-            results[index] = CoupledRunResult(
-                component_seconds=component_seconds,
-                execution_seconds=max(component_seconds.values()),
-                busy_seconds={label: busy[label][lane] for label in busy},
-                steps=n_steps,
-                nodes=nodes[lane],
-            )
-    return results
+        group_clock, group_busy = _sweep(plan, costs, group, n_steps)
+        for label in labels:
+            clock[label][group] = group_clock[label]
+            busy[label][group] = group_busy[label]
+    return _Runs(
+        component_seconds=clock,
+        busy_seconds=busy,
+        nodes=costs.nodes,
+        steps=costs.steps,
+    )
 
 
 def run_coupled_fast(
@@ -353,49 +415,44 @@ def measure_batch(
     noise_sigma: float = 0.05,
     noise_seed: int = 0,
     replicates: int = 1,
-) -> list[WorkflowMeasurement]:
-    """Measure a batch of configurations through :func:`run_coupled_batch`.
+) -> MeasuredBatch:
+    """Measure a batch of configurations as columns.
 
-    Bit-identical to calling :func:`measure_workflow` per configuration
-    (including the per-replicate noise seeds and averaging of
-    ``generate_pool``); the coupled run itself is noise-free, so
-    replicates reuse one run and redraw only the noise factors.
+    Row for row bit-identical to :func:`measure_workflow` (including the
+    per-replicate noise seeds and averaging of ``generate_pool``).  The
+    coupled run is noise-free, so it runs once per configuration
+    (:func:`run_coupled_batch`'s sweep or oracle) and each replicate
+    redraws only the :func:`noise_factors` column.  Every observable is
+    scaled by its row's factor in the scalar path's operation order, and
+    replicates average a C-contiguous ``(n, replicates)`` matrix with
+    ``mean(axis=1)``, which equals ``np.mean`` of each row's list.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    configs = list(configs)
-    results = run_coupled_batch(workflow, configs)
-    out = []
-    for config, result in zip(configs, results):
-        if replicates == 1:
-            out.append(
-                observe_run(workflow, config, result, noise_sigma, noise_seed)
-            )
-            continue
-        runs = [
-            observe_run(
-                workflow, config, result, noise_sigma,
-                stable_seed(noise_seed, rep),
-            )
-            for rep in range(replicates)
-        ]
-        out.append(_mean_measurement(runs))
-    return out
-
-
-def _mean_measurement(runs: list) -> WorkflowMeasurement:
-    """Average replicate measurements (same reduction as ``generate_pool``)."""
-    labels = runs[0].component_seconds.keys()
-    return WorkflowMeasurement(
-        config=runs[0].config,
-        execution_seconds=float(np.mean([r.execution_seconds for r in runs])),
-        computer_core_hours=float(
-            np.mean([r.computer_core_hours for r in runs])
-        ),
+    configs = tuple(tuple(config) for config in configs)
+    runs = _coupled_runs(workflow, list(configs))
+    seeds = (
+        [noise_seed]
+        if replicates == 1
+        else [stable_seed(noise_seed, rep) for rep in range(replicates)]
+    )
+    factors = np.column_stack(
+        [noise_factors(workflow.name, configs, noise_sigma, s) for s in seeds]
+    )
+    # The longest component time: np.maximum is a selection, so exact.
+    exec_seconds = functools.reduce(np.maximum, runs.component_seconds.values())
+    observed = exec_seconds[:, None] * factors
+    core_hours = (
+        observed * runs.nodes[:, None] * workflow.machine.node.cores / 3600.0
+    )
+    return MeasuredBatch(
+        configs=configs,
+        execution_seconds=observed.mean(axis=1),
+        computer_core_hours=core_hours.mean(axis=1),
         component_seconds={
-            label: float(np.mean([r.component_seconds[label] for r in runs]))
-            for label in labels
+            label: (seconds[:, None] * factors).mean(axis=1)
+            for label, seconds in runs.component_seconds.items()
         },
-        nodes=runs[0].nodes,
-        steps=runs[0].steps,
+        nodes=runs.nodes,
+        steps=runs.steps,
     )

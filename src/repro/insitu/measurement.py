@@ -6,9 +6,17 @@ longest component time and its *computer time* is
 ``execution_time × nodes × cores_per_node`` (§7.1).
 
 Real measurements are noisy; here noise is a deterministic multiplicative
-log-normal factor derived by hashing ``(workflow, config, seed)``, so a
-fixed pool is exactly reproducible (the paper likewise measures its
-2000-configuration pool once and reuses it).
+log-normal factor per configuration: ``exp`` of the first
+``normal(0.0, sigma)`` of ``np.random.default_rng(stable_seed(workflow,
+tuple(config), seed))``.  So a fixed pool is exactly reproducible (the
+paper likewise measures its 2000-configuration pool once and reuses it).
+:func:`noise_factors` is the one place the factors are drawn, a batch
+at a time: it hashes every configuration's ``SeedSequence`` state in one
+array pass and lets numpy's own ``PCG64`` draw each normal from it, so
+every factor equals the per-configuration ``default_rng`` draw.
+
+A batch's observables are columns (:class:`MeasuredBatch`); a
+:class:`WorkflowMeasurement` is one configuration's row.
 """
 
 from __future__ import annotations
@@ -17,15 +25,18 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.config.space import Configuration
-from repro.insitu.coupled import CoupledRunResult, run_coupled
+from repro.insitu.coupled import run_coupled
 from repro.insitu.workflow import WorkflowDefinition
 
 __all__ = [
+    "MeasuredBatch",
     "WorkflowMeasurement",
     "measure_workflow",
-    "observe_run",
+    "noise_factors",
+    "objective_field",
     "stable_seed",
 ]
 
@@ -38,6 +49,117 @@ def stable_seed(*parts) -> int:
     """
     digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hashmix(words: np.ndarray, const: int, mult: int):
+    """numpy's ``hashmix`` on every lane; returns the words and next constant."""
+    words = words ^ np.uint32(const)
+    const = (const * mult) & _MASK32
+    words = words * np.uint32(const)
+    return words ^ (words >> _XSHIFT), const
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed ``s``.
+
+    numpy's documented uint32 hash, one array operation per step over
+    the whole batch: ``mix_entropy`` of the seed's two 32-bit words into
+    the four-word pool, then ``generate_state``.  A seed below 2**32 is
+    one entropy word to numpy, which pads the pool with hashed zeros, so
+    hashing its zero high word lands on the same pool.  The hash
+    constants evolve identically on every lane, so they stay masked
+    Python ints.  Returns a C-contiguous ``(n, 4)`` uint64 array.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = (
+        (seeds & np.uint64(_MASK32)).astype(np.uint32),
+        (seeds >> np.uint64(32)).astype(np.uint32),
+        zero,
+        zero,
+    )
+    const = _INIT_A
+    pool = []
+    for word in entropy:
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                word = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * word
+                pool[dst] = word ^ (word >> _XSHIFT)
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack(
+        [state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)],
+        axis=1,
+    )
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose ``PCG64`` state :func:`_seed_states` computed.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4, np.uint64)``
+    once, at construction; this returns that precomputed row.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def noise_factors(
+    workflow_name: str, configs, noise_sigma: float, noise_seed
+) -> np.ndarray:
+    """The log-normal noise factor of every configuration of a batch.
+
+    Row ``i`` is ``exp`` of the first ``normal(0.0, noise_sigma)`` of
+    ``np.random.default_rng(stable_seed(workflow_name,
+    tuple(configs[i]), noise_seed))``, float for float.  Seeding from
+    ``tuple(config)`` makes the factor independent of the caller's
+    sequence type.  The ``SeedSequence`` hash runs for the whole batch at
+    once; numpy's ``PCG64`` and ``normal`` still draw each value, and
+    ``np.exp`` rounds each element as it rounds a scalar.  A
+    non-positive ``noise_sigma`` turns noise off (every factor 1.0).
+    """
+    n = len(configs)
+    if not noise_sigma > 0:
+        return np.ones(n)
+    seeds = np.fromiter(
+        (stable_seed(workflow_name, tuple(c), noise_seed) for c in configs),
+        dtype=np.uint64,
+        count=n,
+    )
+    draws = [
+        np.random.Generator(np.random.PCG64(_SeedState(state))).normal(
+            0.0, noise_sigma
+        )
+        for state in _seed_states(seeds)
+    ]
+    return np.exp(np.array(draws, dtype=np.float64))
+
+
+def objective_field(name: str) -> str:
+    """The observable that objective ``name`` reads."""
+    if name == "execution_time":
+        return "execution_seconds"
+    if name == "computer_time":
+        return "computer_core_hours"
+    raise ValueError(f"unknown objective {name!r}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +186,66 @@ class WorkflowMeasurement:
 
     def objective(self, name: str) -> float:
         """Value of objective ``"execution_time"`` or ``"computer_time"``."""
-        if name == "execution_time":
-            return self.execution_seconds
-        if name == "computer_time":
-            return self.computer_core_hours
-        raise ValueError(f"unknown objective {name!r}")
+        return getattr(self, objective_field(name))
+
+
+@dataclass(frozen=True, eq=False)
+class MeasuredBatch:
+    """The measured observables of a batch of configurations, as columns.
+
+    Row ``i`` of every array belongs to ``configs[i]`` (canonical
+    tuples); ``component_seconds`` maps each component label to its
+    column.  The arrays are read-only, since a measured pool shares its
+    batch with every session that tunes on it.  :meth:`measurement`
+    builds one row's :class:`WorkflowMeasurement`.
+    """
+
+    configs: tuple
+    execution_seconds: np.ndarray
+    computer_core_hours: np.ndarray
+    component_seconds: dict
+    nodes: np.ndarray
+    steps: np.ndarray
+
+    def __post_init__(self):
+        for column in self.columns():
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def columns(self) -> tuple:
+        """Every array of the batch."""
+        return (
+            self.execution_seconds,
+            self.computer_core_hours,
+            *self.component_seconds.values(),
+            self.nodes,
+            self.steps,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns (what a memo's byte gauge counts)."""
+        return sum(column.nbytes for column in self.columns())
+
+    def objective_values(self, name: str) -> np.ndarray:
+        """The column of objective ``"execution_time"`` or ``"computer_time"``."""
+        return getattr(self, objective_field(name))
+
+    def measurement(self, row: int) -> WorkflowMeasurement:
+        """Row ``row`` as a :class:`WorkflowMeasurement` of Python scalars."""
+        return WorkflowMeasurement(
+            config=self.configs[row],
+            execution_seconds=float(self.execution_seconds[row]),
+            computer_core_hours=float(self.computer_core_hours[row]),
+            component_seconds={
+                label: float(column[row])
+                for label, column in self.component_seconds.items()
+            },
+            nodes=int(self.nodes[row]),
+            steps=int(self.steps[row]),
+        )
 
 
 def measure_workflow(
@@ -77,7 +254,12 @@ def measure_workflow(
     noise_sigma: float = 0.05,
     noise_seed: int = 0,
 ) -> WorkflowMeasurement:
-    """Run ``workflow`` in-situ and return the paper's observables.
+    """Run ``workflow`` in-situ through the DES and return the observables.
+
+    The per-configuration oracle of
+    :func:`~repro.insitu.fast.measure_batch`: one :func:`run_coupled`
+    run, every time scaled by the :func:`noise_factors` factor of a
+    batch of one.
 
     Parameters
     ----------
@@ -91,44 +273,20 @@ def measure_workflow(
     The returned measurement's ``config`` is the canonical tuple form of
     ``config`` (see :class:`WorkflowMeasurement`).
     """
-    return observe_run(
-        workflow, config, run_coupled(workflow, config), noise_sigma, noise_seed
-    )
-
-
-def observe_run(
-    workflow: WorkflowDefinition,
-    config: Configuration,
-    result: CoupledRunResult,
-    noise_sigma: float = 0.05,
-    noise_seed: int = 0,
-) -> WorkflowMeasurement:
-    """The noisy observables of one noise-free coupled run of ``config``.
-
-    The one place measurement noise is drawn: every time of ``result``
-    is scaled by the same log-normal factor, seeded by ``(workflow,
-    config, noise_seed)``.  :func:`measure_workflow` and the batched
-    :func:`~repro.insitu.fast.measure_batch` both observe through it.
-    """
-    if noise_sigma > 0:
-        rng = np.random.default_rng(
-            stable_seed(workflow.name, config, noise_seed)
-        )
-        factor = float(np.exp(rng.normal(0.0, noise_sigma)))
-    else:
-        factor = 1.0
+    result = run_coupled(workflow, config)
+    (factor,) = noise_factors(workflow.name, [config], noise_sigma, noise_seed)
+    factor = float(factor)
     exec_seconds = result.execution_seconds * factor
-    component_seconds = {
-        label: seconds * factor
-        for label, seconds in result.component_seconds.items()
-    }
     return WorkflowMeasurement(
         config=tuple(config),
         execution_seconds=exec_seconds,
         computer_core_hours=workflow.machine.core_hours(
             exec_seconds, result.nodes
         ),
-        component_seconds=component_seconds,
+        component_seconds={
+            label: seconds * factor
+            for label, seconds in result.component_seconds.items()
+        },
         nodes=result.nodes,
         steps=result.steps,
     )

@@ -212,19 +212,32 @@ def flush_run(
     clean no-op, mirroring :class:`~repro.telemetry.hub.NullTelemetry`).
     An enabled-but-empty hub still records a run row — an empty profile
     is a fact worth reporting, not an error.
-    """
-    if hub is None:
-        from repro import telemetry
 
+    The hub is aggregated before the store is touched, and the store is
+    opened and written under a disabled process hub, so neither the
+    stored run nor the live hub lists the cost of persisting it; flush
+    once the run's work is done.  A store opened here from a path is
+    closed here.
+    """
+    from repro import telemetry
+
+    if hub is None:
         hub = telemetry.get()
     if not getattr(hub, "enabled", False):
         return None
     from repro.store.db import MeasurementStore
 
-    if not isinstance(store, MeasurementStore):
-        store = MeasurementStore(store)
+    spans, metrics = aggregate_spans(hub), _metric_rows(hub)
     run = run_provenance(label=label, session=session, suite=suite)
-    store.record_telemetry_run(run, aggregate_spans(hub), _metric_rows(hub))
+    opened = not isinstance(store, MeasurementStore)
+    with telemetry.use(None):
+        if opened:
+            store = MeasurementStore(store)
+        try:
+            store.record_telemetry_run(run, spans, metrics)
+        finally:
+            if opened:
+                store.close()
     return run["run_key"]
 
 

@@ -6,7 +6,10 @@ Two kinds of pre-measured data back every experiment:
   configurations (paper: ``p = 2000``, sized by the tail bound of §5,
   ``p ≈ -n·ln(1-P)``), each measured once in the in-situ mode.  The pool
   doubles as the auto-tuners' candidate set ``C_pool`` and as the test
-  set for recall/MdAPE metrics.
+  set for recall/MdAPE metrics.  Its observables are the read-only
+  columns of one :func:`~repro.insitu.fast.measure_batch` call; a
+  configuration's :class:`~repro.insitu.WorkflowMeasurement` is built
+  only when :meth:`MeasuredPool.lookup` asks for it.
 * :class:`ComponentHistory` — per configurable component, random solo
   configurations with standalone execution/computer times (paper: 500
   per component), used to train component models and as historical
@@ -30,7 +33,12 @@ import numpy as np
 from repro import telemetry
 from repro.config.space import Configuration
 from repro.insitu.fast import measure_batch
-from repro.insitu.measurement import WorkflowMeasurement, stable_seed
+from repro.insitu.measurement import (
+    MeasuredBatch,
+    WorkflowMeasurement,
+    objective_field,
+    stable_seed,
+)
 from repro.insitu.workflow import WorkflowDefinition
 from repro.lru import LruCache
 
@@ -59,20 +67,39 @@ def pool_size_for(top_fraction: float, probability: float) -> int:
 
 @dataclass(frozen=True)
 class MeasuredPool:
-    """Random feasible configurations with measured in-situ performance."""
+    """Random feasible configurations with measured in-situ performance.
+
+    ``measured`` holds the pool's observables as read-only columns, row
+    ``i`` for ``configs[i]``; memoised pools are shared by every session
+    and serve worker.  :meth:`lookup` finds a configuration's row through
+    a dict and builds its :class:`WorkflowMeasurement` on demand.
+    """
 
     workflow_name: str
-    configs: tuple[Configuration, ...]
-    measurements: tuple[WorkflowMeasurement, ...]
+    measured: MeasuredBatch
+
+    def __post_init__(self):
+        # Reversed, so a repeated configuration maps to its first row.
+        configs = self.configs
+        rows = dict(zip(reversed(configs), range(len(configs) - 1, -1, -1)))
+        object.__setattr__(self, "_rows", rows)
+
+    @property
+    def configs(self) -> tuple[Configuration, ...]:
+        """The pool's configurations, in measurement order."""
+        return self.measured.configs
 
     def __len__(self) -> int:
         return len(self.configs)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the pool's columns, for the memo's byte gauge."""
+        return self.measured.nbytes
+
     def objective_values(self, objective: str) -> np.ndarray:
-        """Measured values of one objective, aligned with :attr:`configs`."""
-        return np.array(
-            [m.objective(objective) for m in self.measurements], dtype=np.float64
-        )
+        """The read-only column of one objective, aligned with :attr:`configs`."""
+        return self.measured.objective_values(objective)
 
     def best_index(self, objective: str) -> int:
         """Index of the pool's best configuration for ``objective``."""
@@ -83,12 +110,12 @@ class MeasuredPool:
         return float(self.objective_values(objective).min())
 
     def lookup(self, config: Configuration) -> WorkflowMeasurement:
-        """Measurement of a pool configuration."""
+        """Measurement of a pool configuration (``KeyError`` off the pool)."""
         try:
-            index = self.configs.index(tuple(config))
-        except ValueError:
+            row = self._rows[tuple(config)]
+        except (KeyError, TypeError):
             raise KeyError(f"configuration {config!r} is not in the pool") from None
-        return self.measurements[index]
+        return self.measured.measurement(row)
 
 
 @dataclass(frozen=True)
@@ -106,11 +133,7 @@ class ComponentHistory:
 
     def objective_values(self, objective: str) -> np.ndarray:
         """Per-config solo values of a workflow-level objective."""
-        if objective == "execution_time":
-            return self.execution_seconds
-        if objective == "computer_time":
-            return self.computer_core_hours
-        raise ValueError(f"unknown objective {objective!r}")
+        return getattr(self, objective_field(objective))
 
     def subset(self, indices) -> "ComponentHistory":
         """History restricted to ``indices`` (budgeted component runs)."""
@@ -158,19 +181,18 @@ def generate_pool(
         configs = workflow.space.sample(
             rng, size, constraint=workflow.constraint, unique=True
         )
-        # One vectorized sweep for the whole pool (bit-identical to the
-        # former per-config measure_workflow loop; the DES oracle is the
-        # fallback for ineligible workflows).
-        measurements = tuple(
+        # One array pass for the whole pool: the DES sweep (the oracle
+        # is the fallback for ineligible workflows) and the noise.
+        pool = MeasuredPool(
+            workflow.name,
             measure_batch(
                 workflow,
                 configs,
                 noise_sigma=noise_sigma,
                 noise_seed=seed,
                 replicates=replicates,
-            )
+            ),
         )
-        pool = MeasuredPool(workflow.name, tuple(configs), measurements)
     _POOL_MEMO.put(key, pool)
     return pool
 

@@ -9,10 +9,14 @@ legs are seeded ``hypothesis`` properties over generated feasible
 batches: single rows, duplicate rows, every HS ``outputs`` value (one
 step group each), HS buffers small enough for several drains, heat
 placements on both sides of the cache-penalty test, and a one-process
-PDF calculator.
+PDF calculator.  The noise legs compare the batch's factors (by
+``float.hex``) and replicate means with a per-configuration
+``default_rng`` loop, the oracle kept here, and every column of a
+generated pool with :func:`measure_workflow`.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +33,15 @@ from repro.insitu.fast import (
     run_coupled_batch,
     run_coupled_fast,
 )
-from repro.insitu.measurement import measure_workflow, stable_seed
+from repro.insitu.measurement import (
+    WorkflowMeasurement,
+    measure_workflow,
+    noise_factors,
+    stable_seed,
+)
 from repro.insitu.tracing import RunTracer
+from repro.lru import LruCache
+from repro.workflows import pools
 from repro.workflows.catalog import expert_config, make_gp, make_hs, make_lv
 
 N_SAMPLE = 12
@@ -94,6 +105,39 @@ def _batches(draw, name):
     return batch + [batch[i] for i in copies]
 
 
+def _factor(workflow, config, sigma, seed):
+    """One configuration's noise factor the per-configuration way."""
+    if not sigma > 0:
+        return 1.0
+    rng = np.random.default_rng(stable_seed(workflow.name, tuple(config), seed))
+    return float(np.exp(rng.normal(0.0, sigma)))
+
+
+def _oracle(workflow, config, sigma, seed, replicates):
+    """One ``measure_batch`` row the per-configuration way: a DES run,
+    one scalar draw per replicate, ``np.mean`` of each replicate list."""
+    run = run_coupled(workflow, config)
+    seeds = [seed] if replicates == 1 else [stable_seed(seed, r) for r in range(replicates)]
+    factors = [_factor(workflow, config, sigma, s) for s in seeds]
+    execs = [run.execution_seconds * f for f in factors]
+    hours = [workflow.machine.core_hours(e, run.nodes) for e in execs]
+    return WorkflowMeasurement(
+        config=tuple(config),
+        execution_seconds=float(np.mean(execs)),
+        computer_core_hours=float(np.mean(hours)),
+        component_seconds={
+            label: float(np.mean([t * f for f in factors]))
+            for label, t in run.component_seconds.items()
+        },
+        nodes=run.nodes,
+        steps=run.steps,
+    )
+
+
+def _rows(batch):
+    return [batch.measurement(row) for row in range(len(batch))]
+
+
 def _sample(workflow, n=N_SAMPLE, seed=11):
     rng = np.random.default_rng(stable_seed("fast-tests", workflow.name, seed))
     return workflow.space.sample(
@@ -130,21 +174,40 @@ class TestBitIdentity:
         assert fast == [run_coupled(workflow, config) for config in batch]
         assert all(type(r.nodes) is int and type(r.steps) is int for r in fast)
 
-    def test_measure_batch_matches_measure_workflow(self, workflow):
-        configs = _sample(workflow)
-        fast_measurements = measure_batch(
-            workflow, configs, noise_sigma=0.05, noise_seed=3
-        )
-        for config, fast_m in zip(configs, fast_measurements):
-            oracle = measure_workflow(
-                workflow, config, noise_sigma=0.05, noise_seed=3
-            )
-            assert fast_m == oracle
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_measure_batch_matches_noise_oracle(self, name, data):
+        workflow = WORKFLOWS[name]
+        batch = data.draw(_batches(name))
+        sigma = data.draw(st.sampled_from((0.0, 0.05, 0.3)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        replicates = data.draw(st.sampled_from((1, 3, 8)))
+        factors = noise_factors(workflow.name, batch, sigma, seed)
+        assert [f.hex() for f in factors.tolist()] == [
+            _factor(workflow, config, sigma, seed).hex() for config in batch
+        ]
+        measured = measure_batch(workflow, batch, sigma, seed, replicates)
+        assert _rows(measured) == [
+            _oracle(workflow, config, sigma, seed, replicates) for config in batch
+        ]
 
-    def test_measure_batch_noise_free(self, lv):
-        config = expert_config("LV", "computer_time")
-        (fast_m,) = measure_batch(lv, [config], noise_sigma=0)
-        assert fast_m == measure_workflow(lv, config, noise_sigma=0)
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    @given(size=st.integers(1, 6), seed=st.integers(0, 2**32))
+    @settings(max_examples=8, deadline=None)
+    def test_measure_batch_matches_measure_workflow(self, name, size, seed):
+        workflow = WORKFLOWS[name]
+        with mock.patch.object(pools, "_POOL_MEMO", LruCache("pool.memo", 1)):
+            pool = pools.generate_pool(workflow, size, seed=seed)
+        assert _rows(pool.measured) == [
+            measure_workflow(workflow, c, noise_sigma=0.05, noise_seed=seed)
+            for c in pool.configs
+        ]
+
+    def test_pool_columns_are_read_only(self, lv_pool):
+        for column in lv_pool.measured.columns():
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_replicates_match_oracle_path(self, hs, monkeypatch):
         configs = _sample(hs, n=4)
@@ -157,7 +220,7 @@ class TestBitIdentity:
         oracle_ms = measure_batch(
             hs, configs, noise_sigma=0.05, noise_seed=5, replicates=3
         )
-        assert fast_ms == oracle_ms
+        assert _rows(fast_ms) == _rows(oracle_ms)
 
 
 class TestFallback:
@@ -217,7 +280,7 @@ class TestErrors:
 
     def test_empty_batch(self, lv):
         assert run_coupled_batch(lv, []) == []
-        assert measure_batch(lv, []) == []
+        assert len(measure_batch(lv, [])) == 0
 
     def test_replicates_validated(self, lv):
         with pytest.raises(ValueError):

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.insitu.measurement import measure_workflow, stable_seed
+from repro.insitu.fast import measure_batch
+from repro.insitu.measurement import _seed_states, measure_workflow, stable_seed
 from repro.workflows.catalog import expert_config
+
+#: Seeds on either side of every width numpy's seed hash switches on.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
 
 class TestStableSeed:
@@ -17,6 +23,18 @@ class TestStableSeed:
     def test_64_bit_range(self):
         s = stable_seed("x", 123)
         assert 0 <= s < 2**64
+
+
+class TestSeedStates:
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_equal_numpy_seed_sequence(self, seeds):
+        seeds = [*seeds, *EDGE_SEEDS]
+        states = _seed_states(np.array(seeds, dtype=np.uint64))
+        assert states.shape == (len(seeds), 4) and states.flags.c_contiguous
+        for seed, state in zip(seeds, states):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state, expected)
 
 
 class TestMeasurement:
@@ -70,6 +88,14 @@ class TestConfigCanonicalForm:
         m = measure_workflow(lv, list(config), noise_sigma=0)
         assert type(m.config) is tuple
         assert m.config == config
+
+    def test_noise_independent_of_sequence_type(self, lv):
+        config = expert_config("LV", "computer_time")
+        as_list = measure_workflow(lv, list(config), noise_sigma=0.05, noise_seed=4)
+        as_tuple = measure_workflow(lv, config, noise_sigma=0.05, noise_seed=4)
+        assert as_list == as_tuple
+        batch = measure_batch(lv, [list(config)], noise_sigma=0.05, noise_seed=4)
+        assert batch.measurement(0) == as_tuple
 
     def test_round_trips_through_measurement_store(self, lv, tmp_path):
         from repro.store.db import MeasurementStore, StoreBinding

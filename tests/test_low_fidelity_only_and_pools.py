@@ -66,10 +66,10 @@ class TestPoolReplication:
         for i, config in enumerate(single.configs[:30]):
             clean = measure_workflow(lv, config, noise_sigma=0).execution_seconds
             errs_single.append(
-                abs(single.measurements[i].execution_seconds - clean) / clean
+                abs(single.measured.execution_seconds[i] - clean) / clean
             )
             errs_avg.append(
-                abs(averaged.measurements[i].execution_seconds - clean) / clean
+                abs(averaged.measured.execution_seconds[i] - clean) / clean
             )
         assert np.mean(errs_avg) < np.mean(errs_single)
 
@@ -79,7 +79,7 @@ class TestPoolReplication:
 
     def test_computer_time_definition_kept(self, lv):
         averaged = generate_pool(lv, 20, seed=9, replicates=3)
-        m = averaged.measurements[0]
+        m = averaged.lookup(averaged.configs[0])
         # Averaging exec and core-hours jointly preserves the definition
         # because nodes are fixed per config.
         expected = m.execution_seconds * m.nodes * lv.machine.node.cores / 3600

@@ -426,6 +426,34 @@ def test_cli_telemetry_diff_exit_codes(tmp_path):
     assert rc == 0 and "fit" in text
 
 
+def _span_names(lines):
+    """The span column of a rendered span table."""
+    start = next(i for i, line in enumerate(lines) if line.startswith("span "))
+    names = []
+    for line in lines[start + 1:]:
+        if not line or line.startswith("..."):
+            break
+        names.append(line.split()[0])
+    return names
+
+
+def test_cli_summary_and_stored_run_leave_out_their_persistence(tmp_path, capsys):
+    """``-v`` and ``telemetry report`` list the same spans, and neither
+    lists the store open or write that persisted the run."""
+    store_path = str(tmp_path / "t.db")
+    rc, _ = _cli(["tune", "--workflow", "LV", "--budget", "10",
+                  "--pool-size", "150", "--algorithm", "ceal", "--seed", "7",
+                  "-v", "--telemetry-store", store_path])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    live = _span_names([line.removeprefix("repro: ") for line in err])
+    rc, text = _cli(["telemetry", "report", store_path])
+    assert rc == 0
+    assert live == _span_names(text.splitlines())
+    assert "driver.run" in live
+    assert not {"store.open", "store.write"} & set(live)
+
+
 def test_cli_telemetry_store_flag_persists_run(tmp_path):
     store_path = str(tmp_path / "t.db")
     rc, _ = _cli(["reproduce", "--target", "table1",

@@ -44,8 +44,10 @@ def assert_fields_equal(a, b) -> None:
     assert type(a) is type(b)
     for field in dataclasses.fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            np.testing.assert_array_equal(x, y)
+        if dataclasses.is_dataclass(x):
+            assert_fields_equal(x, y)
+        elif isinstance(x, (np.ndarray, dict)):
+            np.testing.assert_equal(x, y, err_msg=field.name)
         else:
             assert x == y, field.name
 
@@ -142,8 +144,9 @@ class TestPools:
     def test_pool_deterministic(self, lv, lv_pool, monkeypatch):
         again = generate_pool(lv, len(lv_pool), seed=7)
         assert again.configs == lv_pool.configs
-        assert again.measurements[0].execution_seconds == pytest.approx(
-            lv_pool.measurements[0].execution_seconds
+        config = lv_pool.configs[0]
+        assert again.lookup(config).execution_seconds == pytest.approx(
+            lv_pool.lookup(config).execution_seconds
         )
         # A repeat call is one memo hit returning the identical object.
         repeat, counters = memo_counters(generate_pool, lv, len(lv_pool), seed=7)
@@ -157,6 +160,8 @@ class TestPools:
         )
         assert regenerated is not again
         assert counters.get("pool.memo.misses") == 1
+        # The memo's byte gauge counts the pool's columns.
+        assert counters["pool.memo.bytes"] == regenerated.nbytes > 0
         assert_fields_equal(regenerated, again)
 
     def test_different_seed_different_pool(self, lv, lv_pool):
