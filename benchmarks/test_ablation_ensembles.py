@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from conftest import emit
 
-from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.ensembles import HyBoost, KnnModelSelector, Probing
 from repro.core.low_fidelity import LowFidelityModel
@@ -30,12 +29,10 @@ def test_ablation_ensembles(benchmark, scale):
     workflow = make_lv()
     pool = generate_pool(workflow, scale["pool_size"], seed=scale["seed"])
     truth = pool.objective_values("computer_time")
-    data = {}
-    for label in workflow.labels:
-        h = generate_component_history(workflow, label, seed=scale["seed"])
-        data[label] = ComponentBatchData(
-            label, h.configs, h.execution_seconds, h.computer_core_hours
-        )
+    data = {
+        label: generate_component_history(workflow, label, seed=scale["seed"])
+        for label in workflow.labels
+    }
     acm = LowFidelityModel(
         ComponentModelSet.train(workflow, COMPUTER_TIME, data, random_state=0)
     )

@@ -243,8 +243,7 @@ class ComponentApp(abc.ABC):
         exec_seconds = self.startup_seconds_batch(machine, columns) + n_steps * (
             compute + pfs_seconds
         )
-        core_hours = exec_seconds * placement.nodes * machine.node.cores / 3600.0
-        return exec_seconds, core_hours
+        return exec_seconds, machine.core_hours(exec_seconds, placement.nodes)
 
     # -- conveniences ---------------------------------------------------------------
 

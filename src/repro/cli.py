@@ -342,6 +342,7 @@ def _finish_telemetry(hub, args) -> None:
 
 def _cmd_tune(args, out) -> int:
     from repro.core.autotuner import AutoTuner, make_algorithm
+    from repro.core.driver import CheckpointError
     from repro.workflows import make_workflow
 
     workflow = make_workflow(args.workflow)
@@ -361,7 +362,7 @@ def _cmd_tune(args, out) -> int:
         args.workflow, args.objective, args.algorithm, args.budget,
         args.pool_size, args.seed,
     )
-    outcome = AutoTuner(
+    tuner = AutoTuner(
         workflow,
         objective=args.objective,
         budget=args.budget,
@@ -373,7 +374,12 @@ def _cmd_tune(args, out) -> int:
         resume=args.resume,
         store=store,
         warm_start=args.warm_start,
-    ).tune()
+    )
+    try:
+        outcome = tuner.tune()
+    except CheckpointError as exc:
+        log.error("%s", exc)
+        return 2
     named = workflow.space.as_dict(outcome.best_config)
     print(f"workflow      : {args.workflow}", file=out)
     print(f"objective     : {args.objective}", file=out)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["NodeSpec", "Machine", "BROADWELL_NODE", "default_machine"]
 
 
@@ -96,13 +98,15 @@ class Machine:
         """Cores across the whole allocation."""
         return self.max_nodes * self.node.cores
 
-    def core_hours(self, seconds: float, nodes: int) -> float:
-        """Computer time of a run: wall-clock × nodes × cores per node.
+    def core_hours(self, seconds, nodes):
+        """Computer time of runs: wall-clock × nodes × cores per node.
 
         This is exactly the paper's §7.1 definition, expressed in
-        core-hours.
+        core-hours.  ``seconds`` and ``nodes`` are scalars or arrays that
+        broadcast; one operation order serves both, so a batch equals
+        the scalar calls row for row.
         """
-        if nodes <= 0:
+        if np.any(np.asarray(nodes) <= 0):
             raise ValueError("nodes must be positive")
         return seconds * nodes * self.node.cores / 3600.0
 

@@ -12,7 +12,10 @@ configuration outside the pool is a ``KeyError``.
 Component applications are "run" against pre-measured solo histories
 (paper §7.1: 500 solo configurations per configurable component).  One
 *batch* — every component once — is charged as one workflow run
-(§6: cost of ``m_R`` component batches ≡ ``m_R`` runs).
+(§6: cost of ``m_R`` component batches ≡ ``m_R`` runs), and comes back
+as a :class:`~repro.workflows.pools.ComponentHistory` subset, the one
+type of solo measurements.  The free histories themselves are
+:attr:`Collector.histories`.
 
 An optional failure injector models the job-level faults the paper's
 Swift/T collector tolerates via ``MPI_Comm_launch``: a failed run
@@ -30,28 +33,14 @@ import numpy as np
 from repro import telemetry
 from repro.config.space import Configuration
 from repro.core.objectives import Objective
-from repro.workflows.pools import MeasuredPool
+from repro.insitu.measurement import objective_field
+from repro.workflows.pools import ComponentHistory, MeasuredPool
 
-__all__ = ["BudgetExhausted", "Collector", "ComponentBatchData"]
+__all__ = ["BudgetExhausted", "Collector"]
 
 
 class BudgetExhausted(RuntimeError):
     """Raised when a measurement would exceed the run budget."""
-
-
-@dataclass(frozen=True)
-class ComponentBatchData:
-    """Solo measurements of one component gathered by the collector."""
-
-    label: str
-    configs: tuple[Configuration, ...]
-    execution_seconds: np.ndarray
-    computer_core_hours: np.ndarray
-
-    def objective_values(self, objective: Objective) -> np.ndarray:
-        if objective.name == "execution_time":
-            return self.execution_seconds
-        return self.computer_core_hours
 
 
 @dataclass
@@ -65,7 +54,8 @@ class Collector:
     objective:
         The metric being optimised; ``measure_batch`` returns its values.
     histories:
-        Per-label solo measurement sets components are "run" against.
+        Per-label :class:`~repro.workflows.pools.ComponentHistory` sets
+        components are "run" against (free to read, §7.5).
     budget_runs:
         Total workflow-run budget ``m``; ``None`` disables enforcement.
     failure_rate / failure_seed:
@@ -87,8 +77,10 @@ class Collector:
     store: object | None = None
 
     runs_used: int = field(init=False, default=0)
+    # One accumulator per observable, named after it (``cost`` reads
+    # ``"cost_" + objective_field(name)``).
     cost_execution_seconds: float = field(init=False, default=0.0)
-    cost_core_hours: float = field(init=False, default=0.0)
+    cost_computer_core_hours: float = field(init=False, default=0.0)
     failures: int = field(init=False, default=0)
     _measured: dict = field(init=False, default_factory=dict)
     _fail_rng: np.random.Generator = field(init=False, repr=False, default=None)
@@ -160,7 +152,7 @@ class Collector:
                 self._charge(1)
                 measurement = self.pool.lookup(config)
                 self.cost_execution_seconds += measurement.execution_seconds
-                self.cost_core_hours += measurement.computer_core_hours
+                self.cost_computer_core_hours += measurement.computer_core_hours
                 if self.failure_rate > 0 and self._fail_rng.random() < self.failure_rate:
                     self.failures += 1
                     continue
@@ -206,7 +198,7 @@ class Collector:
 
     def measure_components(
         self, n_batches: int, rng: np.random.Generator
-    ) -> dict[str, ComponentBatchData]:
+    ) -> dict[str, ComponentHistory]:
         """Run every component ``n_batches`` times at random configurations.
 
         Draws without replacement from each component's history set and
@@ -227,7 +219,7 @@ class Collector:
 
     def _measure_components(
         self, n_batches: int, rng: np.random.Generator
-    ) -> dict[str, ComponentBatchData]:
+    ) -> dict[str, ComponentHistory]:
         if n_batches < 0:
             raise ValueError("n_batches must be non-negative")
         if n_batches == 0:
@@ -241,39 +233,21 @@ class Collector:
                     f"measurements, cannot run {n_batches}"
                 )
         self._charge(n_batches)
-        out: dict[str, ComponentBatchData] = {}
+        out: dict[str, ComponentHistory] = {}
         for label, history in self.histories.items():
             idx = rng.choice(len(history), size=n_batches, replace=False)
-            subset = history.subset(idx)
-            self.cost_execution_seconds += float(subset.execution_seconds.sum())
-            self.cost_core_hours += float(subset.computer_core_hours.sum())
-            out[label] = ComponentBatchData(
-                label=label,
-                configs=subset.configs,
-                execution_seconds=subset.execution_seconds,
-                computer_core_hours=subset.computer_core_hours,
-            )
+            out[label] = batch = history.subset(idx)
+            self.cost_execution_seconds += float(batch.execution_seconds.sum())
+            self.cost_computer_core_hours += float(batch.computer_core_hours.sum())
         if self.store is not None:
-            for label, data in out.items():
+            for label, batch in out.items():
                 self.store.record_components(
                     label,
-                    data.configs,
-                    data.execution_seconds,
-                    data.computer_core_hours,
+                    batch.configs,
+                    batch.execution_seconds,
+                    batch.computer_core_hours,
                 )
         return out
-
-    def free_component_history(self) -> dict[str, ComponentBatchData]:
-        """All historical component measurements, free of charge (§7.5)."""
-        return {
-            label: ComponentBatchData(
-                label=label,
-                configs=history.configs,
-                execution_seconds=history.execution_seconds,
-                computer_core_hours=history.computer_core_hours,
-            )
-            for label, history in self.histories.items()
-        }
 
     # -- checkpointing --------------------------------------------------------
 
@@ -287,7 +261,7 @@ class Collector:
         return {
             "runs_used": self.runs_used,
             "cost_execution_seconds": self.cost_execution_seconds,
-            "cost_core_hours": self.cost_core_hours,
+            "cost_computer_core_hours": self.cost_computer_core_hours,
             "failures": self.failures,
             "measured": tuple(self._measured.items()),
             "fail_rng_state": self._fail_rng.bit_generator.state,
@@ -304,7 +278,7 @@ class Collector:
         """Restore a :meth:`state_dict` snapshot."""
         self.runs_used = state["runs_used"]
         self.cost_execution_seconds = state["cost_execution_seconds"]
-        self.cost_core_hours = state["cost_core_hours"]
+        self.cost_computer_core_hours = state["cost_computer_core_hours"]
         self.failures = state["failures"]
         self._measured = dict(state["measured"])
         self._fail_rng.bit_generator.state = state["fail_rng_state"]
@@ -315,6 +289,4 @@ class Collector:
     def cost(self, objective: Objective | None = None) -> float:
         """Accumulated data-collection cost ``c`` in objective units."""
         objective = objective or self.objective
-        if objective.name == "execution_time":
-            return self.cost_execution_seconds
-        return self.cost_core_hours
+        return getattr(self, "cost_" + objective_field(objective.name))

@@ -18,10 +18,11 @@ import numpy as np
 from repro import telemetry
 from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration
-from repro.core.collector import ComponentBatchData
 from repro.core.objectives import Objective
+from repro.insitu.measurement import objective_field
 from repro.insitu.workflow import WorkflowDefinition
 from repro.ml.boosting import GradientBoostedTrees
+from repro.workflows.pools import ComponentHistory
 
 __all__ = ["ComponentModelSet"]
 
@@ -80,11 +81,11 @@ class ComponentModelSet:
         cls,
         workflow: WorkflowDefinition,
         objective: Objective,
-        component_data: dict[str, ComponentBatchData],
+        component_data: dict[str, ComponentHistory],
         random_state: int | None = None,
         registry=None,
     ) -> "ComponentModelSet":
-        """Train per-component models from solo measurement batches.
+        """Train per-component models from solo measurements.
 
         Components absent from ``component_data`` (the unconfigurable
         ones) are modelled as constants via one closed-form solo run.
@@ -104,7 +105,7 @@ class ComponentModelSet:
                     )
                 encoder = ConfigEncoder(app.space)
                 X = encoder.encode(data.configs)
-                y = data.objective_values(objective)
+                y = data.objective_values(objective.name)
 
                 def fit(X=X, y=y):
                     regressor = _component_regressor(random_state)
@@ -138,11 +139,7 @@ class ComponentModelSet:
                         f"no solo data for configurable component {label!r}"
                     )
                 solo = workflow.solo_run(label, only)
-                value = (
-                    solo.execution_seconds
-                    if objective.name == "execution_time"
-                    else solo.computer_core_hours
-                )
+                value = getattr(solo, objective_field(objective.name))
                 models[label] = _ComponentModel(label, None, None, value)
         return cls(workflow=workflow, objective=objective, models=models)
 

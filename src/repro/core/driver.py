@@ -42,9 +42,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.config.space import Configuration
-from repro.core.collector import ComponentBatchData
 from repro.core.problem import AutotuneResult, TuningProblem
 from repro.telemetry import progress
+from repro.workflows.pools import ComponentHistory
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -310,7 +310,7 @@ class TuningSession:
 
     def component_data(
         self, use_history: bool, batches: int
-    ) -> tuple[dict[str, ComponentBatchData], str]:
+    ) -> tuple[dict[str, ComponentHistory], str]:
         """Phase-1 solo measurements (Alg. 1 lines 1–6) and their source.
 
         The choice, in order: the free component histories, when
@@ -322,28 +322,26 @@ class TuningSession:
         """
         collector = self.collector
         if use_history and collector.histories:
-            return collector.free_component_history(), "history"
+            return collector.histories, "history"
         if self.problem.warm_start in ("components", "full"):
             from repro.store.warmstart import component_warm_data
 
             warm = component_warm_data(self.problem)
             if warm is not None:
-                self.annotate(
-                    warm_components=sum(len(d.configs) for d in warm.values())
-                )
+                self.annotate(warm_components=sum(map(len, warm.values())))
                 return warm, "warm"
         if batches > 0:
             return collector.measure_components(batches, self.rng), "paid"
-        return collector.free_component_history(), "history"
+        return collector.histories, "history"
 
-    def history_data(self, name: str) -> dict[str, ComponentBatchData]:
+    def history_data(self, name: str) -> dict[str, ComponentHistory]:
         """The free component histories; algorithm ``name`` requires them."""
         if not self.collector.histories:
             raise RuntimeError(
                 f"{name} trains its component models on the problem's "
                 "component histories, and this problem has none"
             )
-        return self.collector.free_component_history()
+        return self.collector.histories
 
     def timed_fit(self, model, configs, values):
         """Fit ``model`` and charge the wall-clock time to this cycle."""
@@ -459,7 +457,9 @@ class SearchStrategy(abc.ABC):
 
 # -- checkpoint files ---------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+#: Version 2: Phase-1 data are ``ComponentHistory`` objects and the
+#: collector's computer-time accumulator is ``cost_computer_core_hours``.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -553,12 +553,20 @@ def _write_atomic(path: str | Path, write) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint payload written by :func:`save_checkpoint`."""
+    """Read a checkpoint payload written by :func:`save_checkpoint`.
+
+    Every way a file can fail to load ends in :class:`CheckpointError`:
+    unreadable, truncated or corrupt bytes, and classes this version of
+    the code no longer has (a checkpoint of an older version).  The
+    bytes are read first, so a corrupt length field cannot make the
+    unpickler ask the file for more than it holds.
+    """
     try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        payload = pickle.loads(Path(path).read_bytes())
+    except Exception as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise CheckpointError(f"{path} is not a tuning checkpoint")
     if payload["version"] != CHECKPOINT_VERSION:
@@ -728,9 +736,10 @@ class TuningDriver:
         """Validate a checkpoint payload and restore it into ``session``.
 
         Raises :class:`CheckpointError` when the checkpoint was written
-        by a different algorithm, workflow, objective, seed, or budget.
-        The session continues bit-identically from the checkpointed
-        cycle boundary (strategies refit their models on demand).
+        by a different algorithm, workflow, objective, seed, or budget,
+        or when its state cannot be restored (a corrupt payload).  The
+        session continues bit-identically from the checkpointed cycle
+        boundary (strategies refit their models on demand).
         """
         expected = {
             "algorithm": strategy.name,
@@ -746,13 +755,18 @@ class TuningDriver:
                     f"checkpoint {key} mismatch: checkpoint has {got!r}, "
                     f"the session was built with {want!r}"
                 )
-        session.iteration = payload["iteration"]
-        session.events = list(payload["events"])
-        session.fit_seconds_total = payload["fit_seconds_total"]
-        session.collector.restore_state(payload["collector"])
-        session.rng.bit_generator.state = payload["rng_state"]
-        session.tracker.restore_state(payload["tracker"])
-        strategy.load_state(payload["strategy"], session)
+        try:
+            session.iteration = payload["iteration"]
+            session.events = list(payload["events"])
+            session.fit_seconds_total = payload["fit_seconds_total"]
+            session.collector.restore_state(payload["collector"])
+            session.rng.bit_generator.state = payload["rng_state"]
+            session.tracker.restore_state(payload["tracker"])
+            strategy.load_state(payload["strategy"], session)
+        except Exception as exc:
+            raise CheckpointError(
+                f"checkpoint state unusable: {type(exc).__name__}: {exc}"
+            ) from exc
         self.payload = payload
 
     @property

@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.core.collector import Collector, ComponentBatchData
+from repro.core.collector import Collector
 from repro.core.component_models import ComponentModelSet
 from repro.core.objectives import Objective
 from repro.core.surrogate import SurrogateModel, default_surrogate
-from repro.insitu.measurement import stable_seed
+from repro.insitu.measurement import objective_field, stable_seed
 from repro.insitu.workflow import WorkflowDefinition
 from repro.workflows.pools import ComponentHistory, MeasuredPool
 
@@ -153,9 +153,9 @@ class TuningProblem:
         )
 
     def component_models(
-        self, data: dict[str, ComponentBatchData]
+        self, data: dict[str, ComponentHistory]
     ) -> ComponentModelSet:
-        """Phase-1 per-component models trained on solo batches ``data``."""
+        """Phase-1 per-component models trained on solo measurements ``data``."""
         return ComponentModelSet.train(
             self.workflow,
             self.objective,
@@ -189,7 +189,7 @@ class AutotuneResult:
         scoring lower-is-better in objective units.
     measured:
         ``{config: measured value}`` of all paid workflow runs.
-    runs_used, cost_execution_seconds, cost_core_hours:
+    runs_used, cost_execution_seconds, cost_computer_core_hours:
         Budget and cost accounting copied from the collector.
     trace:
         Typed per-cycle :class:`~repro.core.driver.TuningEvent` records
@@ -204,7 +204,7 @@ class AutotuneResult:
     measured: dict
     runs_used: int
     cost_execution_seconds: float
-    cost_core_hours: float
+    cost_computer_core_hours: float
     trace: list[TuningEvent] = field(default_factory=list)
 
     def predict_pool(self, pool: MeasuredPool) -> np.ndarray:
@@ -230,9 +230,7 @@ class AutotuneResult:
 
     def cost(self) -> float:
         """Data-collection cost ``c`` in the objective's units."""
-        if self.objective.name == "execution_time":
-            return self.cost_execution_seconds
-        return self.cost_core_hours
+        return getattr(self, "cost_" + objective_field(self.objective.name))
 
     @classmethod
     def from_collector(
@@ -252,6 +250,6 @@ class AutotuneResult:
             measured=collector.measured,
             runs_used=collector.runs_used,
             cost_execution_seconds=collector.cost_execution_seconds,
-            cost_core_hours=collector.cost_core_hours,
+            cost_computer_core_hours=collector.cost_computer_core_hours,
             trace=trace or [],
         )

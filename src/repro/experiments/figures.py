@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.autotuner import build_problem_artifacts
-from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.low_fidelity import LowFidelityModel
 from repro.core.metrics import recall_curve
@@ -146,16 +145,7 @@ def fig04_lowfid_recall(
     spec.
     """
     artifacts = build_problem_artifacts(workflow_name, pool_size, seed)
-    workflow, pool = artifacts.workflow, artifacts.pool
-    data = {
-        label: ComponentBatchData(
-            label,
-            history.configs,
-            history.execution_seconds,
-            history.computer_core_hours,
-        )
-        for label, history in artifacts.histories.items()
-    }
+    workflow, pool, data = artifacts.workflow, artifacts.pool, artifacts.histories
     result = FigureResult(
         "Fig. 4", f"Low-fidelity recall on {workflow_name} ({pool_size} configs)"
     )

@@ -29,7 +29,6 @@ from repro.insitu.fast import (
     fast_path_reason,
     measure_batch,
     run_coupled_batch,
-    run_coupled_fast,
 )
 from repro.insitu.measurement import (
     MeasuredBatch,
@@ -54,5 +53,4 @@ __all__ = [
     "measure_workflow",
     "run_coupled",
     "run_coupled_batch",
-    "run_coupled_fast",
 ]

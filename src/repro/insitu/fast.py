@@ -55,7 +55,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.cluster.allocation import placement_ok_batch
-from repro.config.space import Configuration
 from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.measurement import MeasuredBatch, noise_factors, stable_seed
 from repro.insitu.transport import channel_costs_batch
@@ -65,7 +64,6 @@ __all__ = [
     "fast_path_reason",
     "measure_batch",
     "run_coupled_batch",
-    "run_coupled_fast",
 ]
 
 
@@ -391,21 +389,6 @@ def _run_batch(workflow, configs, values) -> _Runs:
     )
 
 
-def run_coupled_fast(
-    workflow: WorkflowDefinition,
-    config: Configuration,
-    tracer=None,
-) -> CoupledRunResult:
-    """Single-configuration convenience over :func:`run_coupled_batch`.
-
-    Tracing needs real events, so a ``tracer`` always routes through the
-    oracle.
-    """
-    if tracer is not None:
-        return run_coupled(workflow, config, tracer)
-    return run_coupled_batch(workflow, [config])[0]
-
-
 # -- measurement ---------------------------------------------------------------------
 
 
@@ -442,9 +425,7 @@ def measure_batch(
     # The longest component time: np.maximum is a selection, so exact.
     exec_seconds = functools.reduce(np.maximum, runs.component_seconds.values())
     observed = exec_seconds[:, None] * factors
-    core_hours = (
-        observed * runs.nodes[:, None] * workflow.machine.node.cores / 3600.0
-    )
+    core_hours = workflow.machine.core_hours(observed, runs.nodes[:, None])
     return MeasuredBatch(
         configs=configs,
         execution_seconds=observed.mean(axis=1),

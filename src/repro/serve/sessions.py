@@ -475,14 +475,21 @@ class SessionManager:
         return runner
 
     def _load_spec(self, name: str) -> SessionSpec:
+        """The session's stored spec; ``internal`` when it cannot be used.
+
+        A spec file the daemon wrote is a JSON object that builds a
+        :class:`SessionSpec`; anything else on disk is corruption, not
+        a client's bad request.
+        """
         try:
             with open(self._spec_path(name), encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError) as exc:
+            return SessionSpec.from_dict(data.get("spec", data))
+        except Exception as exc:
             raise ServeError(
-                "internal", f"session {name!r} spec unreadable: {exc}"
+                "internal",
+                f"session {name!r} spec unreadable: {type(exc).__name__}: {exc}",
             ) from exc
-        return SessionSpec.from_dict(data.get("spec", data))
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro import telemetry
 from repro._version import __version__
+from repro.insitu.measurement import objective_field
 from repro.store.signatures import (
     config_from_json,
     config_to_json,
@@ -239,17 +240,8 @@ class MeasurementSet:
         objective; naming an objective re-derives it from the stored
         execution/computer metrics.
         """
-        if objective is None:
-            return np.array([r.value for r in self.records], dtype=np.float64)
-        if objective == "execution_time":
-            return np.array(
-                [r.execution_seconds for r in self.records], dtype=np.float64
-            )
-        if objective == "computer_time":
-            return np.array(
-                [r.computer_core_hours for r in self.records], dtype=np.float64
-            )
-        raise ValueError(f"unknown objective {objective!r}")
+        name = "value" if objective is None else objective_field(objective)
+        return np.array([getattr(r, name) for r in self.records], dtype=np.float64)
 
 
 class MeasurementStore:
@@ -1078,19 +1070,20 @@ class StoreBinding:
         if not len(configs):
             return 0
         base = self._provenance()
-        objective = self.objective_name
-        rows = []
-        for config, exec_s, hours in zip(
-            configs, execution_seconds, computer_core_hours
-        ):
-            value = exec_s if objective == "execution_time" else hours
-            rows.append(
-                {
-                    "config": config,
-                    "value": float(value),
-                    "execution_seconds": float(exec_s),
-                    "computer_core_hours": float(hours),
-                    **base,
-                }
+        values = {
+            "execution_seconds": execution_seconds,
+            "computer_core_hours": computer_core_hours,
+        }[objective_field(self.objective_name)]
+        rows = [
+            {
+                "config": config,
+                "value": float(value),
+                "execution_seconds": float(exec_s),
+                "computer_core_hours": float(hours),
+                **base,
+            }
+            for config, value, exec_s, hours in zip(
+                configs, values, execution_seconds, computer_core_hours
             )
+        ]
         return self.store.record(self.component_context(label), rows)

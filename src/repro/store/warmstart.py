@@ -7,7 +7,9 @@ Two layers, matching the paper's two reuse claims:
   the same component*, matched by (label, component space signature,
   machine signature, objective) across **any** workflow — the paper's
   cross-workflow reuse of historical component measurements (§7.5).
-  With enough stored samples the session pays zero component batches.
+  They come back as :class:`~repro.workflows.pools.ComponentHistory`
+  objects, the type of every Phase-1 data source.  With enough stored
+  samples the session pays zero component batches.
 
 * **Measurement adoption** (``--warm-start full``): before the first
   proposal, stored *workflow* measurements whose context matches the
@@ -26,8 +28,8 @@ store's contents (query order is the store's insertion order).
 from __future__ import annotations
 
 from repro import telemetry
-from repro.core.collector import ComponentBatchData
 from repro.store.signatures import space_signature
+from repro.workflows.pools import ComponentHistory
 
 __all__ = [
     "MIN_WARM_SAMPLES",
@@ -48,10 +50,10 @@ MIN_WARM_SAMPLES = 4
 
 def component_warm_data(
     problem, min_samples: int = MIN_WARM_SAMPLES
-) -> dict[str, ComponentBatchData] | None:
+) -> dict[str, ComponentHistory] | None:
     """Stored solo measurements covering every configurable component.
 
-    Returns ``{label: ComponentBatchData}`` when the bound store holds
+    Returns ``{label: ComponentHistory}`` when the bound store holds
     at least ``min_samples`` matching solo runs for *every* configurable
     component of the problem's workflow — matched cross-workflow by
     (label, space signature, machine signature, objective) — or ``None``
@@ -63,7 +65,7 @@ def component_warm_data(
         return None
     workflow = problem.workflow
     objective = problem.objective.name
-    out: dict[str, ComponentBatchData] = {}
+    out: dict[str, ComponentHistory] = {}
     for label in workflow.labels:
         app = workflow.app(label)
         if app.space.size() <= 1:
@@ -77,7 +79,7 @@ def component_warm_data(
         )
         if len(matches) < max(min_samples, 2):
             return None
-        out[label] = ComponentBatchData(
+        out[label] = ComponentHistory(
             label=label,
             configs=matches.configs,
             execution_seconds=matches.values("execution_time"),
@@ -87,9 +89,7 @@ def component_warm_data(
         return None
     tel = telemetry.get()
     if tel.enabled:
-        tel.counter("store.warm_components").inc(
-            sum(len(d.configs) for d in out.values())
-        )
+        tel.counter("store.warm_components").inc(sum(map(len, out.values())))
     return out
 
 

@@ -10,17 +10,21 @@ Two kinds of pre-measured data back every experiment:
   columns of one :func:`~repro.insitu.fast.measure_batch` call; a
   configuration's :class:`~repro.insitu.WorkflowMeasurement` is built
   only when :meth:`MeasuredPool.lookup` asks for it.
-* :class:`ComponentHistory` — per configurable component, random solo
-  configurations with standalone execution/computer times (paper: 500
-  per component), used to train component models and as historical
-  measurements ``D_hist`` in §7.5.
+* :class:`ComponentHistory` — solo runs of one component with their
+  standalone execution/computer times.  It is the one type of Phase-1
+  data: the §7.1 history sets (paper: 500 random configurations per
+  configurable component; the historical measurements ``D_hist`` of
+  §7.5), the paid component batches the collector draws from them
+  (:meth:`ComponentHistory.subset`), and the stored solo runs a warm
+  start reuses.
 
 Generation is deterministic given the seed, and results are memoised in
 process by two :class:`~repro.lru.LruCache` instances (128 entries each;
-counters ``pool.memo.*`` and ``history.memo.*``).  Parallel trial
-workers are forked after the parent built its pools, so they inherit
-the memo; any other process regenerates bit-identical pools from the
-seed.
+counters ``pool.memo.*`` and ``history.memo.*``), keyed by the
+workflow's name *and* machine, so two machines' pools of one workflow
+never share an entry.  Parallel trial workers are forked after the
+parent built its pools, so they inherit the memo; any other process
+regenerates bit-identical pools from the seed.
 """
 
 from __future__ import annotations
@@ -120,9 +124,8 @@ class MeasuredPool:
 
 @dataclass(frozen=True)
 class ComponentHistory:
-    """Solo measurements of one component (the paper's 500-sample sets)."""
+    """Solo measurements of one component, row ``i`` for ``configs[i]``."""
 
-    workflow_name: str
     label: str
     configs: tuple[Configuration, ...]
     execution_seconds: np.ndarray
@@ -139,7 +142,6 @@ class ComponentHistory:
         """History restricted to ``indices`` (budgeted component runs)."""
         indices = np.asarray(indices, dtype=np.int64)
         return ComponentHistory(
-            workflow_name=self.workflow_name,
             label=self.label,
             configs=tuple(self.configs[i] for i in indices),
             execution_seconds=self.execution_seconds[indices],
@@ -156,9 +158,9 @@ def generate_pool(
 ) -> MeasuredPool:
     """Sample and measure ``size`` random feasible configurations.
 
-    Deterministic given ``(workflow.name, size, seed, noise_sigma,
-    replicates)`` and memoised; pass distinct seeds for independent
-    pools.
+    Deterministic given ``(workflow.name, workflow.machine, size, seed,
+    noise_sigma, replicates)`` and memoised under that key; pass
+    distinct seeds for independent pools.
 
     ``replicates > 1`` measures each configuration that many times with
     independent noise and records the mean — the noise-mitigation
@@ -168,7 +170,7 @@ def generate_pool(
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    key = (workflow.name, size, seed, noise_sigma, replicates)
+    key = (workflow.name, workflow.machine, size, seed, noise_sigma, replicates)
     pool = _POOL_MEMO.get(key)
     if pool is not None:
         return pool
@@ -206,10 +208,11 @@ def generate_component_history(
 ) -> ComponentHistory:
     """Sample and solo-measure ``size`` random component configurations.
 
-    Deterministic given ``(workflow.name, label, size, seed,
-    noise_sigma)`` and memoised like :func:`generate_pool`.
+    Deterministic given ``(workflow.name, workflow.machine, label, size,
+    seed, noise_sigma)`` and memoised under that key like
+    :func:`generate_pool`.
     """
-    key = (workflow.name, label, size, seed, noise_sigma)
+    key = (workflow.name, workflow.machine, label, size, seed, noise_sigma)
     history = _HISTORY_MEMO.get(key)
     if history is not None:
         return history
@@ -258,7 +261,6 @@ def _generate_history(
     )
     factors = np.exp(noise_rng.normal(0.0, noise_sigma, size=size))
     return ComponentHistory(
-        workflow_name=workflow.name,
         label=label,
         configs=tuple(configs),
         execution_seconds=exec_times * factors,

@@ -182,7 +182,7 @@ def test_one_instance_tunes_many_problems(name, lv, lv_pool, lv_histories):
             result.algorithm,
             list(result.measured.items()),
             result.runs_used,
-            result.cost_core_hours,
+            result.cost_computer_core_hours,
             [e.as_dict(include_timing=False) for e in result.trace],
         )
 

@@ -118,7 +118,7 @@ class TestTune:
         )
         result = Ceal(CealSettings(use_history=True)).tune(problem)
         assert result.objective is COMPUTER_TIME
-        assert result.cost() == result.cost_core_hours
+        assert result.cost() == result.cost_computer_core_hours
 
     def test_survives_fault_injection(self, lv, lv_pool, lv_histories):
         problem = TuningProblem.create(

@@ -10,6 +10,7 @@ wall-clock and excluded from the comparison).
 
 import pytest
 
+from conftest import comparable
 from repro.core.algorithms import ActiveLearning, RandomSampling
 from repro.core.autotuner import AutoTuner
 from repro.core.ceal import Ceal, CealSettings
@@ -28,18 +29,6 @@ def make_problem(lv, lv_pool, lv_histories, budget=20, **kwargs):
         histories=lv_histories,
         **kwargs,
     )
-
-
-def comparable(result):
-    """Everything deterministic about a result (timing excluded)."""
-    return {
-        "algorithm": result.algorithm,
-        "measured": list(result.measured.items()),
-        "runs_used": result.runs_used,
-        "cost_execution_seconds": result.cost_execution_seconds,
-        "cost_core_hours": result.cost_core_hours,
-        "events": [e.as_dict(include_timing=False) for e in result.trace],
-    }
 
 
 def run_interrupted(algorithm_factory, problem_factory, path, interrupt_after):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.collector import BudgetExhausted, Collector
+from repro.core.driver import TuningSession
 from repro.core.objectives import COMPUTER_TIME, EXECUTION_TIME
+from repro.core.problem import TuningProblem
 
 
 @pytest.fixture()
@@ -41,9 +43,9 @@ class TestWorkflowRuns:
         expected_exec = sum(lv_pool.lookup(c).execution_seconds for c in configs)
         expected_ch = sum(lv_pool.lookup(c).computer_core_hours for c in configs)
         assert collector.cost_execution_seconds == pytest.approx(expected_exec)
-        assert collector.cost_core_hours == pytest.approx(expected_ch)
+        assert collector.cost_computer_core_hours == pytest.approx(expected_ch)
         assert collector.cost(EXECUTION_TIME) == collector.cost_execution_seconds
-        assert collector.cost(COMPUTER_TIME) == collector.cost_core_hours
+        assert collector.cost(COMPUTER_TIME) == collector.cost_computer_core_hours
 
 
 class TestComponentRuns:
@@ -89,13 +91,18 @@ class TestComponentRuns:
             collector.measure_components(5, rng)
         assert collector.runs_used == 0
         assert collector.cost_execution_seconds == 0.0
-        assert collector.cost_core_hours == 0.0
+        assert collector.cost_computer_core_hours == 0.0
         assert rng.bit_generator.state == before
 
-    def test_free_history_uncharged(self, collector):
-        data = collector.free_component_history()
-        assert collector.runs_used == 0
-        assert len(data["lammps"].configs) == 120
+    def test_free_history_uncharged(self, lv, lv_pool, lv_histories):
+        problem = TuningProblem.create(
+            lv, EXECUTION_TIME, lv_pool, budget_runs=10, seed=0,
+            histories=lv_histories,
+        )
+        data = TuningSession.start(problem).history_data("CEAL")
+        assert problem.collector.runs_used == 0
+        assert problem.collector.cost(EXECUTION_TIME) == 0.0
+        assert len(data["lammps"]) == 120
 
     def test_no_histories_raises(self, lv_pool):
         collector = Collector(pool=lv_pool, objective=EXECUTION_TIME)

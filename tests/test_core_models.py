@@ -3,27 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.low_fidelity import LowFidelityModel
 from repro.core.objectives import COMPUTER_TIME, EXECUTION_TIME
 from repro.core.surrogate import default_surrogate
 
 
-def batch_data(histories):
-    return {
-        label: ComponentBatchData(
-            label, h.configs, h.execution_seconds, h.computer_core_hours
-        )
-        for label, h in histories.items()
-    }
-
-
 @pytest.fixture(scope="module")
 def lv_component_models(lv, lv_histories):
-    return ComponentModelSet.train(
-        lv, EXECUTION_TIME, batch_data(lv_histories), random_state=0
-    )
+    return ComponentModelSet.train(lv, EXECUTION_TIME, lv_histories, random_state=0)
 
 
 class TestComponentModels:
@@ -43,19 +31,12 @@ class TestComponentModels:
         assert m[0, 1] < m[0, 0]  # lammps row
 
     def test_too_few_samples_rejected(self, lv, lv_histories):
-        tiny = {
-            "lammps": ComponentBatchData(
-                "lammps",
-                lv_histories["lammps"].configs[:1],
-                lv_histories["lammps"].execution_seconds[:1],
-                lv_histories["lammps"].computer_core_hours[:1],
-            )
-        }
+        tiny = {"lammps": lv_histories["lammps"].subset([0])}
         with pytest.raises(ValueError):
             ComponentModelSet.train(lv, EXECUTION_TIME, tiny)
 
     def test_missing_configurable_component_rejected(self, lv, lv_histories):
-        data = batch_data(lv_histories)
+        data = dict(lv_histories)
         del data["voro"]
         with pytest.raises(ValueError, match="voro"):
             ComponentModelSet.train(lv, EXECUTION_TIME, data)
@@ -63,12 +44,10 @@ class TestComponentModels:
     def test_unconfigurable_components_constant(self, gp):
         from repro.workflows.pools import generate_component_history
 
-        data = {}
-        for label in ("gray_scott", "pdf_calc"):
-            h = generate_component_history(gp, label, size=80, seed=7)
-            data[label] = ComponentBatchData(
-                label, h.configs, h.execution_seconds, h.computer_core_hours
-            )
+        data = {
+            label: generate_component_history(gp, label, size=80, seed=7)
+            for label in ("gray_scott", "pdf_calc")
+        }
         models = ComponentModelSet.train(gp, EXECUTION_TIME, data, random_state=0)
         some_configs = [
             (64, 16, 32, 16, 1, 1),
@@ -88,7 +67,7 @@ class TestLowFidelity:
 
     def test_computer_score_is_sum(self, lv, lv_histories):
         models = ComponentModelSet.train(
-            lv, COMPUTER_TIME, batch_data(lv_histories), random_state=0
+            lv, COMPUTER_TIME, lv_histories, random_state=0
         )
         model = LowFidelityModel(models)
         configs = [(288, 18, 2, 288, 18, 2)]

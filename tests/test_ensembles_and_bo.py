@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms import BayesianOptimization
 from repro.core.algorithms.bayesian import _GpPoolModel
-from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.ensembles import HyBoost, KnnModelSelector, Probing
 from repro.core.low_fidelity import LowFidelityModel
@@ -23,14 +22,8 @@ from repro.core.surrogate import default_surrogate
 
 @pytest.fixture(scope="module")
 def low_fidelity(lv, lv_histories):
-    data = {
-        label: ComponentBatchData(
-            label, h.configs, h.execution_seconds, h.computer_core_hours
-        )
-        for label, h in lv_histories.items()
-    }
     return LowFidelityModel(
-        ComponentModelSet.train(lv, EXECUTION_TIME, data, random_state=0)
+        ComponentModelSet.train(lv, EXECUTION_TIME, lv_histories, random_state=0)
     )
 
 

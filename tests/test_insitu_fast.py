@@ -16,7 +16,6 @@ generated pool with :func:`measure_workflow`.
 """
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from repro.insitu.fast import (
     fast_path_reason,
     measure_batch,
     run_coupled_batch,
-    run_coupled_fast,
 )
 from repro.insitu.measurement import (
     WorkflowMeasurement,
@@ -39,10 +37,8 @@ from repro.insitu.measurement import (
     noise_factors,
     stable_seed,
 )
-from repro.insitu.tracing import RunTracer
-from repro.lru import LruCache
-from repro.workflows import pools
-from repro.workflows.catalog import expert_config, make_gp, make_hs, make_lv
+from repro.workflows.catalog import make_gp, make_hs, make_lv
+from repro.workflows.pools import generate_pool
 
 N_SAMPLE = 12
 
@@ -197,8 +193,7 @@ class TestBitIdentity:
     @settings(max_examples=8, deadline=None)
     def test_measure_batch_matches_measure_workflow(self, name, size, seed):
         workflow = WORKFLOWS[name]
-        with mock.patch.object(pools, "_POOL_MEMO", LruCache("pool.memo", 1)):
-            pool = pools.generate_pool(workflow, size, seed=seed)
+        pool = generate_pool(workflow, size, seed=seed)
         assert _rows(pool.measured) == [
             measure_workflow(workflow, c, noise_sigma=0.05, noise_seed=seed)
             for c in pool.configs
@@ -232,14 +227,6 @@ class TestFallback:
         )
         oracle_results = run_coupled_batch(gp, configs)
         assert fast_results == oracle_results
-
-    def test_tracer_routes_through_oracle(self, lv):
-        config = expert_config("LV", "execution_time")
-        tracer = RunTracer()
-        result = run_coupled_fast(lv, config, tracer=tracer)
-        assert result == run_coupled(lv, config)
-        # The oracle actually ran: the tracer saw per-step events.
-        assert tracer.events
 
 
 class TestErrors:

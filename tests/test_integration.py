@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import AutoTuner, Ceal, CealSettings
 from repro.core.algorithms import ActiveLearning, RandomSampling
-from repro.core.collector import ComponentBatchData
 from repro.core.component_models import ComponentModelSet
 from repro.core.low_fidelity import LowFidelityModel
 from repro.core.metrics import recall_score
@@ -23,13 +22,9 @@ class TestFidelityGap:
     """The premise of the paper: solo-based ACM is informative but biased."""
 
     def test_acm_underestimates_coupled_time(self, lv, lv_pool, lv_histories):
-        data = {
-            label: ComponentBatchData(
-                label, h.configs, h.execution_seconds, h.computer_core_hours
-            )
-            for label, h in lv_histories.items()
-        }
-        models = ComponentModelSet.train(lv, EXECUTION_TIME, data, random_state=0)
+        models = ComponentModelSet.train(
+            lv, EXECUTION_TIME, lv_histories, random_state=0
+        )
         acm = LowFidelityModel(models)
         scores = acm.predict(list(lv_pool.configs))
         truth = lv_pool.objective_values("execution_time")

@@ -203,6 +203,35 @@ def test_boosting_fit_compiled_matches_numpy(kinds, n, dup, target, seed, params
         assert np.array_equal(model.predict(X), expected)
 
 
+@given(
+    n=st.integers(1, 120),
+    d=st.integers(1, 6),
+    rows=st.one_of(st.integers(1, 40), st.integers(2047, 4200)),
+    nan_share=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    params=_BOOSTING_PARAMS,
+)
+@settings(max_examples=40, deadline=None)
+def test_packed_predict_matches_reference(n, d, rows, nan_share, seed, params):
+    """The compiled traversal (when available), the numpy block traversal
+    and the reference tree walk predict the same floats: NaN features
+    (compare false, go right), one-row pools, pools past the 2048-row
+    block, depth-0 and single-tree ensembles."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = rng.lognormal(size=n)
+    model = GradientBoostedTrees(**params).fit(X, y)
+    pool = rng.normal(size=(rows, d))
+    pool[rng.random(pool.shape) < nan_share] = np.nan
+    expected = reference_ensemble_predict(
+        model, reference_boosting_fit(model, X, y), pool
+    )
+    with mock.patch.object(_native, "packed_predict", return_value=None):
+        assert np.array_equal(model.predict(pool), expected)
+    if _native.available():
+        assert np.array_equal(model.predict(pool), expected)
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_forest_predict_bit_identical_to_reference(case):
     rng = np.random.default_rng(200 + case)
@@ -353,19 +382,17 @@ def _toy_encoder() -> ConfigEncoder:
 
 def test_telemetry_summary_surfaces_ml_kernels(lv, lv_pool, lv_histories):
     from repro import telemetry
-    from repro.core.collector import Collector
     from repro.core.component_models import ComponentModelSet
     from repro.core.objectives import EXECUTION_TIME
     from repro.telemetry.hub import Telemetry
 
-    data = Collector(
-        pool=lv_pool, objective=EXECUTION_TIME, histories=lv_histories
-    ).free_component_history()
     # Every component sub-configuration of these six is distinct.
     configs = lv_pool.configs[:6]
     hub = Telemetry()
     with telemetry.use(hub):
-        models = ComponentModelSet.train(lv, EXECUTION_TIME, data, random_state=0)
+        models = ComponentModelSet.train(
+            lv, EXECUTION_TIME, lv_histories, random_state=0
+        )
         models.predict_components(configs)
         models.predict_components(configs)  # second pass is all cache hits
     names = {r.name for r in hub.spans}
@@ -399,34 +426,6 @@ def test_surrogate_cache_matches_fresh_predictions():
 
 
 # -- compiled fast path -------------------------------------------------------
-
-
-def test_native_kernel_matches_numpy_fallback(monkeypatch):
-    """The C traversal and the numpy block traversal are bit-identical.
-
-    Covers NaN features (compare false, go right) and the tree-order
-    accumulation; skipping when no compiler is available keeps the
-    suite green on toolchain-less machines (the numpy path is then the
-    only path, and everything else already tests it).
-    """
-    from repro.ml import packed
-
-    if not _native.available():
-        pytest.skip("compiled kernel unavailable in this environment")
-    rng = np.random.default_rng(99)
-    X = _random_matrix(rng, 500, 7, case=0)
-    y = np.abs(rng.normal(size=500)) + 1.0
-    model = GradientBoostedTrees(
-        n_estimators=37, max_depth=5, subsample=0.8, colsample=0.7,
-        log_target=True, random_state=4,
-    ).fit(X, y)
-    pool = _random_matrix(rng, 3000, 7, case=1)
-    pool[5, 2] = np.nan
-    with_native = model.predict(pool)
-    monkeypatch.setattr(packed._native, "packed_predict", lambda *a: None)
-    assert np.array_equal(model.predict(pool), with_native)
-    reference = reference_boosting_fit(model, X, y)
-    assert np.array_equal(with_native, reference_ensemble_predict(model, reference, pool))
 
 
 def test_unit_hessian_fastpath_matches_reference():

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import comparable, drive, offline_result
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.protocol import ServeError
 from repro.serve.sessions import SessionManager, _latency_digest
-from repro.serve.specs import (
-    ALGORITHMS,
-    SessionSpec,
-    build_algorithm,
-    build_problem,
-)
+from repro.serve.specs import ALGORITHMS, SessionSpec, build_problem
 
 SMALL = dict(budget=8, pool_size=60, history_size=40, seed=3)
 
@@ -39,37 +35,6 @@ def make_cache(mode: str) -> ArtifactCache | None:
     if mode == "thrash":
         return ArtifactCache(problems=1, models=1, snapshots=1)
     return None  # manager builds its own default-capacity cache
-
-
-def offline_result(spec: SessionSpec):
-    """The uninterrupted reference run for ``spec``."""
-    return build_algorithm(spec).tune(build_problem(spec))
-
-
-def comparable(result):
-    """Everything deterministic about a result (timing excluded)."""
-    return {
-        "algorithm": result.algorithm,
-        "measured": list(result.measured.items()),
-        "runs_used": result.runs_used,
-        "cost_execution_seconds": result.cost_execution_seconds,
-        "cost_core_hours": result.cost_core_hours,
-        "events": [e.as_dict(include_timing=False) for e in result.trace],
-    }
-
-
-def drive(manager: SessionManager, name: str, evict_every_step=False) -> dict:
-    """Ask/tell ``name`` to completion; returns the done payload."""
-    for _ in range(100):
-        if evict_every_step:
-            manager.evict_all()
-        proposal = manager.ask(name)
-        if proposal.get("done"):
-            return proposal
-        if evict_every_step:
-            manager.evict_all()
-        manager.tell(name, proposal["ask_id"])
-    raise AssertionError("session did not finish in 100 cycles")
 
 
 #: Every algorithm with free histories (ceal and rs under both cache

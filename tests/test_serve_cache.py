@@ -11,42 +11,15 @@ from __future__ import annotations
 
 import threading
 
+from conftest import comparable, drive, offline_result
 from repro.lru import LruCache
 from repro.serve.artifacts import ArtifactCache, spec_key
 from repro.serve.sessions import SessionManager
-from repro.serve.specs import SessionSpec, build_algorithm, build_problem
+from repro.serve.specs import SessionSpec
 from repro.store.db import MeasurementStore
 from repro.store.registry import ModelRegistry
 
 SMALL = dict(budget=6, pool_size=50, history_size=30, seed=3)
-
-
-def offline_result(spec: SessionSpec):
-    return build_algorithm(spec).tune(build_problem(spec))
-
-
-def comparable(result):
-    return {
-        "algorithm": result.algorithm,
-        "measured": list(result.measured.items()),
-        "runs_used": result.runs_used,
-        "cost_execution_seconds": result.cost_execution_seconds,
-        "cost_core_hours": result.cost_core_hours,
-        "events": [e.as_dict(include_timing=False) for e in result.trace],
-    }
-
-
-def drive(manager: SessionManager, name: str, evict_every_step=False) -> dict:
-    for _ in range(100):
-        if evict_every_step:
-            manager.evict_all()
-        proposal = manager.ask(name)
-        if proposal.get("done"):
-            return proposal
-        if evict_every_step:
-            manager.evict_all()
-        manager.tell(name, proposal["ask_id"])
-    raise AssertionError("session did not finish in 100 cycles")
 
 
 class TestLruCache:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.cluster.machine import Machine
 from repro.insitu.measurement import measure_workflow, stable_seed
 from repro.lru import LruCache
 from repro.telemetry import Telemetry
@@ -15,6 +16,7 @@ from repro.workflows import pools
 from repro.workflows.catalog import (
     EXPERT_CONFIGS,
     expert_config,
+    make_hs,
     make_workflow,
 )
 from repro.workflows.pools import (
@@ -163,6 +165,17 @@ class TestPools:
         # The memo's byte gauge counts the pool's columns.
         assert counters["pool.memo.bytes"] == regenerated.nbytes > 0
         assert_fields_equal(regenerated, again)
+
+    def test_memo_keyed_by_machine(self, hs):
+        """One workflow name on two machines never shares a memo entry."""
+        wide = make_hs(Machine(max_nodes=64))
+        narrow_pool = generate_pool(hs, 50, seed=3)
+        wide_pool = generate_pool(wide, 50, seed=3)
+        assert narrow_pool.measured.nodes.max() <= 32
+        assert wide_pool.measured.nodes.max() > 32
+        narrow_history = generate_component_history(hs, "heat", size=40, seed=3)
+        wide_history = generate_component_history(wide, "heat", size=40, seed=3)
+        assert wide_history.configs != narrow_history.configs
 
     def test_different_seed_different_pool(self, lv, lv_pool):
         other = generate_pool(lv, len(lv_pool), seed=8)
