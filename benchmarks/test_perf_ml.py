@@ -2,10 +2,10 @@
 
 Times the fast kernels against the pre-vectorization reference kernels
 (:mod:`repro.ml._reference`) on the reference surrogate's configuration
-(150 depth-4 trees, shrinkage 0.08, row subsampling) and asserts the
-PR's acceptance floors: **≥3×** on GBT fit and **≥5×** on whole-pool
-ensemble prediction.  Both comparisons are apples-to-apples — the same
-trees, bit-identical outputs — so the ratio is pure kernel speed.
+(150 depth-4 trees, shrinkage 0.08, row subsampling) and asserts two
+floors: **≥3×** on GBT fit and **≥11×** on whole-pool ensemble
+prediction.  Both comparisons are apples-to-apples — the same trees,
+bit-identical outputs — so the ratio is pure kernel speed.
 
 Results land in ``BENCH_ml.json`` at the repo root (committed, and
 uploaded as a CI artifact by the perf-smoke job)::
@@ -33,7 +33,10 @@ N_TRAIN, N_FEATURES = 2000, 12
 N_POOL = 20_000
 
 FIT_FLOOR = 3.0
-PREDICT_FLOOR = 5.0
+#: Between the walks: on one 2-core x86 container the branchy compiled
+#: walk measured 5.9–8.3× (five runs) and the branchless one 15.3–20.9×
+#: (six), so a return to the branch fails here.
+PREDICT_FLOOR = 11.0
 
 
 def _surrogate_model() -> GradientBoostedTrees:

@@ -1,19 +1,23 @@
-"""Optional compiled fast paths: boosting fit and packed-ensemble traversal.
+"""Optional compiled fast paths: boosting fit, packed-ensemble traversal
+and a fit's row draws.
 
-Both kernels are branchy loops over small arrays — the worst possible
-shape for numpy (thousands of tiny per-node calls, or vectorized levels
-that re-gather whole frontier matrices) and the best possible shape for
-plain C.  This module compiles one C source once per machine with the
-system C compiler via cffi's ABI mode (no Python headers needed) and
-caches the shared object under the temp directory, keyed by a hash of
-the source and the compiler flags.
+The fit and the traversal are loops over small arrays — the worst
+possible shape for numpy (thousands of tiny per-node calls, or
+vectorized levels that re-gather whole frontier matrices) and the best
+possible shape for plain C; the draws are thousands of ``rng.choice``
+calls of a few microseconds each.  This module compiles one C source
+once per machine with the system C compiler via cffi's ABI mode (no
+Python headers needed) and caches the shared object under the temp
+directory, keyed by a hash of the source and the compiler flags.
 
 Each kernel is numerically *identical* to its numpy counterpart:
 
 * :func:`packed_predict` makes the same float64 ``x <= threshold``
   comparisons as :meth:`repro.ml.packed.PackedEnsemble.predict` (NaN
   goes right in both) and the same left-associated per-row
-  accumulation ``((base + v_0) + v_1) + ...`` in tree order.
+  accumulation ``((base + v_0) + v_1) + ...`` in tree order.  The
+  comparison selects the child through an integer mask, not a branch,
+  and four rows walk each tree together.
 * :func:`boosting_fit` replays ``GradientBoostedTrees._fit_rounds``
   split for split: numpy's pairwise ``sum`` for node gradient totals,
   sequential prefix sums over each feature's stable sort (ties in the
@@ -23,6 +27,14 @@ Each kernel is numerically *identical* to its numpy counterpart:
   strict ``>`` across features starting from ``gamma``, and the same
   depth-first node numbering.  ``-ffp-contract=off`` keeps the compiler
   from fusing a multiply and an add into one differently rounded FMA.
+* :func:`choice_rows` returns the rows that successive
+  ``rng.choice(n, k, replace=False)`` calls draw and leaves ``rng`` in
+  the same state: numpy's own algorithm (Floyd's algorithm, then a
+  Fisher–Yates shuffle, every bound by Lemire's rule on 32-bit draws)
+  on the generator's own ``next_uint32``.  NEP 19 does not fix
+  ``Generator.choice`` across numpy versions, so the first call in a
+  process checks a fixed case against it and draws nothing if they
+  differ.
 
 Everything is gated: no cffi, no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` all mean the wrappers return ``None`` and the
@@ -33,6 +45,7 @@ and predict at once.  Tests exercise both paths against each other.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
@@ -41,18 +54,22 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["available", "boosting_fit", "packed_predict"]
+__all__ = ["available", "boosting_fit", "choice_rows", "packed_predict"]
 
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-/* One level of descent; leaves self-loop (threshold = +inf, left =
-   self), so walking a fixed max_depth levels parks every row on its
-   leaf.  NaN features compare false and go right, as in numpy. */
-#define STEP(nd) \
-    (x_row[feature[nd]] <= threshold[nd] ? left[nd] : right[nd])
+/* One level of descent for the row at x_row; leaves self-loop
+   (threshold = +inf, left = self), so walking a fixed max_depth levels
+   parks every row on its leaf.  NaN features compare false and go
+   right, as in numpy.  The comparison becomes an all-ones or all-zero
+   mask that selects the child, so the walk has no data-dependent
+   branch to mispredict. */
+#define STEP(x_row, nd) \
+    (right[nd] ^ ((left[nd] ^ right[nd]) \
+                  & -(int32_t)((x_row)[feature[nd]] <= threshold[nd])))
 
 void repro_packed_predict(
     const double *x, long long n, long long d,
@@ -62,35 +79,38 @@ void repro_packed_predict(
     const int32_t *roots, long long n_trees, long long max_depth,
     double base, double *out)
 {
-    for (long long i = 0; i < n; ++i) {
+    long long i = 0;
+    /* Four rows walk each tree together: four independent descents in
+       flight over the same nodes.  Each row still adds its leaf values
+       one at a time in tree order, in its own accumulator. */
+    for (; i + 4 <= n; i += 4) {
+        const double *x0 = x + i * d, *x1 = x0 + d, *x2 = x1 + d, *x3 = x2 + d;
+        double a0 = base, a1 = base, a2 = base, a3 = base;
+        for (long long t = 0; t < n_trees; ++t) {
+            int32_t n0 = roots[t], n1 = n0, n2 = n0, n3 = n0;
+            for (long long l = 0; l < max_depth; ++l) {
+                n0 = STEP(x0, n0);
+                n1 = STEP(x1, n1);
+                n2 = STEP(x2, n2);
+                n3 = STEP(x3, n3);
+            }
+            a0 += value[n0];
+            a1 += value[n1];
+            a2 += value[n2];
+            a3 += value[n3];
+        }
+        out[i] = a0;
+        out[i + 1] = a1;
+        out[i + 2] = a2;
+        out[i + 3] = a3;
+    }
+    for (; i < n; ++i) {
         const double *x_row = x + i * d;
         double acc = base;
-        long long t = 0;
-        /* Four independent walks in flight per row to overlap the
-           dependent-load latency of single-tree descent.  The leaf
-           values are still accumulated one at a time in tree order —
-           separate statements, so the compiler cannot reassociate the
-           float additions. */
-        for (; t + 4 <= n_trees; t += 4) {
-            int32_t n0 = roots[t];
-            int32_t n1 = roots[t + 1];
-            int32_t n2 = roots[t + 2];
-            int32_t n3 = roots[t + 3];
-            for (long long l = 0; l < max_depth; ++l) {
-                n0 = STEP(n0);
-                n1 = STEP(n1);
-                n2 = STEP(n2);
-                n3 = STEP(n3);
-            }
-            acc += value[n0];
-            acc += value[n1];
-            acc += value[n2];
-            acc += value[n3];
-        }
-        for (; t < n_trees; ++t) {
+        for (long long t = 0; t < n_trees; ++t) {
             int32_t nd = roots[t];
             for (long long l = 0; l < max_depth; ++l)
-                nd = STEP(nd);
+                nd = STEP(x_row, nd);
             acc += value[nd];
         }
         out[i] = acc;
@@ -365,7 +385,7 @@ long long repro_boosting_fit(
             const double *x_row = x + i * d;
             int32_t nd = root;
             while (left[nd] != nd)
-                nd = STEP(nd);
+                nd = STEP(x_row, nd);
             pred[i] = pred[i] + value[nd];
         }
     }
@@ -383,6 +403,56 @@ done:
     free(count);
     free(stack);
     return n_nodes;
+}
+
+typedef uint32_t (*next_uint32_t)(void *);
+
+/* numpy's random_bounded_uint64(state, 0, rng, 0, 0) for rng below
+   2**32 - 1: a value in [0, rng] by Lemire's multiply-and-reject on
+   32-bit draws. */
+static inline uint32_t bounded(void *state, next_uint32_t next, uint32_t rng)
+{
+    if (rng == 0)
+        return 0;
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)next(state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next(state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* rounds successive Generator.choice(n, k, replace=False) draws into
+   out (rounds x k), for the n <= 10000 branch of numpy's algorithm:
+   Floyd's algorithm, then a Fisher-Yates shuffle of the k values.
+   seen holds n zero bytes and is left zeroed. */
+void repro_choice_rows(void *state, next_uint32_t next,
+                       long long n, long long k, long long rounds,
+                       int64_t *out, unsigned char *seen)
+{
+    for (long long t = 0; t < rounds; ++t) {
+        int64_t *row = out + t * k;
+        for (long long j = n - k; j < n; ++j) {
+            int64_t v = bounded(state, next, (uint32_t)j);
+            /* v taken: keep j instead (j is new), masked like STEP */
+            v ^= (v ^ j) & -(int64_t)seen[v];
+            seen[v] = 1;
+            row[j - (n - k)] = v;
+        }
+        for (long long i = k - 1; i > 0; --i) {
+            uint32_t j = bounded(state, next, (uint32_t)i);
+            int64_t swap = row[j];
+            row[j] = row[i];
+            row[i] = swap;
+        }
+        for (long long i = 0; i < k; ++i)
+            seen[row[i]] = 0;
+    }
 }
 """
 
@@ -405,6 +475,9 @@ long long repro_boosting_fit(
     double min_child_weight, double lam, double gamma,
     int32_t *feature, double *threshold, int32_t *left, int32_t *right,
     double *value, int32_t *roots, long long *depth_out);
+void repro_choice_rows(void *state, uint32_t (*next)(void *),
+                       long long n, long long k, long long rounds,
+                       int64_t *out, unsigned char *seen);
 """
 
 #: ``-ffp-contract=off``: no fused multiply-adds, so every float
@@ -413,6 +486,15 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: ``None`` = not attempted yet; ``False`` = unavailable; else (ffi, lib).
 _state: object = None
+
+#: ``Generator.choice(n, k, replace=False)`` runs Floyd's algorithm for
+#: populations up to this size; larger ones may take numpy's tail
+#: shuffle, which :func:`choice_rows` leaves to the per-round loop.
+_FLOYD_MAX_N = 10000
+
+#: ``None`` = not checked yet; else whether the compiled draws matched
+#: ``Generator.choice`` in :func:`_draws_match_numpy`.
+_choice_ok: bool | None = None
 
 
 def _build() -> object:
@@ -580,4 +662,62 @@ def boosting_fit(model, X, target, base_score, group_ids, rows, cols):
         roots=roots,
         max_depth=int(depth[0]),
         n_features=d,
+    )
+
+
+def choice_rows(rng: np.random.Generator, n: int, k: int, rounds: int):
+    """``rounds`` successive ``rng.choice(n, k, replace=False)`` draws, or ``None``.
+
+    One compiled call returns the ``(rounds, k)`` int64 rows the
+    per-round loop would and leaves ``rng`` in the same state.  It runs
+    numpy's own algorithm on the generator's own ``next_uint32``
+    (reached through ``rng.bit_generator.ctypes``), so no bit generator
+    is re-implemented.  ``None``, with ``rng`` untouched, when the
+    kernels are unavailable, when ``n`` exceeds :data:`_FLOYD_MAX_N`,
+    when ``k`` is not in ``1..n`` (the loop raises numpy's own error),
+    or when the one-time check against ``Generator.choice`` failed:
+    NEP 19 gives ``Generator`` methods no stream guarantee across numpy
+    versions.
+    """
+    global _choice_ok
+    if n > _FLOYD_MAX_N or not 0 < k <= n or _get() is False:
+        return None
+    if _choice_ok is None:
+        _choice_ok = _draws_match_numpy()
+    if not _choice_ok:
+        return None
+    return _draw_rows(rng, n, k, rounds)
+
+
+def _draw_rows(rng: np.random.Generator, n: int, k: int, rounds: int) -> np.ndarray:
+    ffi, lib = _get()
+    bitgen = rng.bit_generator
+    iface = bitgen.ctypes
+    next_uint32 = ctypes.cast(iface.next_uint32, ctypes.c_void_p).value
+    out = np.empty((rounds, k), dtype=np.int64)
+    seen = np.zeros(n, dtype=np.uint8)
+    with bitgen.lock:
+        lib.repro_choice_rows(
+            ffi.cast("void *", iface.state_address),
+            ffi.cast("uint32_t (*)(void *)", next_uint32),
+            n,
+            k,
+            rounds,
+            ffi.from_buffer("int64_t[]", out),
+            ffi.from_buffer("unsigned char[]", seen),
+        )
+    return out
+
+
+def _draws_match_numpy() -> bool:
+    """Whether the compiled draws repeat ``Generator.choice`` on a fixed
+    case: equal rows and an equal generator state afterwards (an odd
+    number of 32-bit draws, so the state holds a buffered half)."""
+    ours, theirs = np.random.default_rng(2021), np.random.default_rng(2021)
+    n, k, rounds = 600, 541, 3
+    rows = _draw_rows(ours, n, k, rounds)
+    want = [theirs.choice(n, size=k, replace=False) for _ in range(rounds)]
+    return (
+        np.array_equal(rows, want)
+        and ours.bit_generator.state == theirs.bit_generator.state
     )

@@ -160,11 +160,19 @@ class GradientBoostedTrees:
 
         ``rows`` is ``(n_estimators, n_rows)`` and ``cols`` is
         ``(n_estimators, n_cols)`` (sorted per round); either is
-        ``None`` when its fraction keeps every index.
+        ``None`` when its fraction keeps every index.  The per-round
+        ``rng.choice`` loop is the fallback of
+        :func:`repro.ml._native.choice_rows` and its oracle.
         """
         rng = np.random.default_rng(self.random_state)
         n_rows = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample * d)))
+        if n_rows < n and n_cols == d:
+            # Rows only, so the draws follow each other: one compiled
+            # call makes them all, when it can.
+            rows = _native.choice_rows(rng, n, n_rows, self.n_estimators)
+            if rows is not None:
+                return rows, None
         rows = np.empty((self.n_estimators, n_rows), np.int64) if n_rows < n else None
         cols = np.empty((self.n_estimators, n_cols), np.int64) if n_cols < d else None
         for t in range(self.n_estimators):

@@ -111,11 +111,16 @@ class SessionSpec:
         if self.history_size < 2:
             raise ServeError("bad_request", "history_size must be at least 2")
         noise = self.noise_sigma
-        if (
-            isinstance(noise, bool)
-            or not isinstance(noise, numbers.Real)
-            or not (math.isfinite(noise) and noise >= 0)
-        ):
+        try:
+            valid = (
+                not isinstance(noise, bool)
+                and isinstance(noise, numbers.Real)
+                and math.isfinite(noise)
+                and noise >= 0
+            )
+        except OverflowError:  # an integer too large for a float
+            valid = False
+        if not valid:
             raise ServeError(
                 "bad_request", "noise_sigma must be a finite number >= 0"
             )

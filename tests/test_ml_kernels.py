@@ -207,14 +207,19 @@ def test_boosting_fit_compiled_matches_numpy(kinds, n, dup, target, seed, params
     n=st.integers(1, 120),
     d=st.integers(1, 6),
     rows=st.one_of(st.integers(1, 40), st.integers(2047, 4200)),
+    on_threshold=st.sampled_from([0.0, 0.5, 1.0]),
     nan_share=st.sampled_from([0.0, 0.2, 1.0]),
     seed=st.integers(0, 2**32 - 1),
     params=_BOOSTING_PARAMS,
 )
 @settings(max_examples=40, deadline=None)
-def test_packed_predict_matches_reference(n, d, rows, nan_share, seed, params):
+def test_packed_predict_matches_reference(
+    n, d, rows, on_threshold, nan_share, seed, params
+):
     """The compiled traversal (when available), the numpy block traversal
-    and the reference tree walk predict the same floats: NaN features
+    and the reference tree walk predict the same floats: features equal
+    to a node's threshold (``x <= threshold`` holds with equality, the
+    one place a wrong mask would go the other way), NaN features
     (compare false, go right), one-row pools, pools past the 2048-row
     block, depth-0 and single-tree ensembles."""
     rng = np.random.default_rng(seed)
@@ -222,6 +227,14 @@ def test_packed_predict_matches_reference(n, d, rows, nan_share, seed, params):
     y = rng.lognormal(size=n)
     model = GradientBoostedTrees(**params).fit(X, y)
     pool = rng.normal(size=(rows, d))
+    packed = model._packed
+    for j in range(d):
+        # Thresholds of the internal nodes that split on column j.
+        cuts = packed.threshold[(packed.left != np.arange(packed.left.size))
+                                & (packed.feature == j)]
+        hit = rng.random(rows) < on_threshold
+        if cuts.size:
+            pool[hit, j] = rng.choice(cuts, size=int(hit.sum()))
     pool[rng.random(pool.shape) < nan_share] = np.nan
     expected = reference_ensemble_predict(
         model, reference_boosting_fit(model, X, y), pool
@@ -230,6 +243,69 @@ def test_packed_predict_matches_reference(n, d, rows, nan_share, seed, params):
         assert np.array_equal(model.predict(pool), expected)
     if _native.available():
         assert np.array_equal(model.predict(pool), expected)
+
+
+# -- one-call row draws -------------------------------------------------------
+
+
+def _loop_rows(rng, n, k, rounds):
+    """The per-round draws ``GradientBoostedTrees._subsamples`` falls back to."""
+    return np.array([rng.choice(n, size=k, replace=False) for _ in range(rounds)])
+
+
+@given(
+    n=st.one_of(st.integers(2, 10000), st.just(10000)),
+    rounds=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_choice_rows_matches_rng_choice(n, rounds, seed, data):
+    """The compiled draws give the rows of the per-round
+    ``rng.choice(n, k, replace=False)`` loop and leave the generator in
+    the same state; without the kernels they draw nothing."""
+    k = data.draw(
+        st.sampled_from([1, n - 1, round(0.9 * n)]) | st.integers(1, n), label="k"
+    )
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _native.choice_rows(ours, n, k, rounds)
+    if _native.available():
+        assert np.array_equal(rows, _loop_rows(theirs, n, k, rounds))
+    else:
+        assert rows is None
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_choice_rows_falls_back_to_the_loop(monkeypatch):
+    """Past numpy's Floyd branch, with column draws between the row
+    draws, and after a failed self-check, the per-round loop draws."""
+    rng = np.random.default_rng(1)
+    assert _native.choice_rows(rng, 10001, 5, 2) is None
+    for k in (0, 6):  # outside 1..n: the loop raises numpy's own error
+        assert _native.choice_rows(rng, 5, k, 2) is None
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+    # colsample < 1: each round draws its rows, then its columns.
+    model = GradientBoostedTrees(
+        n_estimators=5, subsample=0.8, colsample=0.5, random_state=3
+    )
+    with mock.patch.object(_native, "choice_rows", side_effect=AssertionError):
+        rows, cols = model._subsamples(50, 4)
+    rng = np.random.default_rng(3)
+    for t in range(5):
+        assert np.array_equal(rows[t], rng.choice(50, size=40, replace=False))
+        assert np.array_equal(cols[t], np.sort(rng.choice(4, size=2, replace=False)))
+
+    # A self-check that fails: here the kernel returns the rounds reversed.
+    draw = _native._draw_rows
+    monkeypatch.setattr(_native, "_choice_ok", None)
+    monkeypatch.setattr(_native, "_draw_rows", lambda *args: draw(*args)[::-1])
+    assert _native.choice_rows(np.random.default_rng(1), 50, 40, 3) is None
+    assert _native._choice_ok is (False if _native.available() else None)
+    model = GradientBoostedTrees(n_estimators=5, subsample=0.8, random_state=3)
+    rows, cols = model._subsamples(50, 4)
+    assert cols is None
+    assert np.array_equal(rows, _loop_rows(np.random.default_rng(3), 50, 40, 5))
 
 
 @pytest.mark.parametrize("case", range(10))

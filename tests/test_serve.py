@@ -254,6 +254,14 @@ class TestLifecycleAndErrors:
             manager.create(spec, name="s")
         assert err.value.code == "bad_request"
 
+    def test_huge_noise_sigma_is_bad_request(self):
+        """An integer too large for a float is a bad spec, not an
+        ``OverflowError`` out of ``math.isfinite``."""
+        with pytest.raises(ServeError) as err:
+            SessionSpec.from_dict({**SMALL, "noise_sigma": 10**400})
+        assert err.value.code == "bad_request"
+        assert "noise_sigma" in err.value.message
+
     @pytest.mark.parametrize(
         "field,value",
         MISTYPED,

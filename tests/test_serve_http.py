@@ -189,6 +189,14 @@ class TestWireErrors:
         assert json.loads(response.read())["error"]["code"] == "bad_request"
         conn.close()
 
+    def test_create_with_huge_noise_sigma_is_bad_request(self, served):
+        server, client = served
+        with pytest.raises(ServeError) as err:
+            client.create_session({**SMALL, "noise_sigma": 10**400}, name="huge")
+        assert err.value.code == "bad_request"
+        assert client.sessions() == []
+        assert client.health()["ok"] is True
+
     @pytest.mark.parametrize(
         "request_head",
         [
