@@ -21,7 +21,11 @@ nor fails the gate.
 Bounds, directions and the run length come from the base's
 ``BENCHMARK.json``, so a change cannot loosen its own gate.  The report
 prints each metric's medians, the base's interquartile range, the
-relative change and the verdict.  Standard library only.
+relative change, the head's per-pair wins and the verdict.  A pair is
+the two runs with the same seed; the head wins it when its value is
+better in the metric's direction (ties count for neither side), so a
+claimed gain's "better in at least 9 of 10 pairs" reads straight off
+the report.  Standard library only.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ def _worsening(base: float, head: float, better: str) -> float:
     return delta / abs(base)
 
 
+def _head_wins(pairs, better: str) -> int:
+    """``(base, head)`` value pairs in which the head is better (ties: neither)."""
+    sign = -1 if better == "lower" else 1
+    return sum(sign * (head - base) > 0 for base, head in pairs)
+
+
 def _failed_share(runs) -> tuple[int, int, float]:
     failed = sum(r["failed"] for r in runs)
     attempted = sum(r["attempted"] for r in runs)
@@ -106,7 +116,7 @@ def compare(base_runs, head_runs, end_to_end) -> tuple[bool, list[str]]:
     ok = True
     lines = [
         f"{'metric':<22} {'unit':<6} {'base p50':>10} {'base IQR':>10} "
-        f"{'head p50':>10} {'change':>8} {'bound':>6}  verdict"
+        f"{'head p50':>10} {'change':>8} {'bound':>6} {'wins':>6}  verdict"
     ]
     for spec in end_to_end:
         name = spec["name"]
@@ -131,9 +141,16 @@ def compare(base_runs, head_runs, end_to_end) -> tuple[bool, list[str]]:
             verdict = "ok"
         ok = ok and verdict != "WORSE"
         change = head_p50 / base_p50 - 1 if base_p50 else 0.0
+        pairs = [
+            (b["metrics"][name]["value"], h["metrics"][name]["value"])
+            for b, h in zip(base_runs, head_runs)
+            if name in b["metrics"] and name in h["metrics"]
+        ]
+        wins = f"{_head_wins(pairs, spec['better'])}/{len(pairs)}"
         lines.append(
             f"{name:<22} {spec['unit']:<6} {base_p50:>10.4g} {_iqr(base):>10.4g} "
-            f"{head_p50:>10.4g} {change:>+8.1%} {spec['bound']:>6.0%}  {verdict}"
+            f"{head_p50:>10.4g} {change:>+8.1%} {spec['bound']:>6.0%} "
+            f"{wins:>6}  {verdict}"
         )
     for side, runs in (("base", base_runs), ("head", head_runs)):
         for seed, run in enumerate(runs, start=1):

@@ -102,6 +102,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from repro.core.autotuner import ALGORITHMS
+    from repro.core.objectives import OBJECTIVES
+    from repro.store.warmstart import WARM_START_MODES
+    from repro.workflows.catalog import WORKFLOW_FACTORIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -111,11 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="auto-tune one workflow")
     _add_common_flags(tune)
-    tune.add_argument("--workflow", choices=("LV", "HS", "GP"), default="LV")
     tune.add_argument(
-        "--objective",
-        choices=("execution_time", "computer_time"),
-        default="computer_time",
+        "--workflow", choices=tuple(WORKFLOW_FACTORIES), default="LV"
+    )
+    tune.add_argument(
+        "--objective", choices=tuple(OBJECTIVES), default="computer_time"
     )
     tune.add_argument("--budget", type=int, default=50,
                       help="workflow-run budget m")
@@ -128,13 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="checkpoint the session to PATH after every "
                       "measurement cycle")
     tune.add_argument("--resume", action="store_true",
-                      help="resume the session from --checkpoint (requires "
-                      "the same workflow/objective/budget/seed)")
+                      help="resume the session from --checkpoint (refused "
+                      "unless the workflow, objective, budget, algorithm, "
+                      "pool size, seed, --use-history and --warm-start "
+                      "match the run that wrote it)")
     tune.add_argument("--store", metavar="PATH", default=None,
                       help="measurement store database: every paid "
                       "measurement of this run is recorded there "
                       "(created if missing)")
-    tune.add_argument("--warm-start", choices=("off", "components", "full"),
+    tune.add_argument("--warm-start", choices=WARM_START_MODES,
                       default="off",
                       help="reuse stored measurements (requires --store): "
                       "'components' seeds component models from stored "
@@ -212,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(serve)
     serve.add_argument(
         "--state-dir", metavar="DIR", default=".repro-serve",
-        help="session state directory (spec + checkpoint per session); "
-        "a restarted daemon recovers every session found here "
-        "(default: .repro-serve)")
+        help="session state directory (one checkpoint per session, "
+        "carrying its spec); a restarted daemon recovers every session "
+        "found here (default: .repro-serve)")
     serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: 127.0.0.1)")

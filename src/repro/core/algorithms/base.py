@@ -62,14 +62,16 @@ class TuningAlgorithm(SearchStrategy):
         checkpoint_path: str | Path | None = None,
         resume: bool = False,
         max_cycles: int | None = None,
+        recipe=None,
     ) -> AutotuneResult | None:
         """Spend the problem's budget and return the final surrogate.
 
         ``checkpoint_path`` / ``resume`` / ``max_cycles`` pass through
-        to :meth:`~repro.core.driver.TuningDriver.run`; the defaults
-        run the session in one shot.
+        to :meth:`~repro.core.driver.TuningDriver.run`, and ``recipe``
+        to the driver's checkpoints; the defaults run the session in
+        one shot.
         """
-        driver = TuningDriver(checkpoint_path=checkpoint_path)
+        driver = TuningDriver(checkpoint_path=checkpoint_path, recipe=recipe)
         return driver.run(
             self.make_strategy(), problem, resume=resume, max_cycles=max_cycles
         )

@@ -221,10 +221,13 @@ class AutoTuner:
     checkpoint_path:
         When set, the tuning session checkpoints its resumable state
         here after every measurement cycle (see
-        :mod:`repro.core.driver`).
+        :mod:`repro.core.driver`).  Each checkpoint records the
+        arguments the session is built from (:meth:`recipe`).
     resume:
         Restore the session from ``checkpoint_path`` and finish it; the
-        completed run is bit-identical to an uninterrupted one.
+        completed run is bit-identical to an uninterrupted one.  A
+        checkpoint written with other arguments is refused with a
+        :class:`~repro.core.driver.CheckpointError` naming the field.
     store:
         A :class:`~repro.store.db.MeasurementStore` (or database path):
         every paid measurement is durably recorded through it, and
@@ -255,6 +258,20 @@ class AutoTuner:
         if self.algorithm is None:
             self.algorithm = make_algorithm("ceal", self.use_history)
 
+    def recipe(self) -> dict:
+        """The arguments the tuning session is built from, as plain data."""
+        return {
+            "workflow": self.workflow.name,
+            "objective": self.objective.name,
+            "budget": self.budget,
+            "pool_size": self.pool_size,
+            "seed": self.seed,
+            "noise_sigma": self.noise_sigma,
+            "history_size": self.history_size,
+            "use_history": self.use_history,
+            "warm_start": self.warm_start,
+        }
+
     def tune(self) -> TuningOutcome:
         """Run the full collector/modeler/searcher loop."""
         artifacts = build_problem_artifacts(
@@ -280,6 +297,7 @@ class AutoTuner:
                 problem,
                 checkpoint_path=self.checkpoint_path,
                 resume=self.resume,
+                recipe=self.recipe(),
             )
         else:
             result = self.algorithm.tune(problem)

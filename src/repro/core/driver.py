@@ -29,6 +29,7 @@ resumed session finishes bit-identically to an uninterrupted one.
 from __future__ import annotations
 
 import abc
+import hashlib
 import math
 import os
 import pickle
@@ -58,7 +59,6 @@ __all__ = [
     "TuningSession",
     "checkpoint_payload",
     "load_checkpoint",
-    "save_checkpoint",
     "save_checkpoint_payload",
     "split_batches",
 ]
@@ -457,29 +457,40 @@ class SearchStrategy(abc.ABC):
 
 # -- checkpoint files ---------------------------------------------------------
 
-#: Version 2: Phase-1 data are ``ComponentHistory`` objects and the
-#: collector's computer-time accumulator is ``cost_computer_core_hours``.
-CHECKPOINT_VERSION = 2
+#: Version 3: the file is a blake2b digest of the pickled payload followed
+#: by the pickle, and the payload carries a ``recipe`` slot.  Version 2
+#: introduced ``ComponentHistory`` Phase-1 data and the collector's
+#: ``cost_computer_core_hours`` accumulator.
+CHECKPOINT_VERSION = 3
+
+#: Bytes of the digest that opens every checkpoint file.
+_DIGEST_SIZE = 32
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable or belongs to another session."""
 
 
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
+
+
 def checkpoint_payload(
     session: TuningSession,
     strategy: SearchStrategy,
     completed: bool = False,
+    recipe=None,
 ) -> dict:
     """The session's resumable state as a checkpoint payload dict.
 
-    Exactly what :func:`save_checkpoint` pickles.  The driver keeps the
-    last one it wrote as :attr:`TuningDriver.payload`, which the serve
-    layer's warm-snapshot cache holds for an evicted session so it can
-    restore without a disk round-trip.  Mutable session containers are
-    copied (``events``, and every ``state_dict`` builds fresh dicts),
-    so a stashed payload is safe against later mutation of the live
-    session.
+    Exactly what :func:`save_checkpoint_payload` pickles.  The driver
+    keeps the last one it wrote as :attr:`TuningDriver.payload`, which
+    the serve layer's warm-snapshot cache holds for an evicted session
+    so it can restore without a disk round-trip.  Mutable session
+    containers are copied (``events``, and every ``state_dict`` builds
+    fresh dicts), so a stashed payload is safe against later mutation
+    of the live session.  ``recipe`` is stored as given
+    (:attr:`TuningDriver.recipe`).
     """
     return {
         "version": CHECKPOINT_VERSION,
@@ -488,6 +499,7 @@ def checkpoint_payload(
         "objective": session.problem.objective.name,
         "seed": session.problem.seed,
         "budget": session.collector.budget_runs,
+        "recipe": recipe,
         "completed": completed,
         "iteration": session.iteration,
         "fit_seconds_total": session.fit_seconds_total,
@@ -499,48 +511,25 @@ def checkpoint_payload(
     }
 
 
-def save_checkpoint(
-    path: str | Path,
-    session: TuningSession,
-    strategy: SearchStrategy,
-    completed: bool = False,
-) -> None:
-    """Atomically write the session's resumable state to ``path``.
+def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
+    """Atomically write a checkpoint payload to ``path``.
 
-    The payload is pickled to a uniquely named temporary file in the
+    The file is the digest of the pickled payload followed by the
+    pickle.  It is written to a uniquely named temporary file in the
     target directory, fsynced, and renamed over ``path``: a crash (or a
     concurrent checkpointer in a threaded server) mid-write can never
     leave a torn checkpoint behind — readers see the previous complete
     snapshot or the new one, nothing in between.
     """
-    save_checkpoint_payload(path, checkpoint_payload(session, strategy, completed))
-
-
-def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
-    """Atomically persist an already-built checkpoint payload."""
-    _write_atomic(
-        path,
-        lambda handle: pickle.dump(
-            payload, handle, protocol=pickle.HIGHEST_PROTOCOL
-        ),
-    )
-
-
-def _write_atomic(path: str | Path, write) -> None:
-    """Write the file ``path`` through ``write(handle)``, atomically.
-
-    ``write`` fills a uniquely named temporary file in the target
-    directory, which is fsynced and renamed over ``path``; on any
-    failure the temporary file is removed.  Readers see the previous
-    complete file or the new one, never a torn one.
-    """
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            write(handle)
+            handle.write(_digest(body))
+            handle.write(body)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -553,16 +542,30 @@ def _write_atomic(path: str | Path, write) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint payload written by :func:`save_checkpoint`.
+    """Read a checkpoint payload written by :func:`save_checkpoint_payload`.
 
     Every way a file can fail to load ends in :class:`CheckpointError`:
-    unreadable, truncated or corrupt bytes, and classes this version of
-    the code no longer has (a checkpoint of an older version).  The
-    bytes are read first, so a corrupt length field cannot make the
-    unpickler ask the file for more than it holds.
+    an unreadable file, bytes that no longer match their digest (any
+    truncation or flipped byte, and every file of an older version,
+    which had no digest), a pickle this code cannot load, and a payload
+    of another version.  The digest is checked before anything is
+    unpickled.
     """
     try:
-        payload = pickle.loads(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+    body = data[_DIGEST_SIZE:]
+    if _digest(body) != data[:_DIGEST_SIZE]:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: its bytes do not match their "
+            f"digest (a corrupt file, or one older than checkpoint version "
+            f"{CHECKPOINT_VERSION})"
+        )
+    try:
+        payload = pickle.loads(body)
     except Exception as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
@@ -575,6 +578,25 @@ def load_checkpoint(path: str | Path) -> dict:
             f"(expected {CHECKPOINT_VERSION})"
         )
     return payload
+
+
+def _mismatch(got: dict, want: dict) -> str:
+    """Why a checkpoint whose identity is ``got`` is refused for ``want``.
+
+    Names the first field that differs; two dict values (recipes) are
+    compared field by field in turn.
+    """
+    missing = object()
+    key = next(
+        k for k in [*want, *got] if got.get(k, missing) != want.get(k, missing)
+    )
+    got, want = got.get(key), want.get(key)
+    if isinstance(got, dict) and isinstance(want, dict):
+        return _mismatch(got, want)
+    return (
+        f"checkpoint {key} mismatch: checkpoint has {got!r}, "
+        f"the session was built with {want!r}"
+    )
 
 
 # -- the driver ---------------------------------------------------------------
@@ -595,9 +617,15 @@ class TuningDriver:
     checkpoint_path:
         When set, the session's resumable state is written here after
         the setup phase and after every measurement cycle.
+    recipe:
+        What the caller built the session from (``AutoTuner``'s
+        arguments, a served session's spec), as plain data.  Every
+        checkpoint carries it and :meth:`restore` refuses a checkpoint
+        whose recipe differs; the driver never reads into it.
     """
 
     checkpoint_path: str | Path | None = None
+    recipe: object = None
     #: The checkpoint payload last written (or restored) by this
     #: driver — always a cycle-boundary state, never a mid-ask one.
     payload: dict | None = field(default=None, init=False, repr=False)
@@ -736,10 +764,11 @@ class TuningDriver:
         """Validate a checkpoint payload and restore it into ``session``.
 
         Raises :class:`CheckpointError` when the checkpoint was written
-        by a different algorithm, workflow, objective, seed, or budget,
-        or when its state cannot be restored (a corrupt payload).  The
-        session continues bit-identically from the checkpointed cycle
-        boundary (strategies refit their models on demand).
+        by a different algorithm, workflow, objective, seed, budget or
+        :attr:`recipe`, or when its state cannot be restored (a corrupt
+        payload).  The session continues bit-identically from the
+        checkpointed cycle boundary (strategies refit their models on
+        demand).
         """
         expected = {
             "algorithm": strategy.name,
@@ -747,14 +776,11 @@ class TuningDriver:
             "objective": session.problem.objective.name,
             "seed": session.problem.seed,
             "budget": session.collector.budget_runs,
+            "recipe": self.recipe,
         }
-        for key, want in expected.items():
-            got = payload.get(key)
-            if got != want:
-                raise CheckpointError(
-                    f"checkpoint {key} mismatch: checkpoint has {got!r}, "
-                    f"the session was built with {want!r}"
-                )
+        found = {key: payload.get(key) for key in expected}
+        if found != expected:
+            raise CheckpointError(_mismatch(found, expected))
         try:
             session.iteration = payload["iteration"]
             session.events = list(payload["events"])
@@ -805,7 +831,9 @@ class TuningDriver:
         completed: bool = False,
     ) -> None:
         if self.checkpoint_path is not None:
-            self.payload = checkpoint_payload(session, strategy, completed)
+            self.payload = checkpoint_payload(
+                session, strategy, completed, self.recipe
+            )
             save_checkpoint_payload(self.checkpoint_path, self.payload)
 
 

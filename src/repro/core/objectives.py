@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Objective", "EXECUTION_TIME", "COMPUTER_TIME", "get_objective"]
+__all__ = [
+    "Objective",
+    "EXECUTION_TIME",
+    "COMPUTER_TIME",
+    "OBJECTIVES",
+    "get_objective",
+]
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,16 @@ class Objective:
 EXECUTION_TIME = Objective("execution_time", "max", "seconds")
 COMPUTER_TIME = Objective("computer_time", "sum", "core-hours")
 
-_BY_NAME = {o.name: o for o in (EXECUTION_TIME, COMPUTER_TIME)}
+#: Every objective a run may name (CLI ``--objective``, serve
+#: ``SessionSpec.objective``): name -> objective.
+OBJECTIVES = {o.name: o for o in (EXECUTION_TIME, COMPUTER_TIME)}
 
 
 def get_objective(name: str) -> Objective:
     """Look an objective up by name."""
     try:
-        return _BY_NAME[name]
+        return OBJECTIVES[name]
     except KeyError:
         raise ValueError(
-            f"unknown objective {name!r}; choose from {sorted(_BY_NAME)}"
+            f"unknown objective {name!r}; choose from {sorted(OBJECTIVES)}"
         ) from None

@@ -23,6 +23,11 @@ Two classes split the work:
   per-session locking so concurrent requests on one session serialize
   while different sessions proceed in parallel.
 
+A session's one file is its checkpoint, ``<name>.ckpt``: the driver's
+``recipe`` slot holds the session's :class:`SessionSpec`, so the
+runner is rebuilt from the checkpoint alone and a checkpoint cannot be
+paired with another session's spec.
+
 Eviction discipline
 -------------------
 Checkpoints are written only at *cycle boundaries* (after ``prepare``
@@ -39,7 +44,6 @@ served transparently.  Anything else is a ``stale_ask`` error.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -54,12 +58,11 @@ from repro.core.driver import (
     CheckpointError,
     TuningDriver,
     TuningSession,
-    _write_atomic,
     load_checkpoint,
 )
 from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
-from repro.serve.protocol import PROTOCOL_VERSION, ServeError
+from repro.serve.protocol import ServeError
 from repro.serve.specs import SessionSpec, build_algorithm, build_problem
 from repro.store.registry import ModelRegistry
 
@@ -112,7 +115,9 @@ class SessionRunner:
             None if binding is None else binding.store, memo=cache.models
         )
         self.session = TuningSession.start(self.problem)
-        self.driver = TuningDriver(checkpoint_path=Path(checkpoint_path))
+        self.driver = TuningDriver(
+            checkpoint_path=Path(checkpoint_path), recipe=spec.as_dict()
+        )
         self.result: AutotuneResult | None = None
         self._pending: tuple[str, tuple] | None = None
 
@@ -130,20 +135,20 @@ class SessionRunner:
     def rehydrate(
         cls,
         name: str,
-        spec: SessionSpec,
         checkpoint_path,
         cache: ArtifactCache,
         store=None,
         snapshot: dict | None = None,
     ) -> "SessionRunner":
-        """Rebuild a runner from (spec, checkpoint) files.
+        """Rebuild a runner from its checkpoint.
 
-        The problem is reconstructed deterministically from the spec,
-        then the checkpointed logical state is validated and restored —
-        the same :meth:`~repro.core.driver.TuningDriver.restore` step as
+        The problem is reconstructed deterministically from the spec in
+        the checkpoint's recipe, then the checkpointed logical state is
+        validated and restored — the same
+        :meth:`~repro.core.driver.TuningDriver.restore` step as
         ``TuningDriver.run(resume=True)``, so the session continues
-        bit-identically.  A missing checkpoint (crash between spec write
-        and first save) cold-starts instead.
+        bit-identically.  A checkpoint whose recipe is not a spec (an
+        offline checkpoint, say) raises :class:`CheckpointError`.
 
         ``snapshot`` is a still-warm checkpoint payload from the
         manager's snapshot tier: it is the payload the evicted runner's
@@ -151,16 +156,16 @@ class SessionRunner:
         to, so restoring from it skips the disk read and unpickle while
         remaining subject to the same validation.
         """
-        runner = cls(name, spec, checkpoint_path, cache, store=store)
-        path = runner.driver.checkpoint_path
-        if snapshot is None and not path.exists():
-            runner.start()
-            return runner
-        with telemetry.get().span(
-            "serve.session.rehydrate", category="serve",
-            algorithm=runner.strategy.name,
-        ):
-            payload = snapshot if snapshot is not None else load_checkpoint(path)
+        with telemetry.get().span("serve.session.rehydrate", category="serve") as span:
+            payload = snapshot if snapshot is not None else load_checkpoint(checkpoint_path)
+            try:
+                spec = SessionSpec.from_dict(payload.get("recipe"))
+            except ServeError as exc:
+                raise CheckpointError(
+                    f"checkpoint holds no session spec: {exc.message}"
+                ) from exc
+            runner = cls(name, spec, checkpoint_path, cache, store=store)
+            span.set(algorithm=runner.strategy.name)
             runner.driver.restore(payload, runner.strategy, runner.session)
         return runner
 
@@ -319,16 +324,6 @@ class SessionRunner:
         return {"done": True, "completed": True, "best": self.best()}
 
 
-def _unlink(name: str, path: Path) -> None:
-    """Remove one of session ``name``'s files; a failure is ``internal``."""
-    try:
-        path.unlink(missing_ok=True)
-    except OSError as exc:
-        raise ServeError(
-            "internal", f"session {name!r}: cannot delete {path.name}: {exc}"
-        ) from exc
-
-
 def _latency_digest(values) -> dict:
     """Nearest-rank digest of a latency series: count, mean, p50/p95/p99, max.
 
@@ -359,11 +354,11 @@ class SessionManager:
     Parameters
     ----------
     directory:
-        State directory: ``<name>.spec.json`` (the deterministic
-        recipe) and ``<name>.ckpt`` (the cycle-boundary checkpoint)
-        per session.  On construction the directory is scanned and
-        every checkpointed session is registered as evicted — a daemon
-        restarted after a crash serves them as if it never stopped.
+        State directory: one file per session, ``<name>.ckpt``, the
+        cycle-boundary checkpoint, which carries the session's spec.
+        On construction the directory is scanned and every checkpointed
+        session is registered as evicted — a daemon restarted after a
+        crash serves them as if it never stopped.
     store:
         Optional shared :class:`~repro.store.db.MeasurementStore` (or
         path): every session's paid measurements are recorded through
@@ -401,17 +396,13 @@ class SessionManager:
 
     # -- paths ----------------------------------------------------------------
 
-    def _spec_path(self, name: str) -> Path:
-        return self.directory / f"{name}.spec.json"
-
     def _checkpoint_path(self, name: str) -> Path:
         return self.directory / f"{name}.ckpt"
 
     def _recover(self) -> list[str]:
         """Register every checkpointed session found on disk."""
         names = sorted(
-            p.name[: -len(".spec.json")]
-            for p in self.directory.glob("*.spec.json")
+            p.name[: -len(".ckpt")] for p in self.directory.glob("*.ckpt")
         )
         self._known.update(names)
         if names:
@@ -446,12 +437,10 @@ class SessionManager:
         if not known:
             raise ServeError("unknown_session", f"no session named {name!r}")
         started = time.perf_counter()
-        spec = self._load_spec(name)
         snapshot = self.cache.take_snapshot(name)
         try:
             runner = SessionRunner.rehydrate(
                 name,
-                spec,
                 self._checkpoint_path(name),
                 self.cache,
                 store=self.store,
@@ -473,23 +462,6 @@ class SessionManager:
             self._rehydrate_ms.append(elapsed_ms)
             del self._rehydrate_ms[: -self._REHYDRATE_WINDOW]
         return runner
-
-    def _load_spec(self, name: str) -> SessionSpec:
-        """The session's stored spec; ``internal`` when it cannot be used.
-
-        A spec file the daemon wrote is a JSON object that builds a
-        :class:`SessionSpec`; anything else on disk is corruption, not
-        a client's bad request.
-        """
-        try:
-            with open(self._spec_path(name), encoding="utf-8") as handle:
-                data = json.load(handle)
-            return SessionSpec.from_dict(data.get("spec", data))
-        except Exception as exc:
-            raise ServeError(
-                "internal",
-                f"session {name!r} spec unreadable: {type(exc).__name__}: {exc}",
-            ) from exc
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -516,25 +488,15 @@ class SessionManager:
             # A freshly created name must never restore someone else's
             # leftover snapshot (e.g. delete + recreate under one name).
             self.cache.invalidate_session(name)
-            spec_path = self._spec_path(name)
             checkpoint_path = self._checkpoint_path(name)
             try:
                 runner = SessionRunner(
                     name, spec, checkpoint_path, self.cache, store=self.store
                 )
-                spec_json = json.dumps(
-                    {"spec": spec.as_dict(), "protocol": PROTOCOL_VERSION},
-                    indent=2,
-                    sort_keys=True,
-                )
-                _write_atomic(
-                    spec_path, lambda handle: handle.write(spec_json.encode())
-                )
                 runner.start()
             except Exception as exc:
                 # A session that cannot be prepared must not be
                 # recovered later: take back whatever was written.
-                spec_path.unlink(missing_ok=True)
                 checkpoint_path.unlink(missing_ok=True)
                 if isinstance(exc, ValueError):
                     raise ServeError("bad_request", str(exc)) from exc
@@ -553,14 +515,12 @@ class SessionManager:
         return status
 
     def close(self, name: str, delete: bool = False) -> dict:
-        """Detach a session from memory; optionally delete its files.
+        """Detach a session from memory; optionally delete its file.
 
-        Without ``delete`` the checkpoint files stay — the session can
-        be touched again later (it rehydrates).  With ``delete`` the
-        session is gone for good: the spec goes first, because it is
-        what crash recovery registers, then the checkpoint.  A file
-        that cannot be removed answers ``internal``, and the session
-        stays known while its spec exists.
+        Without ``delete`` the checkpoint stays — the session can be
+        touched again later (it rehydrates).  With ``delete`` the
+        session is gone for good.  A checkpoint that cannot be removed
+        answers ``internal``, and the session stays known.
         """
         _check_name(name)
         lock = self._lock_for(name)
@@ -574,10 +534,16 @@ class SessionManager:
                     "unknown_session", f"no session named {name!r}"
                 )
             if delete:
-                _unlink(name, self._spec_path(name))
+                path = self._checkpoint_path(name)
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError as exc:
+                    raise ServeError(
+                        "internal",
+                        f"session {name!r}: cannot delete {path.name}: {exc}",
+                    ) from exc
                 with self._mutex:
                     self._known.discard(name)
-                _unlink(name, self._checkpoint_path(name))
             telemetry.get().counter("serve.sessions.closed").inc()
         return {"session": name, "closed": True, "deleted": bool(delete)}
 

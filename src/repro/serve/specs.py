@@ -1,10 +1,11 @@
 """Session specs: the JSON-serialisable recipe of one tuning session.
 
 A served session must be *reconstructible from a small JSON document*:
-eviction drops the in-memory session and keeps only (spec, checkpoint)
-on disk; crash recovery re-lists those files and rebuilds.  Everything
-a :class:`~repro.core.problem.TuningProblem` needs — pool, component
-histories, RNG — is a deterministic function of the spec fields, so a
+eviction drops the in-memory session and keeps only its checkpoint on
+disk, which carries the spec; crash recovery re-lists those files and
+rebuilds.  Everything a :class:`~repro.core.problem.TuningProblem`
+needs — pool, component histories, RNG — is a deterministic function
+of the spec fields, so a
 rehydrated problem is bit-identical to the one the checkpoint was
 written from (the same property PR 2's ``--resume`` relies on).
 
@@ -28,8 +29,11 @@ from repro.core.autotuner import (
     build_problem_artifacts,
     make_algorithm,
 )
+from repro.core.objectives import OBJECTIVES
 from repro.serve.artifacts import spec_key
 from repro.serve.protocol import ServeError
+from repro.store.warmstart import WARM_START_MODES
+from repro.workflows.catalog import WORKFLOW_FACTORIES
 
 __all__ = [
     "ALGORITHMS",
@@ -37,10 +41,6 @@ __all__ = [
     "build_algorithm",
     "build_problem",
 ]
-
-_WORKFLOWS = ("LV", "HS", "GP")
-_OBJECTIVES = ("execution_time", "computer_time")
-_WARM_STARTS = ("off", "components", "full")
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,18 @@ class SessionSpec:
     history_size: int = 500
 
     def __post_init__(self) -> None:
-        if self.workflow not in _WORKFLOWS:
+        # Tuples, not the owners' dicts: an unhashable JSON value must
+        # fail the membership test, not raise from it.
+        workflows, objectives = tuple(WORKFLOW_FACTORIES), tuple(OBJECTIVES)
+        if self.workflow not in workflows:
             raise ServeError(
                 "bad_request",
-                f"workflow must be one of {_WORKFLOWS}, got {self.workflow!r}",
+                f"workflow must be one of {workflows}, got {self.workflow!r}",
             )
-        if self.objective not in _OBJECTIVES:
+        if self.objective not in objectives:
             raise ServeError(
                 "bad_request",
-                f"objective must be one of {_OBJECTIVES}, "
+                f"objective must be one of {objectives}, "
                 f"got {self.objective!r}",
             )
         if self.algorithm not in ALGORITHMS:
@@ -85,10 +88,10 @@ class SessionSpec:
                 f"algorithm must be one of {tuple(ALGORITHMS)}, "
                 f"got {self.algorithm!r}",
             )
-        if self.warm_start not in _WARM_STARTS:
+        if self.warm_start not in WARM_START_MODES:
             raise ServeError(
                 "bad_request",
-                f"warm_start must be one of {_WARM_STARTS}, "
+                f"warm_start must be one of {WARM_START_MODES}, "
                 f"got {self.warm_start!r}",
             )
         for name in ("budget", "pool_size", "seed", "history_size"):

@@ -201,10 +201,11 @@ class TestCheckpointWithStore:
 class TestAtomicCheckpoint:
     """A crash mid-save must never corrupt the previous checkpoint.
 
-    ``save_checkpoint`` stages into a unique temp file and publishes
-    with ``os.replace``; a failure at either step (serialisation dies
-    half-way, or the rename itself) leaves the previous checkpoint
-    byte-identical, loadable, and the directory free of temp litter.
+    ``save_checkpoint_payload`` stages into a unique temp file and
+    publishes with ``os.replace``; a failure at either step (the write
+    dies before it is durable, or the rename itself) leaves the previous
+    checkpoint byte-identical, loadable, and the directory free of temp
+    litter.
     """
 
     def _checkpointed(self, lv, lv_pool, lv_histories, tmp_path):
@@ -225,22 +226,19 @@ class TestAtomicCheckpoint:
     def test_torn_serialisation_keeps_previous_checkpoint(
         self, lv, lv_pool, lv_histories, tmp_path, monkeypatch
     ):
-        import pickle as real_pickle
-
-        from repro.core.driver import save_checkpoint
+        from repro.core.driver import checkpoint_payload, save_checkpoint_payload
 
         path, session, strategy = self._checkpointed(
             lv, lv_pool, lv_histories, tmp_path
         )
         before = path.read_bytes()
 
-        def torn_dump(obj, handle, protocol=None):
-            handle.write(real_pickle.dumps(obj)[:10])  # partial write...
-            raise OSError("disk full")  # ...then the crash
+        def failing_fsync(fd):
+            raise OSError("disk full")  # the bytes never became durable
 
-        monkeypatch.setattr("repro.core.driver.pickle.dump", torn_dump)
+        monkeypatch.setattr("repro.core.driver.os.fsync", failing_fsync)
         with pytest.raises(OSError):
-            save_checkpoint(path, session, strategy, False)
+            save_checkpoint_payload(path, checkpoint_payload(session, strategy))
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
         assert load_checkpoint(path)["version"] >= 1
@@ -248,7 +246,7 @@ class TestAtomicCheckpoint:
     def test_failed_publish_keeps_previous_checkpoint(
         self, lv, lv_pool, lv_histories, tmp_path, monkeypatch
     ):
-        from repro.core.driver import save_checkpoint
+        from repro.core.driver import checkpoint_payload, save_checkpoint_payload
 
         path, session, strategy = self._checkpointed(
             lv, lv_pool, lv_histories, tmp_path
@@ -260,7 +258,7 @@ class TestAtomicCheckpoint:
 
         monkeypatch.setattr("repro.core.driver.os.replace", failing_replace)
         with pytest.raises(OSError):
-            save_checkpoint(path, session, strategy, False)
+            save_checkpoint_payload(path, checkpoint_payload(session, strategy))
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []

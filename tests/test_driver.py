@@ -16,9 +16,10 @@ from repro.core.driver import (
     TuningDriver,
     TuningEvent,
     TuningSession,
+    checkpoint_payload,
     clip_to_budget,
     load_checkpoint,
-    save_checkpoint,
+    save_checkpoint_payload,
 )
 from repro.core.objectives import EXECUTION_TIME
 from repro.core.problem import TuningProblem
@@ -227,7 +228,7 @@ class TestCheckpointFiles:
         session = TuningSession.start(problem)
         strategy = _TwoBatchStrategy()
         path = tmp_path / "session.pkl"
-        save_checkpoint(path, session, strategy)
+        save_checkpoint_payload(path, checkpoint_payload(session, strategy))
         assert path.exists()
         assert not (tmp_path / "session.pkl.tmp").exists()
 
@@ -248,11 +249,9 @@ class TestCheckpointFiles:
         problem = make_problem(lv, lv_pool, lv_histories)
         session = TuningSession.start(problem)
         path = tmp_path / "session.pkl"
-        save_checkpoint(path, session, _TwoBatchStrategy())
-        payload = load_checkpoint(path)
-        payload["version"] = 999
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(CheckpointError):
+        payload = checkpoint_payload(session, _TwoBatchStrategy())
+        save_checkpoint_payload(path, {**payload, "version": 999})
+        with pytest.raises(CheckpointError, match="version 999"):
             load_checkpoint(path)
 
     def test_resume_validates_session_identity(

@@ -79,6 +79,19 @@ def test_a_move_within_a_wide_base_spread_is_unresolved(slower, word, passes):
     assert row.split()[-1] == word
 
 
+def test_per_pair_wins_follow_each_metric_direction():
+    # Same-seed pairs: the head is lower in 7, equal in 2, higher in 1.
+    heads = (9.0,) * 7 + (10.0,) * 2 + (11.0,)
+    base = [run() for _ in heads]
+    head = [run(tell_ms_p50=v, sessions_per_s=v) for v in heads]
+    ok, report = verdict(base, head)
+    assert ok, report
+    rows = {ln.split()[0]: ln.split() for ln in report.splitlines()[1:13]}
+    assert rows["tell_ms_p50"][-2] == "7/10"  # lower is better
+    assert rows["sessions_per_s"][-2] == "1/10"  # higher is better
+    assert rows["ask_ms_p50"][-2] == "0/10"  # every pair a tie
+
+
 def test_a_run_that_is_not_correct_fails():
     base = [run() for _ in range(perf_gate.PAIRS)]
     head = [run() for _ in range(perf_gate.PAIRS - 1)] + [run(correct=False)]

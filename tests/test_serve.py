@@ -96,6 +96,25 @@ class TestBitIdentity:
         drive(second, "s")
         assert comparable(second.result("s")) == comparable(straight)
 
+    def test_a_session_is_one_file(self, tmp_path):
+        """Create, ask, tell, evict and shut down: the state directory
+        holds only the session's checkpoint, a new manager recovers the
+        session from it alone and finishes it identically, and a delete
+        leaves nothing behind."""
+        spec = SessionSpec(algorithm="ceal", use_history=True, **SMALL)
+        state = tmp_path / "state"
+        first = SessionManager(state)
+        first.create(spec, name="s")
+        first.tell("s", first.ask("s")["ask_id"])
+        assert first.evict("s")
+        first.shutdown()
+        assert [p.name for p in state.iterdir()] == ["s.ckpt"]
+        second = SessionManager(state)
+        drive(second, "s")
+        assert comparable(second.result("s")) == comparable(offline_result(spec))
+        second.close("s", delete=True)
+        assert list(state.iterdir()) == []
+
     def test_tell_after_eviction_of_pending_ask(self, tmp_path):
         """An un-told ask survives eviction: the rehydrated session
         regenerates the identical batch under the identical id."""
@@ -134,6 +153,8 @@ MISTYPED = [
     ("use_history", "false"),
     ("use_history", 1),
     ("noise_sigma", "0.05"),
+    ("workflow", ["LV"]),
+    ("objective", {"name": "computer_time"}),
 ]
 
 
@@ -202,8 +223,8 @@ class TestLifecycleAndErrors:
         assert not list((tmp_path / "state").glob("s.*"))
 
     def test_failed_delete_keeps_the_session(self, tmp_path, monkeypatch):
-        """A spec that cannot be unlinked is an ``internal`` error, not
-        ``deleted: true``: the session stays listed and a restarted
+        """A checkpoint that cannot be unlinked is an ``internal`` error,
+        not ``deleted: true``: the session stays listed and a restarted
         manager still recovers it."""
         import os
 
@@ -212,16 +233,16 @@ class TestLifecycleAndErrors:
         manager.create(dict(algorithm="rs", **SMALL), name="s")
         unlink = os.unlink
 
-        def refuse_spec(path, *args, **kwargs):
-            if str(path).endswith(".spec.json"):
+        def refuse_checkpoint(path, *args, **kwargs):
+            if str(path).endswith(".ckpt"):
                 raise PermissionError(13, "Permission denied", str(path))
             return unlink(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "unlink", refuse_spec)
+        monkeypatch.setattr(os, "unlink", refuse_checkpoint)
         with pytest.raises(ServeError) as err:
             manager.close("s", delete=True)
         assert err.value.code == "internal"
-        assert "s.spec.json" in err.value.message
+        assert "s.ckpt" in err.value.message
         assert [row["session"] for row in manager.list_sessions()] == ["s"]
         monkeypatch.undo()
         assert SessionManager(state).recovered == ["s"]
