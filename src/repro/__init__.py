@@ -9,12 +9,12 @@ This package reimplements, end to end, the system described in
 Layout
 ------
 ``repro.config``
-    Discrete parameter spaces, feasibility constraints, and feature
-    encodings shared by every other subsystem.
+    Discrete parameter spaces and feature encodings shared by every
+    other subsystem.
 ``repro.cluster``
     A simulated HPC machine (nodes, cores, memory/NIC bandwidth) together
-    with placement and contention models.  Substitutes for the paper's
-    600-node Broadwell/Omni-Path cluster.
+    with placement, allocation feasibility and contention models.
+    Substitutes for the paper's 600-node Broadwell/Omni-Path cluster.
 ``repro.des``
     A small discrete-event simulation engine (events, processes, bounded
     stores) used to execute coupled in-situ workflows.

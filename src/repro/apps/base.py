@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.allocation import Placement, placement_ok_batch
+from repro.cluster.allocation import Placement, allocation_ok
 from repro.cluster.machine import Machine
 from repro.config.space import Configuration, ParameterSpace
 
@@ -230,7 +230,7 @@ class ComponentApp(abc.ABC):
         if np.any(n_steps < 1):
             raise ValueError("n_steps must be >= 1")
         placement = self.placement_batch(columns)
-        bad = np.flatnonzero(~placement_ok_batch(placement, machine))
+        bad = np.flatnonzero(~allocation_ok((placement,), machine))
         if bad.size:  # the scalar run raises this row's error
             row = bad[0]
             self.solo_run(machine, _rows(columns)[row], int(n_steps[row]))

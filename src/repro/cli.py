@@ -346,17 +346,34 @@ def _finish_telemetry(hub, args) -> None:
 
 
 def _cmd_tune(args, out) -> int:
-    from repro.core.autotuner import AutoTuner, make_algorithm
+    from repro.core.autotuner import AutoTuner
     from repro.core.driver import CheckpointError
+    from repro.serve.protocol import ServeError
+    from repro.serve.specs import SessionSpec, build_algorithm
     from repro.workflows import make_workflow
 
-    workflow = make_workflow(args.workflow)
     if args.resume and not args.checkpoint:
         log.error("--resume requires --checkpoint PATH")
         return 2
     if args.warm_start != "off" and not args.store:
         log.error("--warm-start requires --store PATH")
         return 2
+    # The daemon's spec validates the recipe, so both answer alike.
+    try:
+        spec = SessionSpec(
+            workflow=args.workflow,
+            objective=args.objective,
+            algorithm=args.algorithm,
+            budget=args.budget,
+            pool_size=args.pool_size,
+            seed=args.seed,
+            use_history=args.use_history,
+            warm_start=args.warm_start,
+        )
+    except ServeError as exc:
+        log.error("%s", exc)
+        return 2
+    workflow = make_workflow(spec.workflow)
     store = None
     if args.store:
         from repro.store import MeasurementStore
@@ -369,20 +386,25 @@ def _cmd_tune(args, out) -> int:
     )
     tuner = AutoTuner(
         workflow,
-        objective=args.objective,
-        budget=args.budget,
-        algorithm=make_algorithm(args.algorithm, args.use_history),
-        pool_size=args.pool_size,
-        use_history=args.use_history,
-        seed=args.seed,
+        objective=spec.objective,
+        budget=spec.budget,
+        algorithm=build_algorithm(spec),
+        pool_size=spec.pool_size,
+        use_history=spec.use_history,
+        seed=spec.seed,
+        noise_sigma=spec.noise_sigma,
+        history_size=spec.history_size,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         store=store,
-        warm_start=args.warm_start,
+        warm_start=spec.warm_start,
     )
     try:
         outcome = tuner.tune()
-    except CheckpointError as exc:
+    except (CheckpointError, ValueError) as exc:
+        # A valid spec the algorithm cannot run (CEAL below 4 runs, a
+        # pool smaller than a batch) is refused as the daemon's create
+        # refuses it: a bad recipe, not a crash.
         log.error("%s", exc)
         return 2
     named = workflow.space.as_dict(outcome.best_config)

@@ -10,12 +10,11 @@ depends on:
   — static hardware description (cores, memory bandwidth, NIC bandwidth,
   fabric latency) with the paper's testbed as the default,
 * :mod:`~repro.cluster.allocation` — placement of a component's processes
-  onto nodes and the resulting footprint,
+  onto nodes, the resulting footprint, and the one feasibility rule
+  (components placed side by side fit the machine), and
 * :mod:`~repro.cluster.contention` — closed-form slowdown models for
   shared-resource contention (per-node memory bandwidth, per-node NIC,
-  shared fabric), and
-* :mod:`~repro.cluster.topology` — a dragonfly-ish two-level fabric graph
-  used to derive inter-allocation hop counts.
+  shared fabric).
 """
 
 from repro.cluster.allocation import Placement, place_component
@@ -25,11 +24,9 @@ from repro.cluster.contention import (
     nic_share,
 )
 from repro.cluster.machine import BROADWELL_NODE, Machine, NodeSpec, default_machine
-from repro.cluster.topology import FabricTopology
 
 __all__ = [
     "BROADWELL_NODE",
-    "FabricTopology",
     "Machine",
     "NodeSpec",
     "Placement",

@@ -4,7 +4,8 @@ The paper launches all workflow components at once on an exclusive
 allocation, each component occupying its own block of nodes
 (``ceil(procs / ppn)``).  A :class:`Placement` captures the resulting
 footprint plus the densities that drive contention: processes per node and
-busy cores per node.
+busy cores per node.  :func:`allocation_ok` is the one feasibility rule:
+components placed side by side fit the machine.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from repro.cluster.machine import Machine
 
 __all__ = [
     "Placement",
+    "allocation_ok",
     "place_component",
     "place_component_batch",
-    "placement_ok_batch",
 ]
 
 
@@ -67,6 +68,11 @@ class Placement:
             raise ValueError("procs_per_node must be >= 1")
         if self.threads_per_proc < 1:
             raise ValueError("threads_per_proc must be >= 1")
+        if self.procs < self.procs_per_node:
+            raise ValueError(
+                f"{self.procs} processes cannot fill {self.procs_per_node} "
+                "per node"
+            )
         if self.busy_cores_per_node > machine.node.cores:
             raise ValueError(
                 f"{self.busy_cores_per_node} busy cores exceed the node's "
@@ -97,7 +103,7 @@ def place_component_batch(procs, procs_per_node, threads_per_proc=1) -> Placemen
 
     Returns a :class:`Placement` whose fields are integer arrays.  Its
     density properties work elementwise; :meth:`Placement.validate`
-    does not (use :func:`placement_ok_batch`).  ``nodes`` is the same
+    does not (use :func:`allocation_ok`).  ``nodes`` is the same
     float division and ceiling as the scalar form.
     """
     procs, procs_per_node, threads_per_proc = np.broadcast_arrays(
@@ -111,12 +117,25 @@ def place_component_batch(procs, procs_per_node, threads_per_proc=1) -> Placemen
     )
 
 
-def placement_ok_batch(placement: Placement, machine: Machine) -> np.ndarray:
-    """Rows of an array :class:`Placement` that ``validate`` accepts."""
-    return (
-        (placement.procs >= 1)
-        & (placement.procs_per_node >= 1)
-        & (placement.threads_per_proc >= 1)
-        & (placement.busy_cores_per_node <= machine.node.cores)
-        & (placement.nodes <= machine.max_nodes)
-    )
+def allocation_ok(placements, machine: Machine):
+    """Whether components placed side by side fit ``machine``.
+
+    The one feasibility rule of a configuration, for coupled runs, solo
+    runs (one placement) and sampling alike, and the mask form of
+    :meth:`Placement.validate`: each component fills its nodes
+    (``procs >= procs_per_node >= 1``, at least one thread each)
+    without oversubscribing their cores, and the components' disjoint
+    node blocks add up to at most ``machine.max_nodes`` (so each block
+    fits too).  Scalar placements give a bool, array placements a row
+    mask.
+    """
+    ok = True
+    nodes = 0
+    for placement in placements:
+        ok = ok & (
+            (np.minimum(placement.procs_per_node, placement.threads_per_proc) >= 1)
+            & (placement.procs >= placement.procs_per_node)
+            & (placement.busy_cores_per_node <= machine.node.cores)
+        )
+        nodes = nodes + placement.nodes
+    return ok & (nodes <= machine.max_nodes)

@@ -1,4 +1,4 @@
-"""Discrete configuration spaces, constraints, and feature encodings.
+"""Discrete configuration spaces and feature encodings.
 
 Every tunable entity in the reproduction — a component application or a
 whole in-situ workflow — exposes a :class:`~repro.config.space.ParameterSpace`
@@ -8,19 +8,11 @@ Workflow spaces are built by joining component spaces with name prefixes
 configuration-space blow-up the paper highlights in §2.3.
 
 Feasibility (e.g. the 32-node allocation cap of the paper's runs) is
-expressed as :mod:`~repro.config.constraints` predicates, and ML feature
-vectors are produced by :mod:`~repro.config.encoding`.
+not part of a space: it comes from the components' own placements and
+is applied at sampling time (:class:`~repro.insitu.workflow.PlacementRule`).
+ML feature vectors are produced by :mod:`~repro.config.encoding`.
 """
 
-from repro.config.constraints import (
-    AllocationConstraint,
-    AndConstraint,
-    ComponentPlacementSpec,
-    Constraint,
-    PredicateConstraint,
-    conjoin,
-    nodes_for,
-)
 from repro.config.encoding import (
     ConfigEncoder,
     DerivedFeature,
@@ -37,21 +29,14 @@ from repro.config.space import (
 )
 
 __all__ = [
-    "AllocationConstraint",
-    "AndConstraint",
-    "ComponentPlacementSpec",
     "ConfigEncoder",
     "Configuration",
-    "Constraint",
     "DerivedFeature",
     "Parameter",
     "ParameterSpace",
-    "PredicateConstraint",
     "choice",
     "component_footprint_features",
-    "conjoin",
     "geometric_range",
     "int_range",
     "join_spaces",
-    "nodes_for",
 ]

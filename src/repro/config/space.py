@@ -117,8 +117,9 @@ def geometric_range(name: str, low: int, high: int, factor: int = 2) -> Paramete
 class ParameterSpace:
     """An ordered collection of discrete parameters.
 
-    The space deliberately knows nothing about feasibility: constraints are
-    applied at sampling time (see :mod:`repro.config.constraints`) because
+    The space deliberately knows nothing about feasibility: a constraint
+    is applied at sampling time (a workflow's comes from its components'
+    placements, :class:`~repro.insitu.workflow.PlacementRule`) because
     workflow-level feasibility couples parameters *across* components
     (e.g. the total node count of all components must fit the allocation).
     """
@@ -205,28 +206,22 @@ class ParameterSpace:
             )
         return values
 
-    def index_matrix(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value indices of a numeric ``(n, dimension)`` value matrix.
+    def contains_batch(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`contains` of every row of a numeric ``(n, dimension)`` matrix.
 
-        Returns ``(idx, member)``: ``member[r]`` is true when every
-        entry of row ``r`` is admissible (:meth:`contains`), and then
-        ``idx[r]`` holds the entries' positions in their parameters'
-        values (:meth:`to_indices`); other rows' ``idx`` is arbitrary.
         A parameter with non-numeric values leaves every row unconfirmed
-        (``member`` false) for the caller's scalar check.
+        (false) for the caller's scalar check.
         """
-        idx = np.zeros(values.shape, dtype=np.int64)
         member = np.ones(len(values), dtype=bool)
         for j, parameter in enumerate(self.parameters):
             table = np.asarray(parameter.values)
             if table.dtype.kind not in "iuf":
                 member[:] = False
                 continue
-            order = np.argsort(table, kind="stable")
-            pos = np.searchsorted(table[order], values[:, j])
-            idx[:, j] = order[np.minimum(pos, len(table) - 1)]
-            member &= table[idx[:, j]] == values[:, j]
-        return idx, member
+            table = np.sort(table)
+            pos = np.minimum(np.searchsorted(table, values[:, j]), len(table) - 1)
+            member &= table[pos] == values[:, j]
+        return member
 
     def value(self, config: Configuration, name: str):
         """Extract the value of parameter ``name`` from a configuration."""
@@ -280,8 +275,8 @@ class ParameterSpace:
         # generator.  After the first chunk, the next is sized from the
         # acceptance rate so far (LV's allocation rules accept under 2%
         # of draws), capped at ``_MAX_CHUNK`` rows and at the draws left
-        # under the limit.  Constraints exposing ``feasible_batch`` (the
-        # allocation rules) are evaluated vectorized over the chunk.
+        # under the limit.  A constraint exposing ``feasible_batch`` (a
+        # workflow's placement rule) is evaluated vectorized over the chunk.
         out: list[Configuration] = []
         seen: set[Configuration] = set()
         tries = 0

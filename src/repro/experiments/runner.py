@@ -273,7 +273,6 @@ class _TrialContext:
     recall_max_n: int
     tasks: list  # (AlgorithmFactor, rep, seed) in serial order
     store: object | None = None
-    warm_start: str = "off"
 
 
 def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
@@ -287,7 +286,6 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         seed,
         failure_rate=ctx.failure_rate,
         store=ctx.store,
-        warm_start=ctx.warm_start,
     )
     if problem.store is not None:
         # Distinguish repeats in provenance: (seed, repeat) keys the
@@ -353,7 +351,6 @@ def run_trials(
     failure_rate: float = 0.0,
     jobs: int | str | None = None,
     store: object | None = None,
-    warm_start: str = "off",
 ) -> list[TrialMetrics]:
     """Run every algorithm ``repeats`` times and collect trial metrics.
 
@@ -373,7 +370,6 @@ def run_trials(
     ``store`` (a :class:`~repro.store.db.MeasurementStore` or path)
     records every trial's paid measurements write-through; forked
     workers write to the same database under WAL concurrency.
-    ``warm_start`` forwards to every trial's problem.
     """
     tasks = [
         (factor, rep, trial_seed(pool_seed, factor.name, rep))
@@ -392,7 +388,6 @@ def run_trials(
         recall_max_n=recall_max_n,
         failure_rate=failure_rate,
         store=store,
-        warm_start=warm_start,
     )
     return fanout(_run_one_trial, ctx, len(tasks), jobs)
 
@@ -410,7 +405,6 @@ def build_trial_context(
     recall_max_n: int = 10,
     failure_rate: float = 0.0,
     store: object | None = None,
-    warm_start: str = "off",
 ) -> _TrialContext:
     """Materialise the shared state of one trial batch.
 
@@ -444,7 +438,6 @@ def build_trial_context(
         recall_max_n=recall_max_n,
         tasks=list(tasks),
         store=store,
-        warm_start=warm_start,
     )
 
 

@@ -54,7 +54,7 @@ import networkx as nx
 import numpy as np
 
 from repro import telemetry
-from repro.cluster.allocation import placement_ok_batch
+from repro.cluster.allocation import allocation_ok
 from repro.insitu.coupled import CoupledRunResult, run_coupled
 from repro.insitu.measurement import MeasuredBatch, noise_factors, stable_seed
 from repro.insitu.transport import channel_costs_batch
@@ -153,10 +153,8 @@ def _batch_costs(
 ) -> _BatchCosts:
     """Validate the batch and compute its constant costs as arrays."""
     machine = workflow.machine
-    space = workflow.space
-    idx, ok = space.index_matrix(values)
-    _check(workflow, configs, ok & workflow.constraint.feasible_batch(space, idx))
-
+    # Space membership first: placements are defined on the space only.
+    _check(workflow, configs, workflow.space.contains_batch(values))
     columns = {
         label: workflow.component_columns(label, values) for label in workflow.labels
     }
@@ -164,10 +162,7 @@ def _batch_costs(
         label: workflow.app(label).placement_batch(columns[label])
         for label in workflow.labels
     }
-    ok = np.ones(len(configs), dtype=bool)
-    for placement in placements.values():
-        ok &= placement_ok_batch(placement, machine)
-    _check(workflow, configs, ok)
+    _check(workflow, configs, allocation_ok(placements.values(), machine))
 
     n_streams = len(workflow.couplings)
     payload: list = [None] * n_streams

@@ -4,12 +4,15 @@ A workflow is a DAG (paper §2.3) whose nodes are
 :class:`~repro.apps.ComponentApp` models and whose edges are
 :class:`Coupling` streams.  The joint configuration space is the product
 of the component spaces with dotted name prefixes
-(:func:`repro.config.join_spaces`); feasibility is an
-:class:`~repro.config.AllocationConstraint` over the whole allocation.
+(:func:`repro.config.join_spaces`).  Feasibility comes from each app's
+own ``placement``: a configuration is feasible when the components'
+placements fit the machine side by side
+(:func:`~repro.cluster.allocation.allocation_ok`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -17,13 +20,16 @@ import networkx as nx
 import numpy as np
 
 from repro.apps.base import ComponentApp, SoloRunResult
-from repro.cluster.allocation import Placement
+from repro.cluster.allocation import Placement, allocation_ok
 from repro.cluster.machine import Machine
-from repro.config.constraints import AllocationConstraint, ComponentPlacementSpec
-from repro.config.encoding import ConfigEncoder, DerivedFeature
+from repro.config.encoding import (
+    ConfigEncoder,
+    DerivedFeature,
+    component_footprint_features,
+)
 from repro.config.space import Configuration, ParameterSpace, join_spaces
 
-__all__ = ["Coupling", "WorkflowDefinition"]
+__all__ = ["Coupling", "PlacementRule", "WorkflowDefinition"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,6 @@ class WorkflowDefinition:
     _apps: dict = field(init=False, repr=False)
     _space: ParameterSpace = field(init=False, repr=False)
     _slices: dict = field(init=False, repr=False)
-    _constraint: AllocationConstraint = field(init=False, repr=False)
     _graph: nx.DiGraph = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -123,14 +128,6 @@ class WorkflowDefinition:
             d = app.space.dimension
             self._slices[label] = slice(offset, offset + d)
             offset += d
-        self._constraint = AllocationConstraint(
-            space=self._space,
-            components=tuple(
-                _placement_spec(app, f"{label}.") for label, app in self.components
-            ),
-            max_nodes=self.machine.max_nodes,
-            cores_per_node=self.machine.node.cores,
-        )
 
     # -- structure --------------------------------------------------------------
 
@@ -163,45 +160,45 @@ class WorkflowDefinition:
         """Joint configuration space (the multiplicative blow-up of §2.3)."""
         return self._space
 
-    @property
-    def constraint(self) -> AllocationConstraint:
+    @functools.cached_property
+    def constraint(self) -> PlacementRule:
         """Machine-level feasibility of joint configurations."""
-        return self._constraint
+        return PlacementRule(
+            self._space,
+            tuple((app, self._slices[label]) for label, app in self.components),
+            self.machine,
+        )
 
-    def component_constraint(self, label: str) -> AllocationConstraint:
-        """The placement rules of component ``label`` alone, over its own space.
+    def component_constraint(self, label: str) -> PlacementRule:
+        """The placement rule of component ``label`` alone, over its own space.
 
         A standalone run occupies the whole allocation by itself, so
-        the rules are the joint ones restricted to one component.
+        the rule is the joint one restricted to one component.
         """
         app = self.app(label)
-        return AllocationConstraint(
-            space=app.space,
-            components=(_placement_spec(app, ""),),
-            max_nodes=self.machine.max_nodes,
-            cores_per_node=self.machine.node.cores,
+        return PlacementRule(
+            app.space, ((app, slice(0, app.space.dimension)),), self.machine
         )
 
     def placements(self, config: Configuration) -> dict[str, Placement]:
         """Validated component placements of ``config``.
 
         The one validation of a coupled run: raises ``ValueError`` when
-        ``config`` is outside the joint space, infeasible, or places a
-        component the machine cannot hold.
+        ``config`` is outside the joint space or its placements do not
+        fit the machine.
         """
         self._space.validate(config)
-        if not self._constraint(config):
-            raise ValueError(
-                f"configuration {config!r} is infeasible on {self.name} "
-                f"(needs {self._constraint.total_nodes(config)} nodes, cap "
-                f"{self.machine.max_nodes}; or oversubscribed cores)"
-            )
         placements = {
             label: self.app(label).placement(self.component_config(label, config))
             for label in self.labels
         }
-        for placement in placements.values():
-            placement.validate(self.machine)
+        if not allocation_ok(placements.values(), self.machine):
+            nodes = sum(p.nodes for p in placements.values())
+            raise ValueError(
+                f"configuration {config!r} is infeasible on {self.name} "
+                f"(needs {nodes} nodes, cap {self.machine.max_nodes}; "
+                "or oversubscribed cores)"
+            )
         return placements
 
     def component_config(self, label: str, config: Configuration) -> Configuration:
@@ -260,15 +257,23 @@ class WorkflowDefinition:
         )
 
     def encoder(self) -> ConfigEncoder:
-        """ML feature encoder: raw joint values + per-component footprints."""
-        from repro.config.encoding import component_footprint_features
+        """ML feature encoder: raw joint values + per-component footprints.
 
+        Footprint features read the conventional placement names
+        (``px``·``py`` or ``procs``, ``ppn``, ``threads``); a component
+        without a process count and a ``ppn`` gets none.
+        """
         derived: list[DerivedFeature] = []
-        for label, spec in zip(self.labels, self._constraint.components):
-            if spec.ppn_name is not None:
+        for label, app in self.components:
+            names = set(app.space.names)
+            procs = ("px", "py") if {"px", "py"} <= names else ("procs",)
+            if "ppn" in names and set(procs) <= names:
                 derived.extend(
                     component_footprint_features(
-                        label, spec.procs_names, spec.ppn_name, spec.threads_name
+                        label,
+                        [f"{label}.{name}" for name in procs],
+                        f"{label}.ppn",
+                        f"{label}.threads" if "threads" in names else None,
                     )
                 )
         return ConfigEncoder(self._space, tuple(derived) + self.extra_features)
@@ -295,13 +300,72 @@ class WorkflowDefinition:
         )
 
 
-def _placement_spec(app: ComponentApp, prefix: str) -> ComponentPlacementSpec:
-    """Where ``app``'s placement parameters sit, named with ``prefix``."""
-    names = set(app.space.names)
-    if {"px", "py"} <= names:
-        procs_names: tuple[str, ...] = (f"{prefix}px", f"{prefix}py")
-    else:
-        procs_names = (f"{prefix}procs",)
-    ppn = f"{prefix}ppn" if "ppn" in names else None
-    threads = f"{prefix}threads" if "threads" in names else None
-    return ComponentPlacementSpec(procs_names, ppn, threads)
+class PlacementRule:
+    """Feasibility of configurations of ``space``, from the apps' placements.
+
+    ``parts`` pairs each component app with the slice of ``space``
+    holding its parameters.  A configuration is feasible when the
+    components' own placements fit ``machine`` side by side
+    (:func:`~repro.cluster.allocation.allocation_ok`).  Calling the rule
+    judges one configuration through ``app.placement``;
+    :meth:`feasible_batch` judges a matrix of value indices through
+    ``app.placement_batch``, for :meth:`ParameterSpace.sample
+    <repro.config.space.ParameterSpace.sample>`.
+    """
+
+    def __init__(self, space: ParameterSpace, parts, machine: Machine):
+        self.machine = machine
+        self._parts = tuple(parts)
+        # Built once, so a batch only looks values up: each parameter's
+        # index -> value map, and the one placement of a component with
+        # a single configuration (GP's plotters).
+        self._values = [_index_to_value(p.values) for p in space.parameters]
+        self._fixed = [
+            app.placement(next(app.space.enumerate()))
+            if app.space.size() == 1
+            else None
+            for app, _ in self._parts
+        ]
+
+    def __call__(self, config: Configuration) -> bool:
+        return bool(
+            allocation_ok(
+                (app.placement(tuple(config[part])) for app, part in self._parts),
+                self.machine,
+            )
+        )
+
+    def feasible_batch(self, space: ParameterSpace, idx: np.ndarray) -> np.ndarray:
+        """The rule over the rows of ``idx``, value indices into ``space``.
+
+        ``space`` is the rule's own space (what the sampler draws from);
+        ``mask[r]`` equals the rule called on row ``r``'s configuration.
+        """
+        idx = np.asarray(idx)
+        placements = [
+            fixed
+            if fixed is not None
+            else app.placement_batch(
+                tuple(
+                    self._values[j](idx[:, j]) for j in range(part.start, part.stop)
+                )
+            )
+            for (app, part), fixed in zip(self._parts, self._fixed)
+        ]
+        # All-fixed components give one bool: broadcast it to the rows.
+        return np.broadcast_to(allocation_ok(placements, self.machine), len(idx))
+
+
+def _index_to_value(values: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """Map value indices of one parameter to its values, as an array.
+
+    Consecutive integers (every ``int_range``) take one addition, other
+    values a table lookup; non-numeric values stay Python objects.
+    """
+    low = values[0]
+    if type(low) is int and values == tuple(range(low, low + len(values))):
+        return lambda index: index + low
+    table = np.asarray(values)
+    if table.dtype.kind not in "iuf":
+        table = np.array(values, dtype=object)
+    return table.__getitem__

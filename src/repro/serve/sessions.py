@@ -400,9 +400,13 @@ class SessionManager:
         return self.directory / f"{name}.ckpt"
 
     def _recover(self) -> list[str]:
-        """Register every checkpointed session found on disk."""
+        """Register every checkpointed session found on disk.
+
+        A file whose stem is not a valid session name is left where it
+        is: no request could ever address it.
+        """
         names = sorted(
-            p.name[: -len(".ckpt")] for p in self.directory.glob("*.ckpt")
+            p.stem for p in self.directory.glob("*.ckpt") if _NAME_RE.match(p.stem)
         )
         self._known.update(names)
         if names:

@@ -101,6 +101,29 @@ class TestTuneCommand:
         assert "lammps.procs" in text
         assert "gap" in text
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--budget", "0"], "budget must be at least 2"),
+            (["--budget", "1"], "budget must be at least 2"),
+            (["--pool-size", "0"], "pool_size must be at least 2"),
+            (["--pool-size", "1"], "pool_size must be at least 2"),
+            (
+                ["--algorithm", "ceal", "--budget", "2"],
+                "CEAL needs a budget of at least 4 runs",
+            ),
+        ],
+        ids=["budget-0", "budget-1", "pool-0", "pool-1", "ceal-budget-2"],
+    )
+    def test_bad_recipe_is_refused(self, capsys, flags, message):
+        """The daemon's ``bad_request`` messages, one line, exit 2."""
+        code = main(
+            ["tune", "--workflow", "LV", "--pool-size", "150", *flags],
+            out=io.StringIO(),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"repro: {message}\n"
+
 
 class TestStoreWorkflow:
     """The two-session CLI story: record, then warm-start."""

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.cluster.allocation import place_component
+from repro.cluster.allocation import (
+    allocation_ok,
+    place_component,
+    place_component_batch,
+)
 from repro.cluster.contention import (
     fabric_share,
     memory_bandwidth_slowdown,
     nic_share,
 )
 from repro.cluster.machine import Machine, NodeSpec, default_machine
-from repro.cluster.topology import FabricTopology
 
 
 class TestMachine:
@@ -51,6 +54,16 @@ class TestPlacement:
         m = Machine()
         with pytest.raises(ValueError, match="busy cores"):
             place_component(36, 18, 3).validate(m)
+
+    def test_validate_rejects_sparse_fill(self):
+        # 2 processes cannot fill 35 per node: ppn overstates the density.
+        m = Machine()
+        with pytest.raises(ValueError, match="per node"):
+            place_component(2, 35).validate(m)
+        assert allocation_ok((place_component_batch([2, 35], 35),), m).tolist() == [
+            False,
+            True,
+        ]
 
     def test_validate_rejects_too_many_nodes(self):
         m = Machine(max_nodes=2)
@@ -102,28 +115,3 @@ class TestContention:
         assert fabric_share(m, 2) < m.fabric_bandwidth_gbps / 2 * 1.01
         with pytest.raises(ValueError):
             fabric_share(m, 0)
-
-
-class TestTopology:
-    def test_hop_counts(self):
-        topo = FabricTopology(32, nodes_per_switch=16)
-        assert topo.hops(0, 0) == 0
-        assert topo.hops(0, 1) == 2  # same switch
-        assert topo.hops(0, 31) == 4  # across core
-
-    def test_latency_scales_with_hops(self):
-        topo = FabricTopology(32)
-        assert topo.latency_us(0, 31) > topo.latency_us(0, 1)
-
-    def test_block_distance(self):
-        topo = FabricTopology(32, nodes_per_switch=16)
-        near = topo.block_distance(range(0, 2), range(2, 4))
-        far = topo.block_distance(range(0, 2), range(16, 18))
-        assert far > near
-
-    def test_invalid_nodes(self):
-        topo = FabricTopology(4)
-        with pytest.raises(ValueError):
-            topo.hops(0, 4)
-        with pytest.raises(ValueError):
-            topo.block_distance(range(0), range(1))

@@ -1,112 +1,129 @@
-"""Unit tests for repro.config.constraints."""
+"""A workflow's allocation constraint: feasibility from the apps' placements."""
 
+from dataclasses import dataclass, field
+
+import numpy as np
 import pytest
 
-from repro.config.constraints import (
-    AllocationConstraint,
-    AndConstraint,
-    ComponentPlacementSpec,
-    PredicateConstraint,
-    conjoin,
-    nodes_for,
-)
-from repro.config.space import ParameterSpace, int_range, join_spaces
+from repro.apps import GrayScott
+from repro.apps.base import ComponentApp, StepProfile
+from repro.cluster.allocation import Placement, place_component
+from repro.cluster.machine import Machine
+from repro.config.space import Configuration, ParameterSpace, int_range
+from repro.core import AutoTuner
+from repro.insitu import Coupling, WorkflowDefinition
+from repro.workflows.catalog import make_gp, make_hs, make_lv
+from repro.workflows.pools import generate_pool
 
 
-def test_nodes_for_rounds_up():
-    assert nodes_for(36, 35) == 2
-    assert nodes_for(35, 35) == 1
-    assert nodes_for(1, 35) == 1
+@pytest.fixture(scope="module")
+def lv():
+    return make_lv()
 
 
-def test_nodes_for_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        nodes_for(0, 35)
-    with pytest.raises(ValueError):
-        nodes_for(10, 0)
-
-
-def test_predicate_constraint_wraps():
-    c = PredicateConstraint(lambda cfg: cfg[0] > 0, "positive first entry")
-    assert c((1,))
-    assert not c((0,))
-
-
-def test_and_constraint_all_must_pass():
-    c = AndConstraint((lambda cfg: cfg[0] > 0, lambda cfg: cfg[0] < 10))
-    assert c((5,))
-    assert not c((0,))
-    assert not c((10,))
-
-
-def test_conjoin_builds_and():
-    c = conjoin(lambda cfg: True, lambda cfg: cfg[0] == 1)
-    assert c((1,))
-    assert not c((2,))
-
-
-@pytest.fixture()
-def joint_space():
-    sim = ParameterSpace(
-        (int_range("procs", 2, 1085), int_range("ppn", 1, 35),
-         int_range("threads", 1, 4))
-    )
-    viz = ParameterSpace((int_range("procs", 2, 1085), int_range("ppn", 1, 35)))
-    return join_spaces([("sim", sim), ("viz", viz)])
-
-
-@pytest.fixture()
-def allocation(joint_space):
-    return AllocationConstraint(
-        space=joint_space,
-        components=(
-            ComponentPlacementSpec(("sim.procs",), "sim.ppn", "sim.threads"),
-            ComponentPlacementSpec(("viz.procs",), "viz.ppn", None),
-        ),
-        max_nodes=32,
-        cores_per_node=36,
-    )
+def _batch(workflow, configs):
+    """``feasible_batch`` of ``configs``, drawn as value indices."""
+    idx = np.array([workflow.space.to_indices(c) for c in configs])
+    return workflow.constraint.feasible_batch(workflow.space, idx).tolist()
 
 
 class TestAllocationConstraint:
-    def test_feasible_config(self, allocation):
-        # sim: 288/18 = 16 nodes, viz: 288/18 = 16 nodes -> 32 total
-        assert allocation((288, 18, 2, 288, 18))
+    def test_feasible_config(self, lv):
+        # lammps: 288/18 = 16 nodes, voro: 288/18 = 16 nodes -> 32 total
+        config = (288, 18, 2, 288, 18, 1)
+        assert lv.constraint(config)
+        assert _batch(lv, [config]) == [True]
 
-    def test_node_cap_violated(self, allocation):
-        # sim: 1085/35 = 31 nodes, viz: 70/35 = 2 nodes -> 33 > 32
-        assert not allocation((1085, 35, 1, 70, 35))
+    def test_node_cap_violated(self, lv):
+        # lammps: 1085/35 = 31 nodes, voro: 70/35 = 2 nodes -> 33 > 32
+        config = (1085, 35, 1, 70, 35, 1)
+        assert not lv.constraint(config)
+        assert _batch(lv, [config]) == [False]
 
-    def test_core_oversubscription(self, allocation):
+    def test_core_oversubscription(self, lv):
         # ppn 18 * threads 3 = 54 > 36 cores
-        assert not allocation((36, 18, 3, 2, 1))
+        config = (36, 18, 3, 2, 1, 1)
+        assert not lv.constraint(config)
+        assert _batch(lv, [config]) == [False]
 
-    def test_ppn_exceeding_procs(self, allocation):
+    def test_ppn_exceeding_procs(self, lv):
         # 2 procs but 35 per node declared
-        assert not allocation((2, 35, 1, 2, 1))
+        config = (2, 35, 1, 2, 1, 1)
+        assert not lv.constraint(config)
+        assert _batch(lv, [config]) == [False]
 
-    def test_total_nodes(self, allocation):
-        assert allocation.total_nodes((288, 18, 2, 288, 18)) == 32
+    def test_total_nodes(self, lv):
+        assert lv.total_nodes((288, 18, 2, 288, 18, 2)) == 32
 
-    def test_extra_nodes_count(self, joint_space):
-        constraint = AllocationConstraint(
-            space=joint_space,
-            components=(
-                ComponentPlacementSpec(("sim.procs",), "sim.ppn", None),
-            ),
-            max_nodes=3,
-            cores_per_node=36,
-            extra_nodes=2,
+    def test_extra_nodes_count(self):
+        # GP's plotters have no tunable placement, yet each one's node
+        # counts: 29 + 1 + 1 + 1 = 32 fits, 30 + 1 + 1 + 1 = 33 does not.
+        gp = make_gp()
+        fits, over = (1015, 35, 35, 35, 1, 1), (1050, 35, 35, 35, 1, 1)
+        assert gp.constraint(fits)
+        assert not gp.constraint(over)
+        assert _batch(gp, [fits, over]) == [True, False]
+
+
+def test_product_procs_spec():
+    # Heat Transfer's process count is its px * py grid.
+    hs = make_hs()
+    config = (4, 8, 16, 4, 20, 2, 2)  # heat: 32/16 = 2 nodes, stage_write 1
+    assert hs.total_nodes(config) == 3
+    assert hs.constraint(config)
+    grid = (32, 32, 1, 4, 20, 2, 2)  # 1024 processes at 1 per node
+    assert not hs.constraint(grid)
+    assert _batch(hs, [config, grid]) == [True, False]
+
+
+@dataclass
+class _RankedAnalysis(ComponentApp):
+    """A consumer whose placement parameters are not named procs/ppn."""
+
+    name: str = "ranked"
+    _space: ParameterSpace = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._space = ParameterSpace(
+            (int_range("ranks", 1, 64), int_range("per_node", 1, 36))
         )
-        # sim needs 2 nodes + 2 extra = 4 > 3
-        assert not constraint((36, 18, 1, 2, 1))
-        assert constraint((18, 18, 1, 2, 1))
+
+    @property
+    def space(self) -> ParameterSpace:
+        return self._space
+
+    def placement(self, config: Configuration) -> Placement:
+        ranks, per_node = config
+        return place_component(ranks, per_node, 1)
+
+    def step_profile(
+        self, machine: Machine, config: Configuration, input_bytes: float
+    ) -> StepProfile:
+        placement = self.placement(config)
+        seconds = 1.0 + input_bytes / 1e9 / placement.procs + 0.05 * placement.nodes
+        return StepProfile(compute_seconds=seconds)
 
 
-def test_product_procs_spec(joint_space):
-    grid = ParameterSpace((int_range("px", 2, 8), int_range("py", 2, 8),
-                           int_range("ppn", 1, 35)))
-    joint = join_spaces([("heat", grid)])
-    spec = ComponentPlacementSpec(("heat.px", "heat.py"), "heat.ppn", None)
-    assert spec.procs(joint, (4, 8, 16)) == 32
-    assert spec.nodes(joint, (4, 8, 16)) == 2
+def test_custom_placement_names_tune():
+    """Feasibility comes from the app's own placement, whatever its names."""
+    workflow = WorkflowDefinition(
+        name="GS-ranked",
+        components=(("gray_scott", GrayScott()), ("an", _RankedAnalysis())),
+        couplings=(Coupling("gray_scott", "an"),),
+        n_steps=5,
+    )
+    pool = generate_pool(workflow, 60, seed=3)
+    for config in pool.configs:
+        placement = workflow.placements(config)["an"]
+        assert placement.procs >= placement.procs_per_node
+    assert workflow.encoder().n_features == workflow.space.dimension + 2
+    outcome = AutoTuner(
+        workflow,
+        "execution_time",
+        budget=8,
+        pool_size=60,
+        history_size=30,
+        seed=1,
+    ).tune()
+    assert outcome.runs_used == 8
+    assert outcome.best_config in outcome.pool.configs

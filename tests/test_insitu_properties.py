@@ -43,8 +43,8 @@ def test_coupled_run_invariants(config):
     # Busy time never exceeds wall-clock (stalls are non-negative).
     for label in _LV.labels:
         assert result.busy_seconds[label] <= result.component_seconds[label] + 1e-6
-    # Node footprint matches the constraint's accounting.
-    assert result.nodes == _LV.constraint.total_nodes(config)
+    # Node footprint matches the placements' accounting.
+    assert result.nodes == _LV.total_nodes(config)
     assert result.nodes <= _LV.machine.max_nodes
 
 

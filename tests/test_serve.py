@@ -312,6 +312,18 @@ class TestLifecycleAndErrors:
         status = restarted.create(dict(SMALL, algorithm="ceal"), name="s")
         assert status["session"] == "s"
 
+    def test_recovery_skips_invalid_names(self, tmp_path):
+        """A checkpoint under a name no request can address is left on
+        disk, not listed as a session that answers ``bad_request``."""
+        state = tmp_path / "state"
+        SessionManager(state).create(dict(algorithm="rs", **SMALL), name="s")
+        stray = state / "bad name.ckpt"
+        stray.write_bytes((state / "s.ckpt").read_bytes())
+        restarted = SessionManager(state)
+        assert restarted.recovered == ["s"]
+        assert [row["session"] for row in restarted.list_sessions()] == ["s"]
+        assert stray.exists()
+
     @pytest.mark.parametrize("name", ["", ".hidden", "a/b", "x" * 65, "a b"])
     def test_bad_session_names(self, tmp_path, name):
         manager = SessionManager(tmp_path / "state")
