@@ -5,9 +5,10 @@ Times :func:`repro.insitu.fast.run_coupled_batch` against a per-config
 build (LV and the fan-out GP workflow) and asserts a floor of **≥3×**
 on batched measurement.  It also times the noise pass of a
 2000-configuration pool per workflow,
-:func:`repro.insitu.measurement.noise_factors`, against the
+:func:`repro.insitu.measurement.noise_factors` (one seed-hash pass and
+one compiled call for every normal draw), against the
 per-configuration ``default_rng`` loop it replaced (kept here as the
-oracle), and asserts a floor of **≥1.5×**.  Each comparison is
+oracle), and asserts a floor of **≥5×**.  Each comparison is
 apples-to-apples: the fast path is asserted bit-identical to its oracle
 on every configuration (``float.hex`` for the noise) before any ratio
 is reported.
@@ -46,8 +47,10 @@ NOISE_POOL = 2000
 NOISE_SIGMA = 0.05
 NOISE_SEED = 2021
 
-#: About half the 3.0-4.4x measured on a 2-core container.
-NOISE_FLOOR = 1.5
+#: About half the 8.9-9.8x measured on a 2-core container with the
+#: compiled normal draws, and above the 3.4-4.1x of the numpy ``PCG64``
+#: per-configuration draws they replaced.
+NOISE_FLOOR = 5.0
 
 
 def _sample(workflow, n):

@@ -275,8 +275,15 @@ class ParameterSpace:
         # generator.  After the first chunk, the next is sized from the
         # acceptance rate so far (LV's allocation rules accept under 2%
         # of draws), capped at ``_MAX_CHUNK`` rows and at the draws left
-        # under the limit.  A constraint exposing ``feasible_batch`` (a
-        # workflow's placement rule) is evaluated vectorized over the chunk.
+        # under the limit.  A chunk's draws are one compiled call
+        # (:func:`repro.ml._native.bounded_rows`, the same values and
+        # generator state as the tiled ``integers`` call, which stays
+        # the fallback).  A constraint exposing ``feasible_batch`` (a
+        # workflow's placement rule) is evaluated vectorized over the
+        # chunk, and the accepted rows are decoded column by column
+        # into tuples of each parameter's own value objects.
+        from repro.ml import _native
+
         out: list[Configuration] = []
         seen: set[Configuration] = set()
         tries = 0
@@ -286,8 +293,12 @@ class ParameterSpace:
             dtype=np.int64,
             count=len(self.parameters),
         )
-        tables = [p.values for p in self.parameters]
+        tables = [
+            np.fromiter(p.values, dtype=object, count=p.n_options)
+            for p in self.parameters
+        ]
         batch_eval = getattr(constraint, "feasible_batch", None)
+        check = constraint if batch_eval is None else None
         while len(out) < n:
             if tries >= limit:
                 raise RuntimeError(
@@ -301,23 +312,15 @@ class ParameterSpace:
                 rate = max(len(out), 1) / tries
                 chunk = max(64, math.ceil(1.25 * remaining / rate))
             chunk = min(limit - tries, _MAX_CHUNK, chunk)
-            idx = rng.integers(np.tile(highs, chunk)).reshape(chunk, -1)
+            idx = _native.bounded_rows(rng, highs, chunk)
+            if idx is None:
+                idx = rng.integers(np.tile(highs, chunk)).reshape(chunk, -1)
             tries += chunk
             if batch_eval is not None:
-                rows = np.flatnonzero(
-                    np.asarray(batch_eval(self, idx), dtype=bool)
-                )
-            else:
-                rows = range(chunk)
-            for r in rows:
-                config = tuple(
-                    table[i] for table, i in zip(tables, idx[r].tolist())
-                )
-                if (
-                    batch_eval is None
-                    and constraint is not None
-                    and not constraint(config)
-                ):
+                idx = idx[np.asarray(batch_eval(self, idx), dtype=bool)]
+            columns = [table[idx[:, j]].tolist() for j, table in enumerate(tables)]
+            for config in zip(*columns):
+                if check is not None and not check(config):
                     continue
                 if unique:
                     if config in seen:

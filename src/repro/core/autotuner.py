@@ -49,9 +49,8 @@ from repro.core.problem import AutotuneResult, TuningProblem
 from repro.insitu.workflow import WorkflowDefinition
 from repro.workflows.catalog import make_workflow
 from repro.workflows.pools import (
-    ComponentHistory,
+    ComponentHistories,
     MeasuredPool,
-    generate_component_history,
     generate_pool,
 )
 
@@ -98,16 +97,21 @@ class ProblemArtifacts:
 
     Built workflow, measured pool, component histories (the §7.1 solo
     measurement sets the collector draws paid component runs from), and
-    the ML feature encoder.  Nothing here is mutated after construction
-    — pools and histories are frozen dataclasses over arrays, and the
-    encoder keeps no state between calls — so any number of problems,
-    sequential or concurrent, may share one bundle by reference with
-    results identical to rebuilding it for each.
+    the ML feature encoder.  The histories are a
+    :class:`~repro.workflows.pools.ComponentHistories` mapping: each set
+    is generated the first time a session reads it (Phase 1 of CEAL,
+    ALpH, lowfid and BO, and paid component batches), so RS, AL, GEIST
+    and bandit sessions never pay for them.  Nothing here changes
+    observably after construction — pools and histories are frozen
+    dataclasses over arrays, a history set reads the same whenever it is
+    generated, and the encoder keeps no state between calls — so any
+    number of problems, sequential or concurrent, may share one bundle
+    by reference with results identical to rebuilding it for each.
     """
 
     workflow: WorkflowDefinition
     pool: MeasuredPool
-    histories: dict[str, ComponentHistory]
+    histories: ComponentHistories
     encoder: ConfigEncoder
 
     def problem(
@@ -150,21 +154,15 @@ def build_problem_artifacts(
 
     Deterministic in its arguments: pools and histories come from the
     memoised generators.  Every component with more than one
-    configuration gets a history of ``history_size`` solo samples.
-    ``pool`` supplies a ready pool instead of generating ``pool_size``
-    configurations.
+    configuration gets a history of ``history_size`` solo samples,
+    generated when first read.  ``pool`` supplies a ready pool instead
+    of generating ``pool_size`` configurations.
     """
     if isinstance(workflow, str):
         workflow = make_workflow(workflow)
     if pool is None:
         pool = generate_pool(workflow, pool_size, seed=seed, noise_sigma=noise_sigma)
-    histories = {
-        label: generate_component_history(
-            workflow, label, size=history_size, seed=seed, noise_sigma=noise_sigma
-        )
-        for label in workflow.labels
-        if workflow.app(label).space.size() > 1
-    }
+    histories = ComponentHistories(workflow, history_size, seed, noise_sigma)
     return ProblemArtifacts(workflow, pool, histories, workflow.encoder())
 
 

@@ -25,7 +25,7 @@ consumes budget and cost but yields no training sample.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +55,9 @@ class Collector:
         The metric being optimised; ``measure_batch`` returns its values.
     histories:
         Per-label :class:`~repro.workflows.pools.ComponentHistory` sets
-        components are "run" against (free to read, §7.5).
+        components are "run" against (free to read, §7.5); any mapping,
+        so a :class:`~repro.workflows.pools.ComponentHistories` stays
+        ungenerated until a session reads it.
     budget_runs:
         Total workflow-run budget ``m``; ``None`` disables enforcement.
     failure_rate / failure_seed:
@@ -70,7 +72,7 @@ class Collector:
 
     pool: MeasuredPool
     objective: Objective
-    histories: dict = field(default_factory=dict)
+    histories: Mapping = field(default_factory=dict)
     budget_runs: int | None = None
     failure_rate: float = 0.0
     failure_seed: int = 0

@@ -318,11 +318,12 @@ class TuningSession:
         solo runs under a ``components``/``full`` warm start, annotated
         as ``warm_components`` (``"warm"``); ``batches`` paid component
         batches (``"paid"``); otherwise the free histories, which may be
-        empty (``"history"``).
+        empty (``"history"``).  Histories come back as a plain dict,
+        which a strategy's checkpoint state may hold.
         """
         collector = self.collector
         if use_history and collector.histories:
-            return collector.histories, "history"
+            return dict(collector.histories), "history"
         if self.problem.warm_start in ("components", "full"):
             from repro.store.warmstart import component_warm_data
 
@@ -332,16 +333,17 @@ class TuningSession:
                 return warm, "warm"
         if batches > 0:
             return collector.measure_components(batches, self.rng), "paid"
-        return collector.histories, "history"
+        return dict(collector.histories), "history"
 
     def history_data(self, name: str) -> dict[str, ComponentHistory]:
-        """The free component histories; algorithm ``name`` requires them."""
+        """The free component histories as a plain dict; algorithm
+        ``name`` requires them."""
         if not self.collector.histories:
             raise RuntimeError(
                 f"{name} trains its component models on the problem's "
                 "component histories, and this problem has none"
             )
-        return self.collector.histories
+        return dict(self.collector.histories)
 
     def timed_fit(self, model, configs, values):
         """Fit ``model`` and charge the wall-clock time to this cycle."""

@@ -10,7 +10,7 @@ pool, recommend the predicted best).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -66,7 +66,7 @@ class TuningProblem:
         pool: MeasuredPool,
         budget_runs: int,
         seed: int = 0,
-        histories: dict[str, ComponentHistory] | None = None,
+        histories: Mapping[str, ComponentHistory] | None = None,
         failure_rate: float = 0.0,
         store=None,
         warm_start: str = "off",
@@ -83,6 +83,9 @@ class TuningProblem:
         :class:`~repro.config.encoding.ConfigEncoder` instead of
         deriving a fresh one per surrogate — encoders keep no state
         between calls, so sharing never changes results.
+        ``histories`` is shared as given, so a
+        :class:`~repro.workflows.pools.ComponentHistories` mapping still
+        generates each set only when a session first reads it.
         """
         if budget_runs < 2:
             raise ValueError("budget_runs must be at least 2")
@@ -105,7 +108,7 @@ class TuningProblem:
         collector = Collector(
             pool=pool,
             objective=objective,
-            histories=dict(histories or {}),
+            histories={} if histories is None else histories,
             budget_runs=budget_runs,
             failure_rate=failure_rate,
             failure_seed=stable_seed("failures", workflow.name, seed),

@@ -427,6 +427,9 @@ def build_trial_context(
     artifacts = build_problem_artifacts(
         workflow, pool_size, pool_seed, noise_sigma, history_size
     )
+    # Generate the history sets here, like the pool, so forked workers
+    # inherit them instead of each generating its own.
+    dict(artifacts.histories)
     truth = artifacts.pool.objective_values(objective.name)
     return _TrialContext(
         artifacts=artifacts,

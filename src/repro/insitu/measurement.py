@@ -12,8 +12,11 @@ tuple(config), seed))``.  So a fixed pool is exactly reproducible (the
 paper likewise measures its 2000-configuration pool once and reuses it).
 :func:`noise_factors` is the one place the factors are drawn, a batch
 at a time: it hashes every configuration's ``SeedSequence`` state in one
-array pass and lets numpy's own ``PCG64`` draw each normal from it, so
-every factor equals the per-configuration ``default_rng`` draw.
+array pass, and one compiled call draws every normal from those states
+with PCG64 and numpy's ``random_normal`` in the kernel, checked against
+``Generator.normal`` at first use (numpy's own ``PCG64`` and
+``Generator.normal`` are the fallback), so every factor equals the
+per-configuration ``default_rng`` draw.
 
 A batch's observables are columns (:class:`MeasuredBatch`); a
 :class:`WorkflowMeasurement` is one configuration's row.
@@ -25,7 +28,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from repro.config.space import Configuration
 from repro.insitu.coupled import run_coupled
@@ -108,20 +110,6 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
     )
 
 
-class _SeedState(ISeedSequence):
-    """A seed sequence whose ``PCG64`` state :func:`_seed_states` computed.
-
-    ``PCG64`` asks its seed sequence for ``generate_state(4, np.uint64)``
-    once, at construction; this returns that precomputed row.
-    """
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
 def noise_factors(
     workflow_name: str, configs, noise_sigma: float, noise_seed
 ) -> np.ndarray:
@@ -131,26 +119,40 @@ def noise_factors(
     ``np.random.default_rng(stable_seed(workflow_name,
     tuple(configs[i]), noise_seed))``, float for float.  Seeding from
     ``tuple(config)`` makes the factor independent of the caller's
-    sequence type.  The ``SeedSequence`` hash runs for the whole batch at
-    once; numpy's ``PCG64`` and ``normal`` still draw each value, and
-    ``np.exp`` rounds each element as it rounds a scalar.  A
-    non-positive ``noise_sigma`` turns noise off (every factor 1.0).
+    sequence type.  The ``SeedSequence`` hash runs for the whole batch
+    at once, and one compiled call draws every normal
+    (:func:`repro.ml._native.normal_draws`); without it numpy's
+    ``PCG64`` and ``Generator.normal`` draw each.  ``np.exp`` rounds
+    each element as it rounds a scalar.  A non-positive ``noise_sigma``
+    turns noise off (every factor 1.0).
     """
+    from repro.ml import _native
+
     n = len(configs)
     if not noise_sigma > 0:
         return np.ones(n)
-    seeds = np.fromiter(
-        (stable_seed(workflow_name, tuple(c), noise_seed) for c in configs),
-        dtype=np.uint64,
-        count=n,
+    # stable_seed of every config: repr((name, config, seed)) is
+    # head + repr(config) + tail.
+    head, tail = f"({workflow_name!r}, ", f", {noise_seed!r})"
+    digests = b"".join(
+        hashlib.blake2b(
+            (head + repr(tuple(c)) + tail).encode(), digest_size=8
+        ).digest()
+        for c in configs
     )
-    draws = [
-        np.random.Generator(np.random.PCG64(_SeedState(state))).normal(
-            0.0, noise_sigma
+    states = _seed_states(np.frombuffer(digests, dtype="<u8"))
+    draws = _native.normal_draws(states, noise_sigma)
+    if draws is None:
+        draws = np.array(
+            [
+                np.random.Generator(
+                    np.random.PCG64(_native.SeedState(state))
+                ).normal(0.0, noise_sigma)
+                for state in states
+            ],
+            dtype=np.float64,
         )
-        for state in _seed_states(seeds)
-    ]
-    return np.exp(np.array(draws, dtype=np.float64))
+    return np.exp(draws)
 
 
 def objective_field(name: str) -> str:

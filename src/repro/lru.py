@@ -86,8 +86,10 @@ class LruCache:
         self._count(hit)
         return value if hit else default
 
-    def put(self, key, value) -> None:
-        size = _approx_nbytes(value)
+    def put(self, key, value, nbytes: int | None = None) -> None:
+        """Insert ``value``; ``nbytes`` is its size for the byte gauge
+        when the caller knows it (else :func:`_approx_nbytes` estimates)."""
+        size = _approx_nbytes(value) if nbytes is None else int(nbytes)
         evicted = 0
         with self._lock:
             self._entries[key] = value

@@ -1,14 +1,16 @@
-"""Optional compiled fast paths: boosting fit, packed-ensemble traversal
-and a fit's row draws.
+"""Optional compiled fast paths: boosting fit, packed-ensemble traversal,
+a fit's row draws, and the draws of a pool's sampling and noise.
 
 The fit and the traversal are loops over small arrays — the worst
 possible shape for numpy (thousands of tiny per-node calls, or
 vectorized levels that re-gather whole frontier matrices) and the best
 possible shape for plain C; the draws are thousands of ``rng.choice``
-calls of a few microseconds each.  This module compiles one C source
-once per machine with the system C compiler via cffi's ABI mode (no
-Python headers needed) and caches the shared object under the temp
-directory, keyed by a hash of the source and the compiler flags.
+calls, hundreds of thousands of broadcast ``rng.integers`` elements, or
+one fresh ``Generator`` per configuration, each a few microseconds.
+This module compiles one C source once per machine with the system C
+compiler via cffi's ABI mode (no Python headers needed) and caches the
+shared object under the temp directory, keyed by a hash of the source,
+the compiler flags and numpy's version.
 
 Each kernel is numerically *identical* to its numpy counterpart:
 
@@ -31,10 +33,24 @@ Each kernel is numerically *identical* to its numpy counterpart:
   ``rng.choice(n, k, replace=False)`` calls draw and leaves ``rng`` in
   the same state: numpy's own algorithm (Floyd's algorithm, then a
   Fisher–Yates shuffle, every bound by Lemire's rule on 32-bit draws)
-  on the generator's own ``next_uint32``.  NEP 19 does not fix
-  ``Generator.choice`` across numpy versions, so the first call in a
-  process checks a fixed case against it and draws nothing if they
-  differ.
+  on the generator's own ``next_uint32``.
+* :func:`bounded_rows` returns ``rng.integers(np.tile(highs, rows))``
+  as a ``(rows, len(highs))`` matrix and leaves ``rng`` in the same
+  state: the same Lemire bound, which is what ``Generator.integers``
+  runs per element of an int64 ``high`` array below ``2**32 - 1``.
+* :func:`normal_draws` returns, per row of ``SeedSequence`` state
+  words, the first ``normal(0.0, scale)`` of a fresh ``PCG64`` seeded
+  from them: PCG64 seeded and stepped as numpy's ``pcg64_set_seed``
+  and XSL-RR output, and numpy's own ``random_normal`` (its ziggurat),
+  linked from the ``libnpyrandom.a`` that ships with numpy.  Without
+  that library, or where linking it fails, the source is built without
+  this kernel and the others stay.
+
+The three draw kernels run numpy's algorithms, which NEP 19 does not
+fix across versions (only the bit generators' streams are fixed), so
+each checks a fixed case against numpy at its first use in a process
+and draws nothing if they differ; :func:`draws_checked` reports the
+outcome.
 
 Everything is gated: no cffi, no compiler, a failed compile, or
 ``REPRO_NO_NATIVE=1`` all mean the wrappers return ``None`` and the
@@ -53,8 +69,18 @@ import subprocess
 import tempfile
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["available", "boosting_fit", "choice_rows", "packed_predict"]
+__all__ = [
+    "SeedState",
+    "available",
+    "boosting_fit",
+    "bounded_rows",
+    "choice_rows",
+    "draws_checked",
+    "normal_draws",
+    "packed_predict",
+]
 
 _SOURCE = r"""
 #include <math.h>
@@ -454,6 +480,91 @@ void repro_choice_rows(void *state, next_uint32_t next,
             seen[row[i]] = 0;
     }
 }
+
+/* rows x d draws into out, column j in [0, highs[j]): the per-element
+   draw of Generator.integers over an int64 high array (every high
+   below 2**32 - 1; a high of 1 draws nothing). */
+void repro_bounded_rows(void *state, next_uint32_t next,
+                        const int64_t *highs, long long d, long long rows,
+                        int64_t *out)
+{
+    for (long long r = 0; r < rows; ++r, out += d)
+        for (long long j = 0; j < d; ++j)
+            out[j] = bounded(state, next, (uint32_t)(highs[j] - 1));
+}
+
+#if defined(__SIZEOF_INT128__) && defined(REPRO_NPYRANDOM)
+/* numpy/random/bitgen.h, and random_normal from libnpyrandom.a. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+
+typedef unsigned __int128 u128;
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+/* PCG64: one 128-bit LCG step, then the XSL-RR output. */
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *g = st;
+    const u128 mult = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    g->state = g->state * mult + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64_t *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(st);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Row i of out is the first normal(0, scale) of a PCG64 seeded from
+   words[4i .. 4i+4) as numpy's pcg64_set_seed does: state from words
+   (0, 1), increment from (2, 3), high word first.  Returns 1; the
+   build without numpy's library returns 0 and draws nothing. */
+int repro_normal_draws(const uint64_t *words, long long n, double scale,
+                       double *out)
+{
+    for (long long i = 0; i < n; ++i, words += 4) {
+        pcg64_t g = {0, ((((u128)words[2] << 64) | words[3]) << 1) | 1, 0, 0};
+        pcg64_next64(&g);
+        g.state += ((u128)words[0] << 64) | words[1];
+        pcg64_next64(&g);
+        bitgen_t bitgen = {&g, pcg64_next64, pcg64_next32, pcg64_next_double,
+                           pcg64_next64};
+        out[i] = random_normal(&bitgen, 0.0, scale);
+    }
+    return 1;
+}
+#else
+int repro_normal_draws(const uint64_t *words, long long n, double scale,
+                       double *out)
+{
+    return 0;
+}
+#endif
 """
 
 _CDEF = """
@@ -478,11 +589,33 @@ long long repro_boosting_fit(
 void repro_choice_rows(void *state, uint32_t (*next)(void *),
                        long long n, long long k, long long rounds,
                        int64_t *out, unsigned char *seen);
+void repro_bounded_rows(void *state, uint32_t (*next)(void *),
+                        const int64_t *highs, long long d, long long rows,
+                        int64_t *out);
+int repro_normal_draws(const uint64_t *words, long long n, double scale,
+                       double *out);
 """
 
 #: ``-ffp-contract=off``: no fused multiply-adds, so every float
 #: operation rounds exactly as numpy's does.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+#: numpy's distributions library, whose ``random_normal``
+#: :func:`normal_draws` runs; the build tag names it and numpy's version.
+_NPYRANDOM = os.path.join(
+    os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"
+)
+
+#: Extra arguments of the build that links it: every symbol must resolve
+#: at link time (so a failed link fails the build, not the load), and the
+#: library's own symbols stay private to the shared object.
+_NPYRANDOM_LINK = (
+    "-DREPRO_NPYRANDOM",
+    "-Wl,--no-undefined",
+    "-Wl,--exclude-libs,ALL",
+    _NPYRANDOM,
+    "-lm",
+)
 
 #: ``None`` = not attempted yet; ``False`` = unavailable; else (ffi, lib).
 _state: object = None
@@ -492,9 +625,36 @@ _state: object = None
 #: shuffle, which :func:`choice_rows` leaves to the per-round loop.
 _FLOYD_MAX_N = 10000
 
+#: ``Generator.integers`` draws a ``high`` of ``2**32`` and above another
+#: way than the kernel's bound; :func:`bounded_rows` stops one short.
+_BOUNDED_MAX_HIGH = 2**32 - 1
+
 #: ``None`` = not checked yet; else whether the compiled draws matched
 #: ``Generator.choice`` in :func:`_draws_match_numpy`.
 _choice_ok: bool | None = None
+
+#: The same for :func:`bounded_rows` (:func:`_bounded_match_numpy`) and
+#: :func:`normal_draws` (:func:`_normals_match_numpy`).
+_bounded_ok: bool | None = None
+_normal_ok: bool | None = None
+
+
+def _compile(so_path: str, extra: tuple) -> None:
+    build_dir = tempfile.mkdtemp(prefix="repro-ml-build-")
+    src = os.path.join(build_dir, "kernels.c")
+    tmp_so = os.path.join(build_dir, "kernels.so")
+    with open(src, "w") as fh:
+        fh.write(_SOURCE)
+    try:
+        subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp_so, src, *extra],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_so, so_path)  # atomic: racers converge on one file
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
 
 
 def _build() -> object:
@@ -505,28 +665,20 @@ def _build() -> object:
     except ImportError:
         return False
     tag = hashlib.sha256(
-        (_SOURCE + " ".join(_CFLAGS)).encode()
+        (_SOURCE + " ".join(_CFLAGS + _NPYRANDOM_LINK) + np.__version__).encode()
     ).hexdigest()[:16]
     so_path = os.path.join(
         tempfile.gettempdir(), f"repro-ml-{tag}-{os.getuid()}.so"
     )
     try:
         if not os.path.exists(so_path):
-            build_dir = tempfile.mkdtemp(prefix="repro-ml-build-")
-            src = os.path.join(build_dir, "kernels.c")
-            tmp_so = os.path.join(build_dir, "kernels.so")
-            with open(src, "w") as fh:
-                fh.write(_SOURCE)
             try:
-                subprocess.run(
-                    ["cc", *_CFLAGS, "-o", tmp_so, src],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                os.replace(tmp_so, so_path)  # atomic: racers converge on one file
-            finally:
-                shutil.rmtree(build_dir, ignore_errors=True)
+                if not os.path.exists(_NPYRANDOM):
+                    raise FileNotFoundError(_NPYRANDOM)
+                _compile(so_path, _NPYRANDOM_LINK)
+            except (OSError, subprocess.SubprocessError):
+                # Every kernel but normal_draws, which then draws nothing.
+                _compile(so_path, ())
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
         lib = ffi.dlopen(so_path)
@@ -689,17 +841,24 @@ def choice_rows(rng: np.random.Generator, n: int, k: int, rounds: int):
     return _draw_rows(rng, n, k, rounds)
 
 
+def _next_uint32(rng: np.random.Generator) -> tuple:
+    """``rng``'s state pointer and ``next_uint32`` as kernel arguments."""
+    ffi, _ = _get()
+    iface = rng.bit_generator.ctypes
+    next_uint32 = ctypes.cast(iface.next_uint32, ctypes.c_void_p).value
+    return (
+        ffi.cast("void *", iface.state_address),
+        ffi.cast("uint32_t (*)(void *)", next_uint32),
+    )
+
+
 def _draw_rows(rng: np.random.Generator, n: int, k: int, rounds: int) -> np.ndarray:
     ffi, lib = _get()
-    bitgen = rng.bit_generator
-    iface = bitgen.ctypes
-    next_uint32 = ctypes.cast(iface.next_uint32, ctypes.c_void_p).value
     out = np.empty((rounds, k), dtype=np.int64)
     seen = np.zeros(n, dtype=np.uint8)
-    with bitgen.lock:
+    with rng.bit_generator.lock:
         lib.repro_choice_rows(
-            ffi.cast("void *", iface.state_address),
-            ffi.cast("uint32_t (*)(void *)", next_uint32),
+            *_next_uint32(rng),
             n,
             k,
             rounds,
@@ -721,3 +880,144 @@ def _draws_match_numpy() -> bool:
         np.array_equal(rows, want)
         and ours.bit_generator.state == theirs.bit_generator.state
     )
+
+
+def bounded_rows(rng: np.random.Generator, highs: np.ndarray, rows: int):
+    """``rng.integers(np.tile(highs, rows))`` as ``(rows, d)`` rows, or ``None``.
+
+    One compiled call draws what ``Generator.integers`` draws for the
+    tiled int64 ``high`` array, element by element, and leaves ``rng`` in
+    the same state.  ``None``, with ``rng`` untouched, when the kernels
+    are unavailable, when a ``high`` is below 1 or at least
+    ``2**32 - 1`` (or ``highs`` is empty), or when the one-time check
+    against ``Generator.integers`` failed.
+    """
+    global _bounded_ok
+    highs = np.ascontiguousarray(highs, dtype=np.int64)
+    if (
+        not highs.size
+        or highs.min() < 1
+        or highs.max() >= _BOUNDED_MAX_HIGH
+        or _get() is False
+    ):
+        return None
+    if _bounded_ok is None:
+        _bounded_ok = _bounded_match_numpy()
+    if not _bounded_ok:
+        return None
+    return _draw_bounded(rng, highs, rows)
+
+
+def _draw_bounded(rng: np.random.Generator, highs: np.ndarray, rows: int) -> np.ndarray:
+    ffi, lib = _get()
+    out = np.empty((rows, highs.size), dtype=np.int64)
+    with rng.bit_generator.lock:
+        lib.repro_bounded_rows(
+            *_next_uint32(rng),
+            ffi.from_buffer("int64_t[]", highs),
+            highs.size,
+            rows,
+            ffi.from_buffer("int64_t[]", out),
+        )
+    return out
+
+
+def _bounded_match_numpy() -> bool:
+    """Whether the compiled rows repeat ``Generator.integers`` on a fixed
+    case: equal values and an equal generator state afterwards.  Nine
+    32-bit draws (an odd number, so the state holds a buffered half);
+    the ``high`` of 1 draws nothing."""
+    ours, theirs = np.random.default_rng(2021), np.random.default_rng(2021)
+    highs = np.array([1, 1085, 35, 4], dtype=np.int64)
+    rows = _draw_bounded(ours, highs, 3)
+    want = theirs.integers(np.tile(highs, 3)).reshape(3, -1)
+    return (
+        np.array_equal(rows, want)
+        and ours.bit_generator.state == theirs.bit_generator.state
+    )
+
+
+class SeedState(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` precomputed state words.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4, np.uint64)``
+    once, at construction; this returns the given row of four words
+    (``SeedSequence(s).generate_state(4, np.uint64)`` for a seed ``s``).
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def normal_draws(words: np.ndarray, scale: float):
+    """Per row of ``words``, the first ``normal(0.0, scale)`` of
+    ``Generator(PCG64(SeedState(row)))``, or ``None``.
+
+    ``words`` is an ``(n, 4)`` uint64 array.  One compiled call seeds a
+    PCG64 per row and draws with numpy's own ``random_normal``.
+    ``None`` when the kernels are unavailable, when they were built
+    without numpy's library, or when the one-time check against
+    ``Generator.normal`` failed.
+    """
+    global _normal_ok
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != 2 or words.shape[1] != 4:
+        raise ValueError(f"words must have shape (n, 4), not {words.shape}")
+    if _get() is False:
+        return None
+    if _normal_ok is None:
+        _normal_ok = _normals_match_numpy()
+    if not _normal_ok:
+        return None
+    return _draw_normals(words, scale)
+
+
+def _draw_normals(words: np.ndarray, scale: float):
+    ffi, lib = _get()
+    out = np.empty(len(words))
+    linked = lib.repro_normal_draws(
+        ffi.from_buffer("uint64_t[]", words),
+        len(words),
+        float(scale),
+        ffi.from_buffer("double[]", out),
+    )
+    return out if linked else None
+
+
+#: Rows of :func:`_normals_match_numpy`'s fixed batch: enough that some
+#: draws leave the ziggurat's fast path (about 1% do; 4 of these).
+_NORMAL_CHECK_ROWS = 512
+
+
+def _normals_match_numpy() -> bool:
+    """Whether the compiled draws repeat the per-row ``Generator.normal``
+    on a fixed batch of random state words."""
+    words = np.random.default_rng(2021).integers(
+        0, 2**64, size=(_NORMAL_CHECK_ROWS, 4), dtype=np.uint64
+    )
+    ours = _draw_normals(words, 0.3)
+    if ours is None:
+        return False
+    want = [
+        np.random.Generator(np.random.PCG64(SeedState(row))).normal(0.0, 0.3)
+        for row in words
+    ]
+    return ours.tobytes() == np.array(want).tobytes()
+
+
+def draws_checked() -> bool:
+    """Whether every compiled draw kernel passed its first-use check:
+    :func:`choice_rows`, :func:`bounded_rows` and :func:`normal_draws`."""
+    global _choice_ok, _bounded_ok, _normal_ok
+    if _get() is False:
+        return False
+    if _choice_ok is None:
+        _choice_ok = _draws_match_numpy()
+    if _bounded_ok is None:
+        _bounded_ok = _bounded_match_numpy()
+    if _normal_ok is None:
+        _normal_ok = _normals_match_numpy()
+    return _choice_ok and _bounded_ok and _normal_ok

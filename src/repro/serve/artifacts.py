@@ -105,9 +105,15 @@ class ArtifactCache:
 
     # -- tier 3: warm snapshots ----------------------------------------------
 
-    def stash_snapshot(self, name: str, payload: dict) -> None:
-        """Keep an evicted session's parsed checkpoint payload warm."""
-        self.snapshots.put(name, payload)
+    def stash_snapshot(
+        self, name: str, payload: dict, nbytes: int | None = None
+    ) -> None:
+        """Keep an evicted session's parsed checkpoint payload warm.
+
+        ``nbytes`` sizes the entry for the byte gauge: the length of the
+        payload's checkpoint file, so the payload is never walked.
+        """
+        self.snapshots.put(name, payload, nbytes=nbytes)
 
     def take_snapshot(self, name: str):
         """Consume the warm payload for ``name`` (``None`` on miss).

@@ -45,6 +45,7 @@ served transparently.  Anything else is a ``stale_ask`` error.
 from __future__ import annotations
 
 import math
+import os
 import re
 import threading
 import time
@@ -81,6 +82,14 @@ def _check_name(name: str) -> str:
             "starting with an alphanumeric",
         )
     return name
+
+
+def _file_size(path) -> int | None:
+    """Bytes of the file at ``path``, or ``None`` when it cannot be read."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return None
 
 
 class SessionRunner:
@@ -570,11 +579,14 @@ class SessionManager:
         """Keep the evicted runner's boundary payload warm.
 
         Called with the session lock held (the runner is idle), so the
-        payload is exactly what the last boundary checkpoint persisted.
+        payload is exactly what the last boundary checkpoint persisted,
+        and that checkpoint file's length sizes it.
         """
         payload = runner.snapshot_payload()
         if payload is not None:
-            self.cache.stash_snapshot(runner.name, payload)
+            self.cache.stash_snapshot(
+                runner.name, payload, _file_size(runner.driver.checkpoint_path)
+            )
 
     def evict_all(self) -> int:
         """Evict every idle session (tests, drain)."""

@@ -18,18 +18,25 @@ Two kinds of pre-measured data back every experiment:
   (:meth:`ComponentHistory.subset`), and the stored solo runs a warm
   start reuses.
 
+A problem's history sets are a :class:`ComponentHistories` mapping,
+which generates each one on first read: only the component-model
+algorithms read them.
+
 Generation is deterministic given the seed, and results are memoised in
 process by two :class:`~repro.lru.LruCache` instances (128 entries each;
 counters ``pool.memo.*`` and ``history.memo.*``), keyed by the
-workflow's name *and* machine, so two machines' pools of one workflow
-never share an entry.  Parallel trial workers are forked after the
-parent built its pools, so they inherit the memo; any other process
-regenerates bit-identical pools from the seed.
+workflow's structure (name, components, couplings, steps, buffer hook
+and machine), so two workflows that share a name but not their apps, or
+two machines' pools of one workflow, never share an entry.  Parallel
+trial workers are forked after the parent built its pools, so they
+inherit the memo; any other process regenerates bit-identical pools
+from the seed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +55,7 @@ from repro.lru import LruCache
 
 __all__ = [
     "MeasuredPool",
+    "ComponentHistories",
     "ComponentHistory",
     "generate_pool",
     "generate_component_history",
@@ -56,6 +64,38 @@ __all__ = [
 
 _POOL_MEMO = LruCache("pool.memo", 128)
 _HISTORY_MEMO = LruCache("history.memo", 128)
+
+
+class _Same:
+    """A memo-key stand-in for an unhashable object (a dataclass app):
+    keys are equal when the objects are of one type and equal."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Same)
+            and type(other.obj) is type(self.obj)
+            and other.obj == self.obj
+        )
+
+    def __hash__(self) -> int:
+        return hash(type(self.obj))
+
+
+def _workflow_key(workflow: WorkflowDefinition) -> tuple:
+    """What a workflow's measurements depend on, as a memo key part."""
+    return (
+        workflow.name,
+        tuple((label, _Same(app)) for label, app in workflow.components),
+        workflow.couplings,
+        workflow.n_steps,
+        workflow.buffer_hook,
+        workflow.machine,
+    )
 
 
 def pool_size_for(top_fraction: float, probability: float) -> int:
@@ -149,6 +189,51 @@ class ComponentHistory:
         )
 
 
+class ComponentHistories(Mapping):
+    """The history sets of a workflow's configurable components, each
+    generated on first read.
+
+    Keys are the labels of every component with more than one
+    configuration, known up front, so ``len`` and iteration generate
+    nothing.  Reading a label's :class:`ComponentHistory` runs the
+    memoised :func:`generate_component_history` once and keeps the
+    result.  Read-only, so problems and threads may share one instance.
+    """
+
+    def __init__(
+        self,
+        workflow: WorkflowDefinition,
+        size: int,
+        seed: int,
+        noise_sigma: float,
+    ):
+        self._recipe = (workflow, size, seed, noise_sigma)
+        self._labels = tuple(
+            label for label in workflow.labels if workflow.app(label).space.size() > 1
+        )
+        self._read: dict[str, ComponentHistory] = {}
+
+    def __getitem__(self, label: str) -> ComponentHistory:
+        history = self._read.get(label)
+        if history is None:
+            if label not in self._labels:
+                raise KeyError(label)
+            workflow, size, seed, noise_sigma = self._recipe
+            history = self._read.setdefault(
+                label,
+                generate_component_history(
+                    workflow, label, size=size, seed=seed, noise_sigma=noise_sigma
+                ),
+            )
+        return history
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
 def generate_pool(
     workflow: WorkflowDefinition,
     size: int = 2000,
@@ -158,9 +243,9 @@ def generate_pool(
 ) -> MeasuredPool:
     """Sample and measure ``size`` random feasible configurations.
 
-    Deterministic given ``(workflow.name, workflow.machine, size, seed,
-    noise_sigma, replicates)`` and memoised under that key; pass
-    distinct seeds for independent pools.
+    Deterministic given the workflow and ``(size, seed, noise_sigma,
+    replicates)``, and memoised under them; pass distinct seeds for
+    independent pools.
 
     ``replicates > 1`` measures each configuration that many times with
     independent noise and records the mean — the noise-mitigation
@@ -170,7 +255,7 @@ def generate_pool(
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    key = (workflow.name, workflow.machine, size, seed, noise_sigma, replicates)
+    key = (_workflow_key(workflow), size, seed, noise_sigma, replicates)
     pool = _POOL_MEMO.get(key)
     if pool is not None:
         return pool
@@ -208,11 +293,10 @@ def generate_component_history(
 ) -> ComponentHistory:
     """Sample and solo-measure ``size`` random component configurations.
 
-    Deterministic given ``(workflow.name, workflow.machine, label, size,
-    seed, noise_sigma)`` and memoised under that key like
-    :func:`generate_pool`.
+    Deterministic given the workflow and ``(label, size, seed,
+    noise_sigma)``, and memoised under them like :func:`generate_pool`.
     """
-    key = (workflow.name, workflow.machine, label, size, seed, noise_sigma)
+    key = (_workflow_key(workflow), label, size, seed, noise_sigma)
     history = _HISTORY_MEMO.get(key)
     if history is not None:
         return history

@@ -2,10 +2,14 @@
 
 import pytest
 
+from conftest import comparable
+from repro import telemetry
 from repro.core.algorithms import RandomSampling
-from repro.core.autotuner import AutoTuner
+from repro.core.autotuner import AutoTuner, make_algorithm
+from repro.core.driver import load_checkpoint
 from repro.core.objectives import EXECUTION_TIME
 from repro.core.problem import TuningProblem
+from repro.telemetry import Telemetry
 
 
 class TestTuningProblem:
@@ -65,3 +69,41 @@ class TestAutoTuner:
     def test_unknown_objective_rejected(self, lv):
         with pytest.raises(ValueError):
             AutoTuner(lv, "energy", budget=10)
+
+
+class TestHistoriesOnFirstRead:
+    RECIPE = dict(objective="computer_time", pool_size=60, history_size=30)
+
+    @staticmethod
+    def history_calls(tuner: AutoTuner) -> int:
+        """Calls of ``generate_component_history`` while ``tuner`` tunes
+        (each is one lookup in its memo)."""
+        hub = Telemetry()
+        with telemetry.use(hub):
+            tuner.tune()
+        counters = {m["name"]: m.get("value") for m in hub.metrics_snapshot()}
+        return counters.get("history.memo.hits", 0) + counters.get(
+            "history.memo.misses", 0
+        )
+
+    @pytest.mark.parametrize("algorithm", ["rs", "al"])
+    def test_sessions_that_never_read_histories_never_generate_them(
+        self, lv, algorithm
+    ):
+        tuner = AutoTuner(
+            lv, budget=8, algorithm=make_algorithm(algorithm), seed=11, **self.RECIPE
+        )
+        assert self.history_calls(tuner) == 0
+        # CEAL's paid component batches read both.
+        assert self.history_calls(AutoTuner(lv, budget=8, seed=11, **self.RECIPE)) == 2
+
+    def test_ceal_with_history_checkpoint_round_trips(self, lv, tmp_path):
+        path = tmp_path / "ceal.ckpt"
+        tuner = dict(workflow=lv, budget=10, use_history=True, seed=12, **self.RECIPE)
+        straight = AutoTuner(**tuner).tune()
+        AutoTuner(**tuner, checkpoint_path=str(path)).tune()
+        data = load_checkpoint(path)["strategy"]["component_data"]
+        assert type(data) is dict and sorted(data) == ["lammps", "voro"]
+        resumed = AutoTuner(**tuner, checkpoint_path=str(path), resume=True).tune()
+        assert comparable(resumed.result) == comparable(straight.result)
+        assert resumed.best_config == straight.best_config

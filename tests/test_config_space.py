@@ -13,6 +13,7 @@ from repro.config.space import (
     int_range,
     join_spaces,
 )
+from repro.ml import _native
 
 
 def make_space() -> ParameterSpace:
@@ -214,3 +215,34 @@ def test_sample_is_a_prefix_of_one_long_stream(n, seed, batched):
             if len(expected) == n:
                 break
     assert got == expected
+
+
+def test_sample_is_the_same_on_every_draw_path(monkeypatch):
+    """Compiled draws, a failed self-check and kernels off give the same
+    configurations, built from each parameter's own value objects, and
+    leave the generator in the same state."""
+    space = ParameterSpace(
+        (
+            int_range("procs", 2, 1085),
+            choice("mode", ("fast", "safe", None)),
+            choice("shape", ((1, 2), (2, 1))),
+            choice("big", (2**70, 3)),
+            choice("ratio", (0.5, 1.5)),
+        )
+    )
+
+    def draw():
+        rng = np.random.default_rng(2021)
+        configs = space.sample(
+            rng, 300, constraint=lambda c: c[0] % 3 != 0, unique=True
+        )
+        return configs, rng.bit_generator.state
+
+    want = draw()
+    for config in want[0]:
+        for value, parameter in zip(config, space.parameters):
+            assert any(value is option for option in parameter.values)
+    monkeypatch.setattr(_native, "_bounded_ok", False)
+    assert draw() == want
+    monkeypatch.setattr(_native, "_state", False)
+    assert draw() == want

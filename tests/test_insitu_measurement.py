@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.insitu.fast import measure_batch
-from repro.insitu.measurement import _seed_states, measure_workflow, stable_seed
+from repro.insitu.measurement import (
+    _seed_states,
+    measure_workflow,
+    noise_factors,
+    stable_seed,
+)
+from repro.ml import _native
 from repro.workflows.catalog import expert_config
 
 #: Seeds on either side of every width numpy's seed hash switches on.
@@ -35,6 +41,33 @@ class TestSeedStates:
         for seed, state in zip(seeds, states):
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
             np.testing.assert_array_equal(state, expected)
+
+
+@pytest.mark.parametrize("name", ["LV", "it's \"x\"", "ünï"])
+@pytest.mark.parametrize("noise_seed", [0, 2**64 - 1, np.int64(5)])
+def test_noise_factors_same_on_every_draw_path(monkeypatch, lv_pool, name, noise_seed):
+    """The compiled draws, a failed self-check and kernels off give the
+    per-configuration ``default_rng`` factors, float for float."""
+    configs = lv_pool.configs[:100]
+    want = [
+        float(
+            np.exp(
+                np.random.default_rng(
+                    stable_seed(name, tuple(c), noise_seed)
+                ).normal(0.0, 0.05)
+            )
+        ).hex()
+        for c in configs
+    ]
+
+    def factors():
+        return [f.hex() for f in noise_factors(name, configs, 0.05, noise_seed).tolist()]
+
+    assert factors() == want
+    monkeypatch.setattr(_native, "_normal_ok", False)
+    assert factors() == want
+    monkeypatch.setattr(_native, "_state", False)
+    assert factors() == want
 
 
 class TestMeasurement:

@@ -9,7 +9,9 @@ hyper-parameters.
 """
 
 import dataclasses
+import os
 import pickle
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -306,6 +308,118 @@ def test_choice_rows_falls_back_to_the_loop(monkeypatch):
     rows, cols = model._subsamples(50, 4)
     assert cols is None
     assert np.array_equal(rows, _loop_rows(np.random.default_rng(3), 50, 40, 5))
+
+
+@given(
+    highs=st.lists(st.integers(1, 2**16) | st.just(1), min_size=1, max_size=8),
+    rows=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_rows_matches_tiled_integers(highs, rows, seed):
+    """One compiled call draws ``rng.integers(np.tile(highs, rows))`` as
+    rows and leaves the generator in the same state; without the
+    kernels it draws nothing."""
+    highs = np.array(highs, dtype=np.int64)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = _native.bounded_rows(ours, highs, rows)
+    if _native.available():
+        want = theirs.integers(np.tile(highs, rows)).reshape(rows, -1)
+        assert out.dtype == np.int64 and np.array_equal(out, want)
+    else:
+        assert out is None
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    sigma=st.floats(1e-3, 40.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_normal_draws_match_generator_normal(seeds, sigma):
+    """Per seed, the compiled draw is the first ``normal(0, sigma)`` of
+    ``default_rng(seed)``, float for float."""
+    from repro.insitu.measurement import _seed_states
+
+    seeds = [*seeds, 0, 2**32 - 1, 2**32, 2**64 - 1]
+    out = _native.normal_draws(_seed_states(np.array(seeds, dtype=np.uint64)), sigma)
+    if not _native.available():
+        assert out is None
+        return
+    # Built beside numpy's library, the kernel draws.
+    assert out is not None or not os.path.exists(_native._NPYRANDOM)
+    if out is not None:
+        want = [np.random.default_rng(s).normal(0.0, sigma) for s in seeds]
+        assert [x.hex() for x in out.tolist()] == [x.hex() for x in want]
+
+
+def test_normal_check_batch_takes_the_slow_path():
+    """The first-use check reaches the ziggurat's slow path: some of its
+    reference draws use more than one 64-bit output of their PCG64."""
+    words = np.random.default_rng(2021).integers(
+        0, 2**64, size=(_native._NORMAL_CHECK_ROWS, 4), dtype=np.uint64
+    )
+    slow = 0
+    for row in words:
+        drawn = np.random.PCG64(_native.SeedState(row))
+        np.random.Generator(drawn).normal(0.0, 0.3)
+        stepped = np.random.PCG64(_native.SeedState(row))
+        stepped.random_raw()
+        slow += drawn.state != stepped.state
+    assert slow >= 2
+
+
+def test_draw_kernels_fall_back(monkeypatch):
+    """A ``high`` past the kernel's bound, an empty row, and failed
+    self-checks all draw nothing, and leave the generator untouched."""
+    rng = np.random.default_rng(5)
+    for highs in ([2**32 - 1], [3, 2**40], []):
+        assert _native.bounded_rows(rng, np.array(highs, dtype=np.int64), 4) is None
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    # Self-checks that fail: the kernels return their rows reversed.
+    def reversed_rows(draw):
+        def draw_reversed(*args):
+            out = draw(*args)
+            return None if out is None else out[::-1]
+
+        return draw_reversed
+
+    monkeypatch.setattr(_native, "_bounded_ok", None)
+    monkeypatch.setattr(_native, "_normal_ok", None)
+    monkeypatch.setattr(_native, "_draw_bounded", reversed_rows(_native._draw_bounded))
+    monkeypatch.setattr(_native, "_draw_normals", reversed_rows(_native._draw_normals))
+    highs = np.array([4, 9], dtype=np.int64)
+    assert _native.bounded_rows(rng, highs, 3) is None
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    words = np.zeros((3, 4), dtype=np.uint64)
+    assert _native.normal_draws(words, 0.1) is None
+    checked = False if _native.available() else None
+    assert _native._bounded_ok is checked and _native._normal_ok is checked
+    assert not _native.draws_checked()
+
+
+@pytest.mark.parametrize("fault", ["missing library", "failed link"])
+def test_kernels_build_without_numpys_library(monkeypatch, tmp_path, fault):
+    """Without numpy's distributions library, or when linking it fails,
+    the source builds without the normal draws and every other kernel
+    stays."""
+    if not _native.available():
+        pytest.skip("the compiled kernels do not build here")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # a fresh build
+    if fault == "missing library":
+        monkeypatch.setattr(_native, "_NPYRANDOM", str(tmp_path / "libnpyrandom.a"))
+    else:  # random_normal left undefined
+        monkeypatch.setattr(
+            _native, "_NPYRANDOM_LINK", ("-DREPRO_NPYRANDOM", "-Wl,--no-undefined")
+        )
+    for name in ("_state", "_choice_ok", "_bounded_ok", "_normal_ok"):
+        monkeypatch.setattr(_native, name, None)
+    assert _native.available()
+    assert _native.normal_draws(np.zeros((2, 4), dtype=np.uint64), 0.1) is None
+    assert _native._normal_ok is False
+    assert _native.bounded_rows(np.random.default_rng(3), np.array([5, 7]), 4) is not None
+    assert _native.choice_rows(np.random.default_rng(3), 50, 10, 2) is not None
 
 
 @pytest.mark.parametrize("case", range(10))

@@ -195,6 +195,26 @@ class TestArtifactTiers:
         manager.close("a", delete=True)
         assert manager.cache.take_snapshot("a") is None
 
+    def test_snapshot_sized_by_its_checkpoint_file(self, tmp_path, monkeypatch):
+        """An evicted payload is sized by its checkpoint file, never by
+        walking it; healthz still reports the tier's bytes."""
+        import repro.lru
+
+        estimate = repro.lru._approx_nbytes
+        walked = []
+
+        def recording(obj, *args):
+            walked.append(obj)
+            return estimate(obj, *args)
+
+        monkeypatch.setattr(repro.lru, "_approx_nbytes", recording)
+        manager = SessionManager(tmp_path / "state", max_active=1)
+        manager.create(dict(algorithm="ceal", **SMALL), name="a")
+        manager.create(dict(algorithm="ceal", **SMALL), name="b")  # evicts a
+        size = (tmp_path / "state" / "a.ckpt").stat().st_size
+        assert manager.stats()["cache"]["snapshot"]["bytes"] == size
+        assert not any(isinstance(obj, dict) and "version" in obj for obj in walked)
+
     def test_concurrent_sessions_no_cross_session_bleed(self, tmp_path):
         """Six sessions with six distinct seeds driven from six threads
         over a two-resident manager (constant churn, one shared cache):

@@ -1,6 +1,8 @@
 """Tests for the workflow catalog and measured pools."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.apps import GrayScott, Lammps, VoroPlusPlus
 from repro.cluster.machine import Machine
+from repro.insitu import Coupling, WorkflowDefinition
 from repro.insitu.measurement import measure_workflow, stable_seed
 from repro.lru import LruCache
 from repro.telemetry import Telemetry
@@ -177,6 +181,30 @@ class TestPools:
         wide_history = generate_component_history(wide, "heat", size=40, seed=3)
         assert wide_history.configs != narrow_history.configs
 
+    def test_memo_keyed_by_workflow_structure(self):
+        """Workflows that share a name but not their apps never share a
+        memo entry; a rebuilt catalog workflow still hits it."""
+
+        def named_x(simulation):
+            return WorkflowDefinition(
+                "X",
+                (("sim", simulation), ("an", VoroPlusPlus())),
+                (Coupling("sim", "an"),),
+            )
+
+        first, second = named_x(Lammps()), named_x(GrayScott())
+        pool = generate_pool(second, 30, seed=3)
+        assert pool is not generate_pool(first, 30, seed=3)
+        assert {len(config) for config in pool.configs} == {5}
+        history = generate_component_history(second, "sim", size=20, seed=3)
+        assert history is not generate_component_history(first, "sim", size=20, seed=3)
+        assert history.configs[0] in second.app("sim").space.enumerate()
+
+        generate_pool(make_workflow("LV"), 30, seed=3)
+        _, counters = memo_counters(generate_pool, make_workflow("LV"), 30, seed=3)
+        assert counters.get("pool.memo.hits") == 1
+        assert "pool.memo.misses" not in counters
+
     def test_different_seed_different_pool(self, lv, lv_pool):
         other = generate_pool(lv, len(lv_pool), seed=8)
         assert other.configs != lv_pool.configs
@@ -259,6 +287,36 @@ def test_history_equals_per_config_oracle(component, size, seed, noise_sigma):
 
 
 class TestComponentHistory:
+    def test_histories_generated_once_across_threads(self, lv, monkeypatch):
+        """Eight threads reading one fresh mapping at once, on an empty
+        memo, all get the same history object, equal to a direct
+        generation; nothing is generated before the first read."""
+        fresh_memo(monkeypatch, "_HISTORY_MEMO")
+        histories = pools.ComponentHistories(lv, 30, 5, 0.05)
+        assert sorted(histories) == ["lammps", "voro"] and len(pools._HISTORY_MEMO) == 0
+        with pytest.raises(KeyError):
+            histories["nope"]
+        got, start = [], threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=10)
+            got.append(histories["lammps"])
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 8 and all(history is got[0] for history in got)
+        direct = pools._generate_history(lv, "lammps", 30, 5, 0.05)
+        assert_fields_equal(got[0], direct)
+
     def test_history_shapes(self, lv_histories):
         history = lv_histories["lammps"]
         assert len(history) == 120
