@@ -10,7 +10,10 @@ configuration-space blow-up the paper highlights in §2.3.
 Feasibility (e.g. the 32-node allocation cap of the paper's runs) is
 not part of a space: it comes from the components' own placements and
 is applied at sampling time (:class:`~repro.insitu.workflow.PlacementRule`).
-ML feature vectors are produced by :mod:`~repro.config.encoding`.
+ML feature vectors are produced by :mod:`~repro.config.encoding`; a
+candidate pool's configurations and their value matrix form a
+:class:`~repro.config.table.ConfigTable`, which models read through row
+views (:class:`~repro.config.table.ConfigRows`).
 """
 
 from repro.config.encoding import (
@@ -27,9 +30,12 @@ from repro.config.space import (
     int_range,
     join_spaces,
 )
+from repro.config.table import ConfigRows, ConfigTable
 
 __all__ = [
     "ConfigEncoder",
+    "ConfigRows",
+    "ConfigTable",
     "Configuration",
     "DerivedFeature",
     "Parameter",

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config.space import Configuration, ParameterSpace
+from repro.config.table import ConfigRows
 
 __all__ = ["DerivedFeature", "ConfigEncoder"]
 
@@ -67,10 +68,22 @@ class ConfigEncoder:
         return self.encode([config])[0]
 
     def encode(self, configs: Sequence[Configuration]) -> np.ndarray:
-        """Encode configurations into a fresh ``(n, n_features)`` matrix."""
+        """Encode configurations into a fresh ``(n, n_features)`` matrix.
+
+        A :class:`~repro.config.table.ConfigRows` view contributes its
+        rows of the table's value matrix; any other sequence (and a
+        view of a table without one) is converted from its tuples.
+        """
         if len(configs) == 0:
             return np.empty((0, self.n_features))
-        raw = np.array(configs, dtype=np.float64)
+        raw = configs.values if isinstance(configs, ConfigRows) else None
+        if raw is None:
+            raw = np.array(list(configs), dtype=np.float64)
+        return self.encode_values(raw)
+
+    def encode_values(self, raw: np.ndarray) -> np.ndarray:
+        """Add the derived columns to an ``(n, dimension)`` float64 value
+        matrix (``raw`` itself when there are none)."""
         if not self.derived:
             return raw
         return np.column_stack(

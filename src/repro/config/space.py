@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import telemetry
+
 #: A configuration is a tuple of parameter values, aligned with the
 #: owning :class:`ParameterSpace`'s parameter order.
 Configuration = tuple
@@ -264,7 +266,15 @@ class ParameterSpace:
             Rejection-sampling guard: give up after
             ``max_tries_factor * n`` draws so that an unsatisfiable
             constraint fails loudly instead of spinning forever.
+
+        Emits a ``config.sample`` telemetry span.
         """
+        with telemetry.get().span(
+            "config.sample", category="config", n=n, dimension=self.dimension
+        ):
+            return self._sample(rng, n, constraint, unique, max_tries_factor)
+
+    def _sample(self, rng, n, constraint, unique, max_tries_factor):
         # Chunked rejection sampling.  ``Generator.integers`` consumes
         # the bit stream element-wise in order, so one tiled array call
         # per chunk draws the exact same index sequence as the former

@@ -18,6 +18,7 @@ import numpy as np
 from repro import telemetry
 from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration
+from repro.config.table import ConfigRows, ConfigTable
 from repro.core.objectives import Objective
 from repro.insitu.measurement import objective_field
 from repro.insitu.workflow import WorkflowDefinition
@@ -49,10 +50,11 @@ class _ComponentModel:
     regressor: GradientBoostedTrees | None
     constant: float | None
 
-    def predict(self, comp_configs: Sequence[Configuration]) -> np.ndarray:
+    def predict(self, values: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of a component value matrix."""
         if self.constant is not None:
-            return np.full(len(comp_configs), self.constant)
-        return self.regressor.predict(self.encoder.encode(comp_configs))
+            return np.full(len(values), self.constant)
+        return self.regressor.predict(self.encoder.encode_values(values))
 
 
 @dataclass
@@ -60,8 +62,8 @@ class ComponentModelSet:
     """Trained models ``M_j^cpnt`` for every component of a workflow.
 
     Build with :meth:`train`; query through
-    :meth:`predict_components`, which extracts each component's
-    sub-configuration from joint workflow configurations and returns an
+    :meth:`predict_components`, which reads each component's columns of
+    joint workflow configurations and returns an
     ``(n_components, n_configs)`` prediction matrix ready for the
     analytical coupling model.
     """
@@ -69,12 +71,16 @@ class ComponentModelSet:
     workflow: WorkflowDefinition
     objective: Objective
     models: dict = field(default_factory=dict)
-    #: per-label ``{component_config: predicted_value}`` caches.  Models
-    #: are immutable once trained and every prediction is per-row
-    #: independent (encoding, tree traversal, exp are all elementwise),
-    #: so cached values are bit-identical to a fresh batched predict and
-    #: the cache never needs invalidation.
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    #: The problem's pool table, whose rows the models score: plain
+    #: sequences of its configurations are read as its rows, and its
+    #: predictions are held here (so they go with the session).
+    pool: ConfigTable | None = field(default=None, repr=False)
+    #: per-label predictions of every distinct component row of
+    #: ``pool``, made on first use.  Models are immutable once trained
+    #: and every prediction is per-row independent (encoding, tree
+    #: traversal, exp are all elementwise), so gathered values are
+    #: bit-identical to a fresh batched predict.
+    _held: dict = field(init=False, repr=False, default_factory=dict)
 
     @classmethod
     def train(
@@ -84,6 +90,7 @@ class ComponentModelSet:
         component_data: dict[str, ComponentHistory],
         random_state: int | None = None,
         registry=None,
+        pool: ConfigTable | None = None,
     ) -> "ComponentModelSet":
         """Train per-component models from solo measurements.
 
@@ -92,7 +99,8 @@ class ComponentModelSet:
         When a :class:`~repro.store.registry.ModelRegistry` is given,
         fitted regressors are cached by a hash of their exact training
         inputs; fits are deterministic, so a registry hit returns the
-        same model a refit would.
+        same model a refit would.  ``pool`` is the table the set scores
+        (:attr:`pool`).
         """
         models: dict = {}
         for label in workflow.labels:
@@ -141,7 +149,19 @@ class ComponentModelSet:
                 solo = workflow.solo_run(label, only)
                 value = getattr(solo, objective_field(objective.name))
                 models[label] = _ComponentModel(label, None, None, value)
-        return cls(workflow=workflow, objective=objective, models=models)
+        return cls(workflow=workflow, objective=objective, models=models, pool=pool)
+
+    def _rows(self, configs: Sequence[Configuration]) -> ConfigRows:
+        """``configs`` as rows of a table: a view as it is, a sequence of
+        pool configurations as pool rows, anything else as a one-off
+        table."""
+        if isinstance(configs, ConfigRows):
+            return configs
+        if self.pool is not None:
+            rows = self.pool.rows_of(configs)
+            if rows is not None:
+                return self.pool.view(rows)
+        return ConfigTable.of(configs).view()
 
     def predict_components(
         self, configs: Sequence[Configuration]
@@ -151,35 +171,32 @@ class ComponentModelSet:
         Returns an ``(n_components, n_configs)`` matrix ordered like
         ``workflow.labels``.
 
-        Sub-configuration predictions are cached per component — every
-        AL iteration rescores the same immutable candidate pool, and
-        many joint configurations collapse to the same component
-        sub-configuration — so steady-state scoring is dictionary
-        lookups.  Cache hits/misses are counted on the ``pool_cache.*``
-        telemetry counters.
+        Each model predicts every distinct component row of the
+        configurations' table once (the distinct rows are memoised on
+        the table) and the rows asked for are gathered from that; for
+        the pool table the predictions are held, so every later call is
+        a gather.  ``pool_cache.misses`` counts the distinct rows
+        predicted, ``pool_cache.hits`` the rows answered from held
+        predictions.
         """
+        labels = self.workflow.labels
         if len(configs) == 0:
-            return np.empty((len(self.workflow.labels), 0))
-        tel = telemetry.get()
+            return np.empty((len(labels), 0))
+        view = self._rows(configs)
+        table = view.table
+        held = self._held if table is self.pool else {}
+        out = np.empty((len(labels), len(view)))
         hits = misses = 0
-        rows = []
-        for label in self.workflow.labels:
-            cache = self._cache.setdefault(label, {})
-            comp_configs = [
-                self.workflow.component_config(label, c) for c in configs
-            ]
-            missing = [
-                cc for cc in dict.fromkeys(comp_configs) if cc not in cache
-            ]
-            if missing:
-                preds = self.models[label].predict(missing)
-                for cc, p in zip(missing, preds):
-                    cache[cc] = float(p)
-            misses += len(missing)
-            hits += len(comp_configs) - len(missing)
-            rows.append(
-                np.array([cache[cc] for cc in comp_configs], dtype=np.float64)
-            )
+        for k, label in enumerate(labels):
+            distinct, inverse = table.distinct(self.workflow.component_slice(label))
+            preds = held.get(label)
+            if preds is None:
+                preds = held[label] = self.models[label].predict(distinct)
+                misses += len(distinct)
+            else:
+                hits += len(view)
+            out[k] = preds[inverse[view.rows]]
+        tel = telemetry.get()
         tel.counter("pool_cache.hits").inc(hits)
         tel.counter("pool_cache.misses").inc(misses)
-        return np.vstack(rows)
+        return out

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config.space import Configuration
+from repro.config.table import ConfigRows, ConfigTable
 from repro.core.problem import AutotuneResult, TuningProblem
 from repro.telemetry import progress
 from repro.workflows.pools import ComponentHistory
@@ -86,36 +87,46 @@ class CandidateTracker:
     fail (consuming budget without producing a sample), so strategies
     must track *attempted* configurations, not just successful ones.
 
-    ``remaining`` is maintained incrementally: marking configurations
-    flags the cached list stale and the next access filters it once, so
-    repeated reads between marks are O(1) instead of rebuilding an
-    O(pool) list on every call.  The returned list is a snapshot —
-    later marks rebind the cache rather than mutating it — but callers
-    must still treat it as read-only.
+    The candidates are rows of a :class:`~repro.config.table.ConfigTable`
+    (the pool's, when given a view of it; a one-off table of any other
+    sequence) under an alive mask.  Marking a configuration clears every
+    row that holds it (a hand-built pool may repeat one).
+    ``remaining`` is a :class:`~repro.config.table.ConfigRows` view of
+    the alive rows in candidate order, cached until the next mark; a
+    view never changes once handed out.
     """
 
     def __init__(self, configs):
-        self._remaining: list[Configuration] = [tuple(c) for c in configs]
+        if not isinstance(configs, ConfigRows):
+            configs = ConfigTable.of(configs).view()
+        self._table = configs.table
+        self._order = configs.rows
+        self._alive = np.zeros(len(self._table), dtype=bool)
+        self._alive[self._order] = True
         self._attempted: set = set()
-        self._stale = False
+        self._remaining: ConfigRows | None = configs
 
     @property
-    def remaining(self) -> list[Configuration]:
-        """Pool configurations not yet attempted (treat as read-only)."""
-        if self._stale:
-            self._remaining = [
-                c for c in self._remaining if c not in self._attempted
-            ]
-            self._stale = False
+    def remaining(self) -> ConfigRows:
+        """Pool configurations not yet attempted."""
+        if self._remaining is None:
+            order = self._order
+            self._remaining = self._table.view(order[self._alive[order]])
         return self._remaining
 
     def mark(self, configs) -> None:
         """Record configurations as attempted."""
+        attempted = self._attempted
+        fresh = []
         for config in configs:
             config = tuple(config)
-            if config not in self._attempted:
-                self._attempted.add(config)
-                self._stale = True
+            if config not in attempted:
+                attempted.add(config)
+                fresh.append(config)
+        rows = self._table.rows_holding(fresh)
+        if rows:
+            self._alive[rows] = False
+            self._remaining = None
 
     def take_top(self, scores: np.ndarray, candidates, n: int):
         """The ``n`` best-scoring candidates (lower = better)."""
@@ -127,16 +138,29 @@ class CandidateTracker:
         return [candidates[i] for i in order]
 
     def state_dict(self) -> dict:
-        """Picklable snapshot (preserves the remaining-list order)."""
+        """Picklable snapshot (preserves the remaining order)."""
         return {
             "remaining": list(self.remaining),
             "attempted": set(self._attempted),
         }
 
     def restore_state(self, state: dict) -> None:
-        self._remaining = list(state["remaining"])
+        """Rebuild the mask from a :meth:`state_dict` snapshot.
+
+        A snapshot whose configurations are not all in this tracker's
+        table (one taken over another pool) brings a one-off table of
+        its own.
+        """
+        remaining = list(state["remaining"])
+        rows = self._table.rows_of(remaining)
+        if rows is None:
+            self._table = ConfigTable.of(remaining)
+            rows = self._table.view().rows
+        self._order = rows
+        self._alive = np.zeros(len(self._table), dtype=bool)
+        self._alive[rows] = True
         self._attempted = set(state["attempted"])
-        self._stale = False
+        self._remaining = None
 
 
 @dataclass(frozen=True)
@@ -293,9 +317,10 @@ class TuningSession:
 
         The standard exploit move (score the remaining pool, keep the
         top of the ranking), instrumented as a ``driver.rank`` span.
-        Scoring goes through the model's ``predict``, so the per-config
-        pool caches (component models, surrogates) and the packed
-        ensemble kernels do the heavy lifting.
+        Scoring goes through the model's ``predict``: a view of pool
+        rows is encoded from the pool's value matrix, component models
+        gather their held pool predictions, and the packed ensemble
+        kernels do the heavy lifting.
         """
         with telemetry.get().span(
             "driver.rank", category="predict", rows=len(candidates), take=n
@@ -521,26 +546,29 @@ def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
     target directory, fsynced, and renamed over ``path``: a crash (or a
     concurrent checkpointer in a threaded server) mid-write can never
     leave a torn checkpoint behind — readers see the previous complete
-    snapshot or the new one, nothing in between.
+    snapshot or the new one, nothing in between.  Emits a
+    ``checkpoint.save`` telemetry span.
     """
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_digest(body))
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+    with telemetry.get().span("checkpoint.save", category="checkpoint") as span:
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        span.set(bytes=len(body) + _DIGEST_SIZE)
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+        )
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_digest(body))
+                handle.write(body)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -551,27 +579,29 @@ def load_checkpoint(path: str | Path) -> dict:
     truncation or flipped byte, and every file of an older version,
     which had no digest), a pickle this code cannot load, and a payload
     of another version.  The digest is checked before anything is
-    unpickled.
+    unpickled.  Emits a ``checkpoint.load`` telemetry span.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
-        ) from exc
-    body = data[_DIGEST_SIZE:]
-    if _digest(body) != data[:_DIGEST_SIZE]:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: its bytes do not match their "
-            f"digest (a corrupt file, or one older than checkpoint version "
-            f"{CHECKPOINT_VERSION})"
-        )
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
-        ) from exc
+    with telemetry.get().span("checkpoint.load", category="checkpoint") as span:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+        span.set(bytes=len(data))
+        body = data[_DIGEST_SIZE:]
+        if _digest(body) != data[:_DIGEST_SIZE]:
+            raise CheckpointError(
+                f"cannot read checkpoint {path}: its bytes do not match their "
+                f"digest (a corrupt file, or one older than checkpoint version "
+                f"{CHECKPOINT_VERSION})"
+            )
+        try:
+            payload = pickle.loads(body)
+        except Exception as exc:
+            raise CheckpointError(
+                f"cannot read checkpoint {path}: {type(exc).__name__}: {exc}"
+            ) from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise CheckpointError(f"{path} is not a tuning checkpoint")
     if payload["version"] != CHECKPOINT_VERSION:

@@ -38,7 +38,8 @@ class LowFidelityModel:
 
         Component predictions come from
         :meth:`~repro.core.component_models.ComponentModelSet.predict_components`,
-        whose per-configuration cache makes repeated pool scoring cheap.
+        which predicts a pool's distinct component rows once and gathers
+        from them, so repeated pool scoring is cheap.
         """
         with telemetry.get().span(
             "ml.predict",

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config.space import Configuration
+from repro.config.table import ConfigRows
 from repro.core.collector import Collector
 from repro.core.component_models import ComponentModelSet
 from repro.core.objectives import Objective
@@ -136,9 +137,9 @@ class TuningProblem:
         return self.collector.store
 
     @property
-    def pool_configs(self) -> tuple[Configuration, ...]:
-        """The candidate set ``C_pool``."""
-        return self.pool.configs
+    def pool_configs(self) -> ConfigRows:
+        """The candidate set ``C_pool``, as a view of every pool row."""
+        return self.pool.table.view()
 
     @property
     def budget(self) -> int:
@@ -165,6 +166,7 @@ class TuningProblem:
             data,
             random_state=self.seed,
             registry=self.model_registry,
+            pool=self.pool.table,
         )
 
     def sample_unmeasured(
@@ -218,7 +220,7 @@ class AutotuneResult:
             "driver.rank", category="predict", rows=len(pool.configs)
         ):
             return np.asarray(
-                self.model.predict(list(pool.configs)), dtype=np.float64
+                self.model.predict(pool.table.view()), dtype=np.float64
             )
 
     def best_config(self, pool: MeasuredPool) -> Configuration:

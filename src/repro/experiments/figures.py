@@ -154,7 +154,7 @@ def fig04_lowfid_recall(
         (EXECUTION_TIME, "maximum of execution time"),
     ):
         models = ComponentModelSet.train(workflow, objective, data, random_state=seed)
-        scores = LowFidelityModel(models).predict(list(pool.configs))
+        scores = LowFidelityModel(models).predict(pool.table.view())
         truth = pool.objective_values(objective.name)
         curve = recall_curve(scores, truth, max_n)
         random_expect = [100.0 * n / pool_size for n in range(1, max_n + 1)]

@@ -313,16 +313,16 @@ class _Runs:
         return results
 
 
-def _coupled_runs(workflow: WorkflowDefinition, configs: list) -> _Runs:
+def _coupled_runs(
+    workflow: WorkflowDefinition, configs: list, values: np.ndarray | None
+) -> _Runs:
     """The noise-free coupled runs of a batch, as columns.
 
     The one place that chooses between the vectorized sweep and the
-    per-configuration :func:`run_coupled` oracle.
+    per-configuration :func:`run_coupled` oracle; ``values`` is the
+    batch's :func:`_value_matrix`.
     """
-    values = None
-    if configs and fast_path_reason(workflow) is None:
-        values = _value_matrix(workflow.space, configs)
-    if values is None:
+    if not configs or values is None or fast_path_reason(workflow) is not None:
         return _Runs.of(
             workflow.labels, [run_coupled(workflow, c) for c in configs]
         )
@@ -350,11 +350,15 @@ def run_coupled_batch(
     uses the vectorized sweep when the workflow is eligible and the
     batch is a numeric matrix, the DES oracle otherwise.
     """
-    return _coupled_runs(workflow, list(configs)).results()
+    configs = list(configs)
+    values = _value_matrix(workflow.space, configs)
+    return _coupled_runs(workflow, configs, values).results()
 
 
 def _value_matrix(space, configs: list):
     """The batch as a numeric ``(n, dimension)`` matrix, or ``None``."""
+    if not configs:
+        return None
     try:
         values = space.value_matrix(configs)
     except ValueError:
@@ -403,12 +407,16 @@ def measure_batch(
     redraws only the :func:`noise_factors` column.  Every observable is
     scaled by its row's factor in the scalar path's operation order, and
     replicates average a C-contiguous ``(n, replicates)`` matrix with
-    ``mean(axis=1)``, which equals ``np.mean`` of each row's list.
+    ``mean(axis=1)``, which equals ``np.mean`` of each row's list.  The
+    sweep's numeric value matrix of the batch is kept, as float64, in
+    the batch's ``values``.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     configs = tuple(tuple(config) for config in configs)
-    runs = _coupled_runs(workflow, list(configs))
+    batch = list(configs)
+    values = _value_matrix(workflow.space, batch)
+    runs = _coupled_runs(workflow, batch, values)
     seeds = (
         [noise_seed]
         if replicates == 1
@@ -431,4 +439,5 @@ def measure_batch(
         },
         nodes=runs.nodes,
         steps=runs.steps,
+        values=None if values is None else values.astype(np.float64),
     )

@@ -197,9 +197,11 @@ class MeasuredBatch:
 
     Row ``i`` of every array belongs to ``configs[i]`` (canonical
     tuples); ``component_seconds`` maps each component label to its
-    column.  The arrays are read-only, since a measured pool shares its
-    batch with every session that tunes on it.  :meth:`measurement`
-    builds one row's :class:`WorkflowMeasurement`.
+    column.  ``values`` is the configurations' float64 value matrix
+    (``np.array(configs, dtype=np.float64)``), or ``None`` when a value
+    is not numeric.  The arrays are read-only, since a measured pool
+    shares its batch with every session that tunes on it.
+    :meth:`measurement` builds one row's :class:`WorkflowMeasurement`.
     """
 
     configs: tuple
@@ -208,10 +210,13 @@ class MeasuredBatch:
     component_seconds: dict
     nodes: np.ndarray
     steps: np.ndarray
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         for column in self.columns():
             column.flags.writeable = False
+        if self.values is not None:
+            self.values.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.configs)

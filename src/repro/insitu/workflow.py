@@ -201,6 +201,10 @@ class WorkflowDefinition:
             )
         return placements
 
+    def component_slice(self, label: str) -> slice:
+        """Where component ``label``'s parameters sit in a joint configuration."""
+        return self._slices[label]
+
     def component_config(self, label: str, config: Configuration) -> Configuration:
         """Extract component ``label``'s sub-configuration ``c_j`` from ``c``."""
         return tuple(config[self._slices[label]])

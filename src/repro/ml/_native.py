@@ -25,7 +25,9 @@ Each kernel is numerically *identical* to its numpy counterpart:
   sequential prefix sums over each feature's stable sort (ties in the
   node's own row order; NaN ranks sort last and equal nothing, not even
   each other), the same gain expression evaluated in the same
-  order, numpy's ``argmax`` (first maximum, NaN wins) per feature, a
+  order (on a node whose keys have ties, only at key boundaries, since
+  every other position's gain is masked), numpy's ``argmax`` (first
+  maximum, NaN wins) per feature, a
   strict ``>`` across features starting from ``gamma``, and the same
   depth-first node numbering.  ``-ffp-contract=off`` keeps the compiler
   from fusing a multiply and an add into one differently rounded FMA.
@@ -181,10 +183,11 @@ static double pairwise_sum(const double *a, long long n)
 /* Stable argsort of key[0..m) into perm: insertion sort for small
    nodes, one counting pass when the key range is narrow, else LSD
    radix passes of 8 bits over key - kmin.  Any stable sort yields the
-   same permutation. */
-static void stable_argsort(const int32_t *key, long long m, int32_t kmin,
-                           int32_t kmax, int32_t *perm, int32_t *tmp,
-                           long long *count)
+   same permutation.  Returns the number of distinct keys the counting
+   pass saw, and m from the other two paths. */
+static long long stable_argsort(const int32_t *key, long long m,
+                                int32_t kmin, int32_t kmax, int32_t *perm,
+                                int32_t *tmp, long long *count)
 {
     if (m <= 16) {
         for (long long i = 0; i < m; ++i) {
@@ -196,7 +199,7 @@ static void stable_argsort(const int32_t *key, long long m, int32_t kmin,
             }
             perm[j] = (int32_t)i;
         }
-        return;
+        return m;
     }
     long long range = (long long)kmax - kmin + 1;
     if (range <= m + 512) {
@@ -204,15 +207,16 @@ static void stable_argsort(const int32_t *key, long long m, int32_t kmin,
             count[b] = 0;
         for (long long i = 0; i < m; ++i)
             ++count[key[i] - kmin];
-        long long total = 0;
+        long long total = 0, distinct = 0;
         for (long long b = 0; b < range; ++b) {
             long long c = count[b];
             count[b] = total;
             total += c;
+            distinct += c != 0;
         }
         for (long long i = 0; i < m; ++i)
             perm[count[key[i] - kmin]++] = (int32_t)i;
-        return;
+        return distinct;
     }
     int passes = 0;
     for (long long r = range - 1; r > 0; r >>= 8)
@@ -244,6 +248,7 @@ static void stable_argsort(const int32_t *key, long long m, int32_t kmin,
         src = dst;
         dst = swap;
     }
+    return m;
 }
 
 typedef struct {
@@ -279,9 +284,11 @@ long long repro_boosting_fit(
     int32_t *tmp = malloc(n_rows * sizeof(int32_t));
     long long *count = malloc((wide + 513) * sizeof(long long));
     pending_t *stack = malloc((n_rows + 1) * sizeof(pending_t));
+    double *bgl = malloc(n_rows * sizeof(double));
+    long long *bat = malloc(n_rows * sizeof(long long));
     long long n_nodes = -1;
     if (!pred || !grad || !gnode || !idx || !key || !perm || !best_perm
-        || !tmp || !count || !stack)
+        || !tmp || !count || !stack || !bgl || !bat)
         goto done;
 
     n_nodes = 0;
@@ -337,39 +344,79 @@ long long repro_boosting_fit(
                 }
                 if (kmin == kmax && kmin != nan_key)
                     continue; /* no boundary: every gain is -inf */
-                stable_argsort(key, m, kmin, kmax, perm, tmp, count);
+                long long distinct =
+                    stable_argsort(key, m, kmin, kmax, perm, tmp, count);
                 /* Gains over boundaries [lo, hi), masked ones -inf;
                    numpy argmax semantics: first maximum, NaN wins. */
                 double GL = gnode[perm[0]];
                 double col_best = 0.0;
                 long long col_at = 0;
                 int stop = 0;
-                for (long long i = 0; i < hi && !stop; ++i) {
-                    if (i > 0)
-                        GL = GL + gnode[perm[i]];
-                    if (i < lo)
-                        continue;
-                    double HL = (double)(i + 1);
-                    double gain = -INFINITY;
-                    /* NaN (nan_key, sorted last) equals nothing. */
-                    if ((key[perm[i + 1]] != key[perm[i]]
-                         || key[perm[i]] == nan_key)
-                        && HL >= min_child_weight
-                        && H - HL >= min_child_weight) {
-                        double GR = G - GL;
-                        double HR = H - HL;
-                        gain = 0.5 * (GL * GL / (HL + lam)
-                                      + GR * GR / (HR + lam)
-                                      - parent_score);
+                if (distinct < m) {
+                    /* Ties: list the boundaries with their prefix sums,
+                       then evaluate gains only there, in order.  A
+                       masked position's gain is -inf, which never
+                       displaces the running maximum, so starting from
+                       -inf at offset 0 picks what the fused scan picks. */
+                    long long nb = 0;
+                    for (long long i = 0; i < hi; ++i) {
+                        if (i > 0)
+                            GL = GL + gnode[perm[i]];
+                        int32_t k = key[perm[i]];
+                        bgl[nb] = GL;
+                        bat[nb] = i;
+                        /* NaN (nan_key, sorted last) equals nothing. */
+                        nb += (i >= lo)
+                              & ((key[perm[i + 1]] != k) | (k == nan_key));
                     }
-                    if (i == lo) {
-                        col_best = gain;
-                        col_at = 0;
-                        stop = isnan(gain);
-                    } else if (!(gain <= col_best)) {
-                        col_best = gain;
-                        col_at = i - lo;
-                        stop = isnan(gain);
+                    col_best = -INFINITY;
+                    for (long long b = 0; b < nb && !stop; ++b) {
+                        double HL = (double)(bat[b] + 1);
+                        double gain = -INFINITY;
+                        if (HL >= min_child_weight
+                            && H - HL >= min_child_weight) {
+                            double GLb = bgl[b];
+                            double GR = G - GLb;
+                            double HR = H - HL;
+                            gain = 0.5 * (GLb * GLb / (HL + lam)
+                                          + GR * GR / (HR + lam)
+                                          - parent_score);
+                        }
+                        if (!(gain <= col_best)) {
+                            col_best = gain;
+                            col_at = bat[b] - lo;
+                            stop = isnan(gain);
+                        }
+                    }
+                } else {
+                    /* Distinct keys (or a path that does not count
+                       them): one fused pass over every position. */
+                    for (long long i = 0; i < hi && !stop; ++i) {
+                        if (i > 0)
+                            GL = GL + gnode[perm[i]];
+                        if (i < lo)
+                            continue;
+                        double HL = (double)(i + 1);
+                        double gain = -INFINITY;
+                        if ((key[perm[i + 1]] != key[perm[i]]
+                             || key[perm[i]] == nan_key)
+                            && HL >= min_child_weight
+                            && H - HL >= min_child_weight) {
+                            double GR = G - GL;
+                            double HR = H - HL;
+                            gain = 0.5 * (GL * GL / (HL + lam)
+                                          + GR * GR / (HR + lam)
+                                          - parent_score);
+                        }
+                        if (i == lo) {
+                            col_best = gain;
+                            col_at = 0;
+                            stop = isnan(gain);
+                        } else if (!(gain <= col_best)) {
+                            col_best = gain;
+                            col_at = i - lo;
+                            stop = isnan(gain);
+                        }
                     }
                 }
                 if (col_best > best_gain) {
@@ -428,6 +475,8 @@ done:
     free(tmp);
     free(count);
     free(stack);
+    free(bgl);
+    free(bat);
     return n_nodes;
 }
 

@@ -116,11 +116,11 @@ def adopt_stored_measurements(session) -> int:
     )
     if not len(matches):
         return 0
-    pool_configs = set(problem.pool.configs)
+    pool = problem.pool.table
     adopted: dict = {}
     for record in matches:
         config = record.config
-        if config in pool_configs and config not in adopted:
+        if config in pool and config not in adopted:
             adopted[config] = record.value
     if not adopted:
         return 0

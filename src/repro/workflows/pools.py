@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config.space import Configuration
+from repro.config.table import ConfigTable
 from repro.insitu.fast import measure_batch
 from repro.insitu.measurement import (
     MeasuredBatch,
@@ -115,18 +116,19 @@ class MeasuredPool:
 
     ``measured`` holds the pool's observables as read-only columns, row
     ``i`` for ``configs[i]``; memoised pools are shared by every session
-    and serve worker.  :meth:`lookup` finds a configuration's row through
-    a dict and builds its :class:`WorkflowMeasurement` on demand.
+    and serve worker.  ``table`` is the pool's
+    :class:`~repro.config.table.ConfigTable`, built once from the DES
+    pass's value matrix: models score row views of it.  :meth:`lookup`
+    finds a configuration's row through the table and builds its
+    :class:`WorkflowMeasurement` on demand.
     """
 
     workflow_name: str
     measured: MeasuredBatch
 
     def __post_init__(self):
-        # Reversed, so a repeated configuration maps to its first row.
-        configs = self.configs
-        rows = dict(zip(reversed(configs), range(len(configs) - 1, -1, -1)))
-        object.__setattr__(self, "_rows", rows)
+        table = ConfigTable(self.measured.configs, self.measured.values)
+        object.__setattr__(self, "table", table)
 
     @property
     def configs(self) -> tuple[Configuration, ...]:
@@ -138,8 +140,9 @@ class MeasuredPool:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the pool's columns, for the memo's byte gauge."""
-        return self.measured.nbytes
+        """Bytes of the pool's columns and value matrix, for the memo's
+        byte gauge."""
+        return self.measured.nbytes + self.table.nbytes
 
     def objective_values(self, objective: str) -> np.ndarray:
         """The read-only column of one objective, aligned with :attr:`configs`."""
@@ -156,8 +159,8 @@ class MeasuredPool:
     def lookup(self, config: Configuration) -> WorkflowMeasurement:
         """Measurement of a pool configuration (``KeyError`` off the pool)."""
         try:
-            row = self._rows[tuple(config)]
-        except (KeyError, TypeError):
+            row = self.table.row_of(config)
+        except KeyError:
             raise KeyError(f"configuration {config!r} is not in the pool") from None
         return self.measured.measurement(row)
 

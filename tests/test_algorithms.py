@@ -51,7 +51,7 @@ class TestCandidateTracker:
     def test_marking_removes(self):
         tracker = CandidateTracker([(1,), (2,), (3,)])
         tracker.mark([(2,)])
-        assert tracker.remaining == [(1,), (3,)]
+        assert list(tracker.remaining) == [(1,), (3,)]
 
     def test_take_top_minimizes(self):
         tracker = CandidateTracker([(1,), (2,), (3,)])

@@ -123,6 +123,37 @@ class TestResumeDeterminism:
         assert result.best_config(lv_pool) == straight.best_config(lv_pool)
 
 
+def _recorded_sessions():
+    """``tests/data/make_resume_checkpoints.py``, which wrote the files."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / "make_resume_checkpoints.py"
+    spec = importlib.util.spec_from_file_location("make_resume_checkpoints", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["ceal_history", "alph", "al"])
+def test_recorded_checkpoint_resumes(name, tmp_path):
+    """A mid-session checkpoint written before pools became row views of
+    a value matrix resumes to the recommendation and event log of an
+    uninterrupted run."""
+    import shutil
+
+    recorded = _recorded_sessions()
+    path = tmp_path / "session.ckpt"
+    shutil.copyfile(recorded.path_of(name), path)
+    assert load_checkpoint(path)["completed"] is False
+    factory = recorded.CASES[name]
+    straight = factory().tune(recorded.make_problem())
+    problem = recorded.make_problem()
+    resumed = factory().tune(problem, checkpoint_path=path, resume=True)
+    assert comparable(resumed) == comparable(straight)
+    assert resumed.best_config(problem.pool) == straight.best_config(problem.pool)
+
+
 class TestCheckpointWithStore:
     """``--resume`` + ``--store`` never double-records (DESIGN §10)."""
 

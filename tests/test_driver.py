@@ -84,21 +84,21 @@ class TestCandidateTrackerIncremental:
         assert tracker.remaining is first  # no rebuild without marks
         tracker.mark([(2,)])
         second = tracker.remaining
-        assert second == [(0,), (1,), (3,), (4,)]
+        assert list(second) == [(0,), (1,), (3,), (4,)]
         assert tracker.remaining is second
 
     def test_previous_snapshot_not_mutated(self):
         tracker = CandidateTracker([(i,) for i in range(4)])
         snapshot = tracker.remaining
         tracker.mark([(0,), (3,)])
-        assert snapshot == [(0,), (1,), (2,), (3,)]
-        assert tracker.remaining == [(1,), (2,)]
+        assert list(snapshot) == [(0,), (1,), (2,), (3,)]
+        assert list(tracker.remaining) == [(1,), (2,)]
 
     def test_mark_same_config_twice(self):
         tracker = CandidateTracker([(1,), (2,)])
         tracker.mark([(1,)])
         tracker.mark([(1,)])
-        assert tracker.remaining == [(2,)]
+        assert list(tracker.remaining) == [(2,)]
 
     def test_state_roundtrip_preserves_order(self):
         tracker = CandidateTracker([(i,) for i in range(6)])
@@ -106,9 +106,9 @@ class TestCandidateTrackerIncremental:
         state = tracker.state_dict()
         restored = CandidateTracker([])
         restored.restore_state(state)
-        assert restored.remaining == tracker.remaining
+        assert list(restored.remaining) == list(tracker.remaining)
         restored.mark([(0,)])
-        assert restored.remaining == [(2,), (3,), (5,)]
+        assert list(restored.remaining) == [(2,), (3,), (5,)]
 
 
 class TestCollectorBudget:

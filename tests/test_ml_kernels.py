@@ -159,25 +159,49 @@ _BOOSTING_PARAMS = st.fixed_dictionaries({
 
 @given(
     kinds=st.lists(
-        st.sampled_from(["float", "ties", "tied", "nan", "all-nan"]),
+        st.sampled_from([
+            "float", "ties", "tied", "nan", "all-nan",
+            "levels", "levels-nan", "distinct",
+        ]),
         min_size=1, max_size=6,
     ),
-    n=st.integers(1, 200),
+    n=st.one_of(st.integers(1, 200), st.integers(60, 200)),
+    levels=st.integers(2, 30),
     dup=st.sampled_from([1, 2, 5, 200]),
-    target=st.sampled_from(["lognormal", "constant", "two-valued"]),
+    target=st.sampled_from(
+        ["lognormal", "constant", "two-valued", "mirror", "ramp"]
+    ),
     seed=st.integers(0, 2**32 - 1),
     params=_BOOSTING_PARAMS,
 )
-@settings(max_examples=100, deadline=None)
-def test_boosting_fit_compiled_matches_numpy(kinds, n, dup, target, seed, params):
+@settings(max_examples=150, deadline=None)
+def test_boosting_fit_compiled_matches_numpy(
+    kinds, n, levels, dup, target, seed, params
+):
     """The compiled fit, the numpy loop and the reference loop write the
     same node table on edge shapes: one row, constant or two-valued
     targets (tied gains), duplicate rows, tied and NaN columns (compiled
-    side only with a compiler)."""
+    side only with a compiler); and on tuning-shaped ones: 60–200 rows
+    of integer-valued columns with 2–30 distinct values (the compiled
+    fit scans only their key boundaries), partly NaN, beside an
+    all-distinct column (scanned at every position).  Two targets aim
+    at the boundary scan: ``mirror`` gives column 0 four equally common
+    values whose targets alternate, so two of its boundaries tie
+    exactly in gain and the first must win; ``ramp`` rises in row
+    order, the order an all-NaN column keeps, so a split between NaNs
+    wins."""
+    if target == "mirror":
+        n = 4 * max(1, n // 4)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, len(kinds)))
     for j, kind in enumerate(kinds):
-        if kind == "ties":
+        if kind.startswith("levels"):
+            X[:, j] = 2 ** rng.integers(0, levels, size=n)
+            if kind == "levels-nan":
+                X[rng.random(n) < 0.3, j] = np.nan
+        elif kind == "distinct":
+            X[:, j] = rng.permutation(n)
+        elif kind == "ties":
             X[:, j] = rng.integers(0, 3, size=n)
         elif kind == "tied":
             X[:, j] = 1.5
@@ -187,8 +211,13 @@ def test_boosting_fit_compiled_matches_numpy(kinds, n, dup, target, seed, params
         "lognormal": rng.lognormal(size=n),
         "constant": np.full(n, 2.0),
         "two-valued": rng.integers(1, 3, size=n).astype(float),
+        "mirror": np.ones(n),
+        "ramp": 1.0 + np.arange(n) / n,
     }[target]
     X[:dup], y[:dup] = X[0], y[0]
+    if target == "mirror":
+        X[:, 0] = rng.permutation(n) % 4
+        y = 1.0 + X[:, 0] % 2
     with mock.patch.object(_native, "boosting_fit", return_value=None):
         fits = [GradientBoostedTrees(**params).fit(X, y)]
     if _native.available():
@@ -576,12 +605,13 @@ def test_telemetry_summary_surfaces_ml_kernels(lv, lv_pool, lv_histories):
     from repro.core.objectives import EXECUTION_TIME
     from repro.telemetry.hub import Telemetry
 
-    # Every component sub-configuration of these six is distinct.
+    # Six pool configurations, twice: the first pass predicts every
+    # distinct component row of the pool once, the second is all hits.
     configs = lv_pool.configs[:6]
     hub = Telemetry()
     with telemetry.use(hub):
         models = ComponentModelSet.train(
-            lv, EXECUTION_TIME, lv_histories, random_state=0
+            lv, EXECUTION_TIME, lv_histories, random_state=0, pool=lv_pool.table
         )
         models.predict_components(configs)
         models.predict_components(configs)  # second pass is all cache hits
@@ -589,12 +619,16 @@ def test_telemetry_summary_surfaces_ml_kernels(lv, lv_pool, lv_histories):
     assert {"ml.fit.boosting", "ml.predict"} <= names
     metrics = {s["name"]: s for s in hub.metrics_snapshot()}
     rows = len(configs) * len(lv.labels)
-    assert metrics["pool_cache.misses"]["value"] == rows
+    distinct = sum(
+        len(lv_pool.table.distinct(lv.component_slice(label))[0])
+        for label in lv.labels
+    )
+    assert metrics["pool_cache.misses"]["value"] == distinct
     assert metrics["pool_cache.hits"]["value"] == rows
     lines = telemetry.summarize(hub).splitlines()
     assert any(line.startswith("ml.predict ") for line in lines)
-    for name in ("pool_cache.hits", "pool_cache.misses"):
-        assert f"  {name:30s} {float(rows)}" in lines
+    assert f"  {'pool_cache.hits':30s} {float(rows)}" in lines
+    assert f"  {'pool_cache.misses':30s} {float(distinct)}" in lines
 
 
 def test_surrogate_cache_matches_fresh_predictions():

@@ -312,6 +312,35 @@ class TestBitIdentity:
         assert traced.best_config == plain.best_config
         assert traced.cost == plain.cost
 
+    def test_restarted_served_session_emits_sample_and_checkpoint_spans(
+        self, tmp_path
+    ):
+        """A served CEAL session under a live hub, resumed from disk by a
+        restarted manager, emits ``config.sample`` (its pool, on a seed
+        no other test samples), ``checkpoint.save`` and
+        ``checkpoint.load``, and finishes as the offline run does."""
+        from conftest import comparable, drive, offline_result
+        from repro.serve.sessions import SessionManager
+        from repro.serve.specs import SessionSpec
+
+        spec = SessionSpec(
+            algorithm="ceal", use_history=True, budget=8, pool_size=60,
+            history_size=40, seed=9173,
+        )
+        hub = Telemetry()
+        with telemetry.use(hub):
+            first = SessionManager(tmp_path / "state")
+            first.create(spec, name="s")
+            first.tell("s", first.ask("s")["ask_id"])
+            del first  # no shutdown: the new manager recovers from disk
+            second = SessionManager(tmp_path / "state")
+            assert second.recovered == ["s"]
+            drive(second, "s")
+            served = second.result("s")
+        names = {span.name for span in hub.spans}
+        assert {"config.sample", "checkpoint.save", "checkpoint.load"} <= names
+        assert comparable(served) == comparable(offline_result(spec))
+
 
 class TestSummarizePercentiles:
     def test_summary_reports_wall_clock_tails(self, lv, lv_pool):
